@@ -41,8 +41,8 @@ def _load_game(path: str):
 
 
 def _load_morphism(path: str):
-    name, src_ref, tgt_ref, node_map = parse_morphism_text(
-        open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as fh:
+        name, src_ref, tgt_ref, node_map = parse_morphism_text(fh.read())
     base = os.path.dirname(os.path.abspath(path))
     src_path = os.path.join(base, src_ref) if not os.path.isabs(src_ref) else src_ref
     tgt_path = os.path.join(base, tgt_ref) if not os.path.isabs(tgt_ref) else tgt_ref

@@ -41,6 +41,18 @@ class CLT:
         return sorted(self.infosets, key=encode_set)
 
 
+def _not_constant(cells, value):
+    """The first (least member, other member) pair of one cell on which the
+    mapping value differs, scanning cells in the given order and members in
+    term order; None when value is constant on every cell."""
+    for cell in cells:
+        first, *rest = sorted(cell, key=term_key)
+        for x in rest:
+            if value[x] != value[first]:
+                return first, x
+    return None
+
+
 def validate_clt(tree: OutTree, infosets, label) -> CLT:
     label = dict(label)
     if set(label) != set(tree.edges):
@@ -49,10 +61,10 @@ def validate_clt(tree: OutTree, infosets, label) -> CLT:
         raise ValidationError("LabelBad", witness=bad[0],
                               detail="labeling must cover exactly the edge set")
 
-    cells = [frozenset(c) for c in infosets]
+    cells = sorted((frozenset(c) for c in infosets), key=encode_set)
     w = tree.decision_nodes
     seen: dict = {}
-    for cell in sorted(cells, key=encode_set):
+    for cell in cells:
         if not cell:
             raise ValidationError("PartitionBad", detail="empty information set")
         if not cell <= w:
@@ -79,12 +91,9 @@ def validate_clt(tree: OutTree, infosets, label) -> CLT:
         feasible[x].add(a)
     feasible = {x: frozenset(s) for x, s in feasible.items()}
 
-    for cell in sorted(cells, key=encode_set):
-        members = sorted(cell, key=term_key)
-        first = members[0]
-        for x in members[1:]:
-            if feasible[x] != feasible[first]:
-                raise ValidationError("FeasibilityNotConstant", witness=(first, x))
+    split = _not_constant(cells, feasible)
+    if split is not None:
+        raise ValidationError("FeasibilityNotConstant", witness=split)
 
     return CLT(
         tree=tree,

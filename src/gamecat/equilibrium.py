@@ -33,10 +33,6 @@ class GrandStrategy:
         return dict(self.choices)
 
 
-def _cells(g: Game):
-    return sorted(g.clt.infosets, key=encode_set)
-
-
 def strategy_space_size(g: Game) -> int:
     n = 1
     for cell in g.clt.infosets:
@@ -49,7 +45,7 @@ def strategies(g: Game, cap: int = 1_000_000):
     size = strategy_space_size(g)
     if size > cap:
         raise OperationError("StrategySpaceTooLarge", witness=None, detail=str(size))
-    cells = _cells(g)
+    cells = g.clt.sorted_infosets()
     pools = [sorted(g.clt.feasible[next(iter(cell))], key=term_key) for cell in cells]
     out = []
     for combo in itertools.product(*pools):
@@ -68,16 +64,12 @@ def outcome(g: Game, s: GrandStrategy) -> frozenset:
     return frozenset(z)
 
 
-def _player_cells(g: Game, i):
-    return [cell for cell in _cells(g) if g.mover[next(iter(cell))] == i]
-
-
 def is_nash(g: Game, s: GrandStrategy) -> bool:
     base_run = outcome(g, s)
     choice = s.as_dict()
     for i in sorted(g.players, key=term_key):
         base = g.utility(i, base_run)
-        cells = _player_cells(g, i)
+        cells = [cell for cell in g.clt.sorted_infosets() if g.mover[next(iter(cell))] == i]
         pools = [sorted(g.clt.feasible[next(iter(cell))], key=term_key)
                  for cell in cells]
         for combo in itertools.product(*pools):

@@ -1,17 +1,38 @@
 """Line-oriented game (.gm) and morphism (.gmm) files.
 
-One declaration per line, `#` comments, blank lines ignored. Printing is
-canonical (sorted lines, canonical term encodings), so printing is
-idempotent and parse/print round-trips.
+One declaration per line; `#` outside a quoted atom starts a comment; blank
+lines are ignored. Printing is canonical (sorted lines, canonical term
+encodings), so printing is idempotent and parse/print round-trips.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .game import Game, build_game
 from .terms import TermReader, encode, term_key
+
+# Everything before the first `#` that is outside a quoted atom.
+_BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
+
+
+def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line.strip()
+    m = _BEFORE_COMMENT.match(line)
+    return (m.group(0) if m else line).strip()
+
+
+def _keyword(r: TermReader, word: str) -> bool:
+    """Consume word at the cursor when a blank, `{` or the line end follows."""
+    r.skip_ws()
+    end = r.pos + len(word)
+    if r.text.startswith(word, r.pos) and r.text[end:end + 1] in ("", " ", "\t", "{"):
+        r.pos = end
+        return True
+    return False
 
 
 def _reader_words(line: str):
@@ -38,11 +59,19 @@ def _expect_end(r: TermReader, lineno: int):
         raise ParseError("trailing input", line=lineno)
 
 
-def _expect(r: TermReader, ch: str, lineno: int):
+def _read_braced(r: TermReader, lineno: int) -> frozenset:
+    """A `{ term term ... }` member list."""
     r.skip_ws()
-    if r.peek() != ch:
-        raise ParseError(f"expected {ch!r}", line=lineno)
+    if r.peek() != "{":
+        raise ParseError("expected '{'", line=lineno)
     r.pos += 1
+    members = []
+    while True:
+        r.skip_ws()
+        if r.peek() == "}":
+            r.pos += 1
+            return frozenset(members)
+        members.append(r.read_term())
 
 
 def parse_game_text(text: str):
@@ -55,7 +84,7 @@ def parse_game_text(text: str):
     cell_player: dict = {}  # infoset id -> player
     utilities: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw)
         if not line:
             continue
         head, r = _reader_words(line)
@@ -78,25 +107,15 @@ def parse_game_text(text: str):
                 edge_lines[(src, tgt)] = lineno
             elif head == "infoset":
                 ident = r.read_term()
-                _expect(r, "{", lineno)
-                members = []
-                while True:
-                    r.skip_ws()
-                    if r.peek() == "}":
-                        r.pos += 1
-                        break
-                    members.append(r.read_term())
+                members = _read_braced(r, lineno)
                 _expect_end(r, lineno)
                 if ident in cells:
                     raise ParseError("duplicate infoset id", line=lineno)
-                cells[ident] = frozenset(members)
+                cells[ident] = members
             elif head == "player":
                 pid = r.read_term()
-                r.skip_ws()
-                kw = r.text[r.pos:r.pos + 7]
-                if kw != "infoset":
+                if not _keyword(r, "infoset"):
                     raise ParseError("expected 'infoset'", line=lineno)
-                r.pos += 7
                 ident = r.read_term()
                 _expect_end(r, lineno)
                 if ident in cell_player:
@@ -104,28 +123,15 @@ def parse_game_text(text: str):
                 cell_player[ident] = pid
             elif head == "utility":
                 pid = r.read_term()
-                r.skip_ws()
-                if r.text.startswith("end", r.pos):
-                    r.pos += 3
-                    end = r.read_term()
-                    value = _read_rational(r, lineno)
-                    _expect_end(r, lineno)
-                    utilities[(pid, end)] = value
-                elif r.text.startswith("run", r.pos):
-                    r.pos += 3
-                    _expect(r, "{", lineno)
-                    members = []
-                    while True:
-                        r.skip_ws()
-                        if r.peek() == "}":
-                            r.pos += 1
-                            break
-                        members.append(r.read_term())
-                    value = _read_rational(r, lineno)
-                    _expect_end(r, lineno)
-                    utilities[(pid, frozenset(members))] = value
+                if _keyword(r, "end"):
+                    where = r.read_term()
+                elif _keyword(r, "run"):
+                    where = _read_braced(r, lineno)
                 else:
                     raise ParseError("expected 'end' or 'run'", line=lineno)
+                value = _read_rational(r, lineno)
+                _expect_end(r, lineno)
+                utilities[(pid, where)] = value
             else:
                 raise ParseError(f"unknown declaration {head!r}", line=lineno)
         except ParseError as e:
@@ -187,7 +193,7 @@ def parse_morphism_text(text: str):
     target = None
     node_map: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw)
         if not line:
             continue
         head, r = _reader_words(line)

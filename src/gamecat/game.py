@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clt import CLT, validate_clt
+from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .terms import Atom, Term, term_key
 from .tree import run_end, runs
@@ -54,41 +54,30 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
     if extra:
         raise ValidationError("MoverMissing", witness=extra[0],
                               detail="mover assigned to a non-decision node")
-    for cell in clt.sorted_infosets():
-        members = sorted(cell, key=term_key)
-        first = members[0]
-        for x in members[1:]:
-            if mover[x] != mover[first]:
-                raise ValidationError("MoverNotConstant", witness=(first, x))
+    split = _not_constant(clt.sorted_infosets(), mover)
+    if split is not None:
+        raise ValidationError("MoverNotConstant", witness=split)
 
     players = frozenset(mover.values())
-    all_runs = runs(clt.tree)
-    ends = {run_end(clt.tree, z) for z in all_runs}
-    run_by_end = {run_end(clt.tree, z): z for z in all_runs}
+    run_of = clt.tree.run_of
+    end_of = {z: e for e, z in run_of.items()}
 
     table: dict = {}
     for key, value in utilities.items():
-        i, where = key
-        if isinstance(where, (frozenset, set)):
-            node_set = frozenset(where)
-            matched = None
-            for end, z in run_by_end.items():
-                if z == node_set:
-                    matched = end
-                    break
-            if matched is None:
+        i, end = key
+        if isinstance(end, (frozenset, set)):
+            node_set = frozenset(end)
+            end = end_of.get(node_set)
+            if end is None:
                 raise ValidationError("UtilityExtraneous", witness=(i, node_set))
-            end = matched
-        else:
-            end = where
-        if i not in players or end not in ends:
+        if i not in players or end not in run_of:
             raise ValidationError("UtilityExtraneous", witness=(i, end))
         table[(i, end)] = Fraction(value)
 
     for i in sorted(players, key=term_key):
-        for end in sorted(ends, key=term_key):
+        for end in sorted(run_of, key=term_key):
             if (i, end) not in table:
-                raise ValidationError("UtilityMissing", witness=(i, run_by_end[end]))
+                raise ValidationError("UtilityMissing", witness=(i, run_of[end]))
 
     player_nodes = {i: frozenset(x for x in w if mover[x] == i) for i in players}
     return Game(clt=clt, mover=mover, players=players, utilities=table,
@@ -98,7 +87,7 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
 def one_player_zero_game(clt: CLT, player: Term = Atom("P1")) -> Game:
     """Wrap a CLT as a game: one player, zero utility on every run."""
     mover = {x: player for x in clt.tree.decision_nodes}
-    utilities = {(player, z): 0 for z in runs(clt.tree)}
+    utilities = {(player, e): 0 for e in clt.tree.run_of}
     return validate_game(clt, mover, utilities)
 
 
@@ -106,10 +95,10 @@ def ordinal_profile(g: Game, i: Term) -> dict:
     """Dense ranks of player i's utility over runs: 0 is best, ties share."""
     if i not in g.players:
         raise OperationError("UnknownPlayer", witness=i)
-    zs = g.runs()
-    values = sorted({g.utility(i, z) for z in zs}, reverse=True)
+    run_of = g.tree.run_of
+    values = sorted({g.utilities[(i, e)] for e in run_of}, reverse=True)
     rank = {v: k for k, v in enumerate(values)}
-    return {z: rank[g.utility(i, z)] for z in zs}
+    return {z: rank[g.utilities[(i, e)]] for e, z in run_of.items()}
 
 
 def build_game(nodes, edges, infosets, mover, utilities) -> Game:

@@ -9,14 +9,13 @@ reports the first violated condition, in a fixed order, with a witness.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .clt import CLT, validate_clt
+from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
-from .game import Game, validate_game
-from .terms import Atom, Term, encode_set, term_key
-from .tree import run_end, runs, strict_predecessors, validate_out_tree
+from .game import Game, ordinal_profile, validate_game
+from .terms import Atom, Term, term_key
+from .tree import strict_predecessors, validate_out_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +80,8 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
         if (node_map[x], node_map[y]) not in tgt.tree.edges:
             raise ValidationError("EdgeNotPreserved", witness=(x, y))
 
-    for cell in src.sorted_infosets():
+    cells = src.sorted_infosets()
+    for cell in cells:
         images = {node_map[x] for x in cell}
         anchor = next(iter(images))
         target_cell = tgt.info_of.get(anchor)
@@ -95,14 +95,10 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
             y = src.next[(x, a)]
             table[a] = tgt.label[(node_map[x], node_map[y])]
         alpha_at[x] = table
-    alpha: dict = {}
-    for cell in src.sorted_infosets():
-        members = _sorted_nodes(cell)
-        first = members[0]
-        for x in members[1:]:
-            if alpha_at[x] != alpha_at[first]:
-                raise ValidationError("ActionTransformNotConstant", witness=(first, x))
-        alpha[cell] = alpha_at[first]
+    split = _not_constant(cells, alpha_at)
+    if split is not None:
+        raise ValidationError("ActionTransformNotConstant", witness=split)
+    alpha = {cell: alpha_at[next(iter(cell))] for cell in cells}
 
     return CltMorphism(source=src, target=tgt, node_map=node_map, alpha=alpha)
 
@@ -125,12 +121,11 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
             raise ValidationError("NotEndPreserving", witness=x)
 
     prefix = frozenset(strict_predecessors(tgt.tree, node_map[src.tree.root]))
-    target_runs = set(runs(tgt.tree))
     zeta: dict = {}
-    for z in runs(src.tree):
+    for e, z in src.tree.run_of.items():
         image = prefix | frozenset(node_map[x] for x in z)
-        if image not in target_runs:
-            raise ValidationError("NotEndPreserving", witness=run_end(src.tree, z),
+        if image != tgt.tree.run_of[node_map[e]]:
+            raise ValidationError("NotEndPreserving", witness=e,
                                   detail="run image is not a target run")
         zeta[z] = image
 
@@ -145,14 +140,38 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
             iota[i] = i2
             chosen_at[i] = x
 
-    src_runs = runs(src.tree)
-    for i in sorted(src.players, key=term_key):
-        for z1, z2 in itertools.product(src_runs, src_runs):
-            if src.utility(i, z1) >= src.utility(i, z2):
-                if not tgt.utility(iota[i], zeta[z1]) >= tgt.utility(iota[i], zeta[z2]):
-                    raise ValidationError("UtilityNotPreserved", witness=(i, z1, z2))
+    run_of = src.tree.run_of
+    ends = list(run_of)
+    for i, a, b in _utility_orders(src, tgt, node_map, iota):
+        bad = _order_violation(ends, a, b)
+        if bad is not None:
+            raise ValidationError("UtilityNotPreserved",
+                                  witness=(i, run_of[bad[0]], run_of[bad[1]]))
 
     return GameMorphism(source=src, target=tgt, clt_morphism=cm, zeta=zeta, iota=iota)
+
+
+def _utility_orders(src: Game, tgt: Game, node_map, iota):
+    """(i, i's utilities, iota(i)'s at the images), keyed by source end node."""
+    ends = src.tree.run_of
+    for i in sorted(src.players, key=term_key):
+        yield (i, {e: src.utilities[(i, e)] for e in ends},
+               {e: tgt.utilities[(iota[i], node_map[e])] for e in ends})
+
+
+def _order_violation(zs, a, b):
+    """The first (z1, z2) of zs x zs in row-major order with a[z1] >= a[z2]
+    but b[z1] < b[z2], or None: in O(R log R), as a sort by a with a running
+    maximum of b gives the largest b at or below each value of a."""
+    top: dict = {}
+    best = None
+    for z in sorted(zs, key=a.__getitem__):
+        best = b[z] if best is None else max(best, b[z])
+        top[a[z]] = best
+    for z1 in zs:
+        if top[a[z1]] > b[z1]:
+            return z1, next(z2 for z2 in zs if a[z2] <= a[z1] and b[z2] > b[z1])
+    return None
 
 
 def run_at(gm: GameMorphism, z: frozenset) -> frozenset:
@@ -229,25 +248,23 @@ def _two_node_clt() -> CLT:
 def mono_witness(gm: GameMorphism):
     """Two distinct game morphisms from a single-run path game with equal
     composites, when the run transformation is not injective; else None."""
-    src_runs = runs(gm.source.tree)
-    pair = None
-    for i, z1 in enumerate(src_runs):
-        for z2 in src_runs[i + 1:]:
-            if gm.zeta[z1] == gm.zeta[z2]:
-                pair = (z1, z2)
-                break
-        if pair:
-            break
+    # Runs have equal images exactly when their ends do; the first pair in
+    # run order is the first class with two members, and its first two.
+    tau = gm.node_map
+    by_image: dict = {}
+    for e in gm.source.tree.run_of:
+        by_image.setdefault(tau[e], []).append(e)
+    pair = next((ends[:2] for ends in by_image.values() if len(ends) > 1), None)
     if pair is None:
         return None
-    z1, z2 = pair
+    e1, e2 = pair
     t = gm.source.tree
-    path1 = strict_predecessors(t, run_end(t, z1)) + [run_end(t, z1)]
-    path2 = strict_predecessors(t, run_end(t, z2)) + [run_end(t, z2)]
+    path1 = strict_predecessors(t, e1) + [e1]
+    path2 = strict_predecessors(t, e2) + [e2]
     # Equal run images force equal node-image chains, position by position.
-    tau = gm.node_map
-    assert len(path1) == len(path2)
-    assert all(tau[a] == tau[b] for a, b in zip(path1, path2))
+    if len(path1) != len(path2) or any(tau[a] != tau[b] for a, b in zip(path1, path2)):
+        raise OperationError("InvariantBroken", witness=(e1, e2),
+                             detail="runs with equal images have unequal node-image chains")
 
     probe = _path_game(path1)
     gamma1 = validate_game_morphism(probe, gm.source, {x: x for x in path1})
@@ -281,15 +298,9 @@ def _is_iso(m) -> bool:
             return False
         if len(set(m.iota.values())) != len(m.iota):
             return False
-        src, tgt = m.source, m.target
-        zs = runs(src.tree)
-        for i in sorted(src.players, key=term_key):
-            for z1, z2 in itertools.product(zs, zs):
-                fwd = src.utility(i, z1) >= src.utility(i, z2)
-                back = tgt.utility(m.iota[i], m.zeta[z1]) >= tgt.utility(m.iota[i], m.zeta[z2])
-                if fwd != back:
-                    return False
-        return True
+        ends = list(m.source.tree.run_of)
+        return all(_order_violation(ends, a, b) is None and _order_violation(ends, b, a) is None
+                   for _, a, b in _utility_orders(m.source, m.target, m.node_map, m.iota))
     if len(set(m.node_map.values())) != len(m.source.tree.nodes):
         return False
     if len(m.source.tree.nodes) != len(m.target.tree.nodes):
@@ -327,12 +338,9 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
         t = action_bijs[x]
         if set(t) != set(g.clt.feasible[x]) or len(set(t.values())) != len(t):
             raise OperationError("NotBijective", witness=x, detail="action map at node")
-    for cell in g.clt.sorted_infosets():
-        members = _sorted_nodes(cell)
-        for x in members[1:]:
-            if action_bijs[x] != action_bijs[members[0]]:
-                raise OperationError("ActionBijsNotConstantOnInfoset",
-                                     witness=(members[0], x))
+    split = _not_constant(g.clt.sorted_infosets(), action_bijs)
+    if split is not None:
+        raise OperationError("ActionBijsNotConstantOnInfoset", witness=split)
 
     edges = {}
     for (x, y), a in g.clt.label.items():
@@ -385,10 +393,8 @@ def iso_search(g1: Game, g2: Game):
         return None
     if len(g1.players) != len(g2.players):
         return None
-    prof1 = sorted(sorted(p.values()) for p in
-                   (_profile(g1, i) for i in g1.players))
-    prof2 = sorted(sorted(p.values()) for p in
-                   (_profile(g2, i) for i in g2.players))
+    prof1 = sorted(sorted(ordinal_profile(g1, i).values()) for i in g1.players)
+    prof2 = sorted(sorted(ordinal_profile(g2, i).values()) for i in g2.players)
     if prof1 != prof2:
         return None
 
@@ -441,8 +447,3 @@ def iso_search(g1: Game, g2: Game):
 
     return extend(0)
 
-
-def _profile(g, i):
-    from .game import ordinal_profile
-
-    return ordinal_profile(g, i)

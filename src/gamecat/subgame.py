@@ -14,8 +14,8 @@ from .clt import CLT, validate_clt
 from .errors import OperationError, ValidationError
 from .game import Game, validate_game
 from .morphism import GameMorphism, validate_game_morphism
-from .terms import Term, term_key
-from .tree import descendants, runs, validate_out_tree
+from .terms import Term
+from .tree import descendants, validate_out_tree
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,19 @@ class SeltenResult:
     inclusion: GameMorphism
 
 
+def _straddling(cells, below):
+    """The first cell with members both in and outside below; None when no
+    cell straddles, which is exactly when restricting to below gives a CLT."""
+    return next((cell for cell in cells if cell & below and cell - below), None)
+
+
 def selten_subclt(c: CLT, r: Term) -> CLT:
     if r not in c.tree.decision_nodes:
         raise OperationError("NotDecisionNode", witness=r)
     below = descendants(c.tree, r)
-    for cell in c.sorted_infosets():
-        if (cell & below) and (cell - below):
-            raise ValidationError("NotExists", witness=cell)
+    cell = _straddling(c.sorted_infosets(), below)
+    if cell is not None:
+        raise ValidationError("NotExists", witness=cell)
     edges = {e: a for e, a in c.label.items() if e[0] in below and e[1] in below}
     tree = validate_out_tree(below, set(edges))
     infosets = [cell for cell in c.infosets if cell <= below]
@@ -53,14 +59,8 @@ def selten_subgame(g: Game, r: Term) -> SeltenResult:
 
 
 def subgame_roots(g: Game):
-    roots = set()
-    for r in sorted(g.tree.decision_nodes, key=term_key):
-        try:
-            selten_subclt(g.clt, r)
-        except ValidationError:
-            continue
-        roots.add(r)
-    return roots
+    return {r for r in g.tree.decision_nodes
+            if _straddling(g.clt.infosets, descendants(g.tree, r)) is None}
 
 
 def is_selten_subgame(sub: Game, sup: Game) -> bool:
@@ -79,15 +79,11 @@ def is_selten_subgame(sub: Game, sup: Game) -> bool:
         inc = validate_game_morphism(sub, sup, {x: x for x in sub.tree.nodes})
     except (ValidationError, OperationError):
         return False
-    for cell, table in inc.clt_morphism.alpha.items():
-        if any(table[a] != a for a in table):
-            return False
+    if any(table[a] != a for table in inc.clt_morphism.alpha.values() for a in table):
+        return False
     if any(inc.iota[i] != i for i in inc.iota):
         return False
     if not sub.clt.infosets <= sup.clt.infosets:
         return False
-    for z in runs(sub.tree):
-        for i in sub.players:
-            if sub.utility(i, z) != sup.utility(i, inc.zeta[z]):
-                return False
-    return True
+    # The inclusion maps players and end nodes identically.
+    return all(sup.utilities[key] == v for key, v in sub.utilities.items())

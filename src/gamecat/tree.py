@@ -3,7 +3,7 @@
 An out-tree is a rooted oriented tree: exactly one node (the root) has no
 incoming edge, every other node has exactly one. Decision nodes are those
 with outgoing edges; runs are root-to-end paths, identified with their node
-sets.
+sets and keyed by their end node (`OutTree.run_of`).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ class OutTree:
     children: dict = field(repr=False)  # node -> tuple of children in term order
     decision_nodes: frozenset = field(repr=False)
     end_nodes: frozenset = field(repr=False)
+    run_of: dict = field(repr=False)    # end node -> run node set, by end encoding
 
     def __eq__(self, other):
         if not isinstance(other, OutTree):
@@ -69,14 +70,21 @@ def validate_out_tree(nodes, edges) -> OutTree:
     for x in children:
         children[x].sort(key=term_key)
 
+    # One DFS checks connectivity and records each end's root path.
     reached = {root}
-    stack = [root]
+    stack = [(root, 0)]
+    path: list = []
+    run_of: dict = {}
     while stack:
-        x = stack.pop()
+        x, depth = stack.pop()
+        del path[depth:]
+        path.append(x)
+        if not children[x]:
+            run_of[x] = frozenset(path)
         for y in children[x]:
             if y not in reached:
                 reached.add(y)
-                stack.append(y)
+                stack.append((y, depth + 1))
     if reached != node_set:
         missing = sorted(node_set - reached, key=term_key)
         # Every unreached node has a parent (roots were unique), so following
@@ -99,6 +107,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
         children={x: tuple(children[x]) for x in node_set},
         decision_nodes=decision,
         end_nodes=node_set - decision,
+        run_of={e: run_of[e] for e in sorted(run_of, key=encode)},
     )
 
 
@@ -134,11 +143,7 @@ def tree_leq(t: OutTree, x: Term, y: Term) -> bool:
 
 def runs(t: OutTree):
     """All root-to-end paths as node sets, ordered by end-node encoding."""
-    ends = sorted(t.end_nodes, key=lambda e: encode(e))
-    out = []
-    for e in ends:
-        out.append(frozenset(strict_predecessors(t, e)) | {e})
-    return out
+    return list(t.run_of.values())
 
 
 def run_end(t: OutTree, run: frozenset) -> Term:

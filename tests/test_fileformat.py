@@ -118,3 +118,41 @@ infoset i0 { 0 }
     with pytest.raises(ValidationError) as e:
         parse_game_text(text)
     assert e.value.code == "MoverMissing"
+
+
+HASH_GAME = """game h
+node r
+node "a#b"
+node c
+edge r "a#b" "x#y"  # the comment starts here, not inside the quotes
+edge r c z
+infoset i0 { r }
+player "P#1" infoset i0
+utility "P#1" end "a#b" 1
+utility "P#1" end c 0
+"""
+
+
+def test_hash_inside_a_quoted_atom_is_not_a_comment():
+    name, g = parse_game_text(HASH_GAME)
+    assert A("a#b") in g.tree.nodes
+    assert g.clt.label[(A("r"), A("a#b"))] == A("x#y")
+    printed = print_game(name, g)
+    assert parse_game_text(printed) == (name, g)
+
+
+def test_unterminated_quote_before_a_hash_is_still_an_error():
+    with pytest.raises(ParseError) as e:
+        parse_game_text('game t\nnode "a # b\n')
+    assert "unterminated quoted atom" in e.value.detail
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ('player "P#1" infoset i0', 'player "P#1" infoseti0', 8),
+    ('utility "P#1" end c 0', 'utility "P#1" endc 0', 10),
+])
+def test_keywords_must_stand_apart_from_the_next_term(old, new, line):
+    with pytest.raises(ParseError) as e:
+        parse_game_text(HASH_GAME.replace(old, new))
+    assert e.value.code == "SyntaxError"
+    assert e.value.line == line

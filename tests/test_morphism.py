@@ -1,11 +1,13 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from gamecat import (Atom, OperationError, ValidationError, action_at,
-                     clt_mono_witness, compose, forget, identity_clt_morphism,
+from gamecat import (Atom, GameMorphism, OperationError, ValidationError, action_at,
+                     build_game, clt_mono_witness, compose, forget, identity_clt_morphism,
                      identity_morphism, inverse, is_iso, is_mono, iso_search,
-                     mono_witness, one_player_zero_game, pushforward, run_at,
+                     mono_witness, one_player_zero_game, pushforward, run_at, term_key,
                      validate_clt_morphism, validate_game_morphism)
 from gamecat.terms import FinSet, Tup
 from examplegames import (A, trio_a, trio_b, relabel, split, mixedalpha, endclash, prefixed,
@@ -308,3 +310,97 @@ def test_mergers_are_not_mono():
         g1, g2 = w
         assert compose(m, g1) == compose(m, g2)
     assert found > 5
+
+
+# Pairwise reference for the ordinal utility conditions: the O(P * R^2)
+# loops the morphism checks are defined by.
+
+def pairwise_violation(src, tgt, zeta, iota):
+    zs = src.runs()
+    for i in sorted(src.players, key=term_key):
+        for z1, z2 in itertools.product(zs, zs):
+            if src.utility(i, z1) >= src.utility(i, z2):
+                if not tgt.utility(iota[i], zeta[z1]) >= tgt.utility(iota[i], zeta[z2]):
+                    return (i, z1, z2)
+    return None
+
+
+def pairwise_order_iso(src, tgt, zeta, iota):
+    zs = src.runs()
+    return all((src.utility(i, z1) >= src.utility(i, z2))
+               == (tgt.utility(iota[i], zeta[z1]) >= tgt.utility(iota[i], zeta[z2]))
+               for i in src.players for z1, z2 in itertools.product(zs, zs))
+
+
+def redrawn(rng, g):
+    """g with every utility drawn afresh from a narrow range, so ties and
+    reversals against g are both common."""
+    utilities = {key: Fraction(rng.randint(-1, 1)) for key in g.utilities}
+    return build_game(g.tree.nodes, dict(g.clt.label), g.clt.infosets, g.mover, utilities)
+
+
+def test_utility_checks_match_the_pairwise_reference():
+    rng = random.Random(41)
+    valid = invalid = isos = 0
+    for _ in range(150):
+        g = random_game(rng, max_nodes=10)
+        if rng.random() < 0.5:
+            base, node_map = g, {x: x for x in g.tree.nodes}
+        else:
+            base, cert = relabel_iso(rng, g)
+            node_map = cert.node_map
+        h = redrawn(rng, base)
+        src = redrawn(rng, g) if rng.random() < 0.5 else g
+        iota = {src.mover[x]: h.mover[node_map[x]] for x in src.tree.decision_nodes}
+        zeta = {z: frozenset(node_map[x] for x in z) for z in src.runs()}
+        expected = pairwise_violation(src, h, zeta, iota)
+        try:
+            m = validate_game_morphism(src, h, node_map)
+        except ValidationError as e:
+            invalid += 1
+            assert e.code == "UtilityNotPreserved"
+            assert e.witness == expected
+            continue
+        valid += 1
+        assert expected is None
+        assert m.zeta == zeta and m.iota == iota
+        assert is_iso(m) == pairwise_order_iso(src, h, zeta, iota)
+        if is_iso(m):
+            isos += 1
+            inv_map = {v: x for x, v in node_map.items()}
+            assert is_iso(validate_game_morphism(h, src, inv_map))
+    assert valid > 20 and invalid > 20 and isos > 5
+
+
+def test_is_iso_matches_the_pairwise_reference_both_ways():
+    rng = random.Random(43)
+    for _ in range(150):
+        g = random_game(rng, max_nodes=10)
+        h = redrawn(rng, g)
+        ident_map = {x: x for x in g.tree.nodes}
+        for src, tgt in ((g, h), (h, g)):
+            zeta = {z: z for z in src.runs()}
+            iota = {i: i for i in src.players}
+            try:
+                m = validate_game_morphism(src, tgt, ident_map)
+            except ValidationError:
+                assert pairwise_violation(src, tgt, zeta, iota) is not None
+                continue
+            assert is_iso(m) == pairwise_order_iso(src, tgt, zeta, iota)
+
+
+def test_mono_witness_rejects_a_broken_run_map():
+    # Ends 2 and 3 sit at different depths, so no valid morphism can send
+    # both to one node; the invariant check must still fire under -O.
+    g = make_game({(0, 1): "a", (0, 2): "b", (1, 3): "c"}, [{0}, {1}],
+                  {0: "P1", 1: "P1"}, {("P1", 2): 0, ("P1", 3): 0})
+    node_map = {x: x for x in g.tree.nodes}
+    node_map[A(3)] = A(2)
+    fake = GameMorphism(source=g, target=g,
+                        clt_morphism=identity_clt_morphism(g.clt),
+                        zeta={}, iota={})
+    object.__setattr__(fake.clt_morphism, "node_map", node_map)
+    with pytest.raises(OperationError) as e:
+        mono_witness(fake)
+    assert e.value.code == "InvariantBroken"
+    assert e.value.witness == (A(2), A(3))
