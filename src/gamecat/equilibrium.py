@@ -3,8 +3,12 @@ and their transport along isomorphisms.
 
 A grand strategy picks one feasible action per information set (feasibility
 is constant on cells, so this is the same as a continuous node-keyed
-choice). Everything here is brute-force enumeration over the exact strategy
-space, capped.
+choice). `nash` and `spe` enumerate the exact strategy space, capped, and
+check each strategy with one reachability pass per player: with the other
+players held to the strategy, player i can reach a run exactly when it
+follows the strategy at every node of another player and i's own choices
+along it agree within each information set (Kuhn 1953; agreement matters
+only under absentmindedness). So no deviation is enumerated.
 """
 
 from __future__ import annotations
@@ -15,19 +19,13 @@ from dataclasses import dataclass
 from .errors import OperationError
 from .game import Game
 from .morphism import GameMorphism, is_iso
-from .subgame import selten_subgame, subgame_roots
+from .subgame import subgame_roots
 from .terms import encode_set, term_key
 
 
 @dataclass(frozen=True)
 class GrandStrategy:
     choices: tuple  # ((cell, action), ...) sorted by cell encoding
-
-    def action_at_cell(self, cell):
-        for c, a in self.choices:
-            if c == cell:
-                return a
-        raise OperationError("UnknownInfoset", witness=cell)
 
     def as_dict(self):
         return dict(self.choices)
@@ -53,51 +51,80 @@ def strategies(g: Game, cap: int = 1_000_000):
     return out
 
 
+def _play(g: Game, choice: dict, x):
+    """The end node reached from x when every cell plays choice."""
+    info_of, nxt, ends = g.clt.info_of, g.clt.next, g.tree.end_nodes
+    while x not in ends:
+        x = nxt[(x, choice[info_of[x]])]
+    return x
+
+
 def outcome(g: Game, s: GrandStrategy) -> frozenset:
-    choice = s.as_dict()
-    x = g.tree.root
-    z = {x}
-    while x in g.tree.decision_nodes:
-        a = choice[g.clt.info_of[x]]
-        x = g.clt.next[(x, a)]
-        z.add(x)
-    return frozenset(z)
+    return g.tree.run_of[_play(g, s.as_dict(), g.tree.root)]
+
+
+def _deviation_gains(g: Game, choice: dict, start, i, base) -> bool:
+    """True when player i, the others held to choice, can reach from start
+    an end node worth more than base to i.
+
+    An iterative DFS: at another player's node it follows choice; at one of
+    i's nodes it branches over the feasible actions, unless the node's cell
+    was fixed higher up the same path (absentmindedness), where it keeps the
+    fixed action. Each node is visited at most once."""
+    info_of, nxt, mine = g.clt.info_of, g.clt.next, g.player_nodes[i]
+    feasible, ends, utilities = g.clt.feasible, g.tree.end_nodes, g.utilities
+    fixed: dict = {}  # i's cells fixed on the current path -> action
+    path: list = []   # per depth, the cell the edge into that node fixed, or None
+    stack = [(start, 0, None, None)]
+    while stack:
+        x, depth, cell, a = stack.pop()
+        for c in path[depth:]:
+            if c is not None:
+                del fixed[c]
+        del path[depth:]
+        path.append(cell)
+        if cell is not None:
+            fixed[cell] = a
+        if x in ends:
+            if utilities[(i, x)] > base:
+                return True
+            continue
+        c = info_of[x]
+        if x not in mine:
+            stack.append((nxt[(x, choice[c])], depth + 1, None, None))
+        elif c in fixed:
+            stack.append((nxt[(x, fixed[c])], depth + 1, None, None))
+        else:
+            for a in feasible[x]:
+                stack.append((nxt[(x, a)], depth + 1, c, a))
+    return False
+
+
+def _nash_from(g: Game, choice: dict, start) -> bool:
+    """No player gains by a unilateral deviation in play from start."""
+    end = _play(g, choice, start)
+    return not any(_deviation_gains(g, choice, start, i, g.utilities[(i, end)])
+                   for i in g.players)
 
 
 def is_nash(g: Game, s: GrandStrategy) -> bool:
-    base_run = outcome(g, s)
-    choice = s.as_dict()
-    for i in sorted(g.players, key=term_key):
-        base = g.utility(i, base_run)
-        cells = [cell for cell in g.clt.sorted_infosets() if g.mover[next(iter(cell))] == i]
-        pools = [sorted(g.clt.feasible[next(iter(cell))], key=term_key)
-                 for cell in cells]
-        for combo in itertools.product(*pools):
-            dev = dict(choice)
-            for cell, a in zip(cells, combo):
-                dev[cell] = a
-            s2 = GrandStrategy(tuple(sorted(dev.items(), key=lambda kv: encode_set(kv[0]))))
-            if g.utility(i, outcome(g, s2)) > base:
-                return False
-    return True
+    return _nash_from(g, s.as_dict(), g.tree.root)
 
 
 def nash(g: Game, cap: int = 1_000_000):
     return [s for s in strategies(g, cap) if is_nash(g, s)]
 
 
-def _restrict(s: GrandStrategy, sub: Game) -> GrandStrategy:
-    cells = set(sub.clt.infosets)
-    return GrandStrategy(tuple((c, a) for c, a in s.choices if c in cells))
-
-
 def spe(g: Game, cap: int = 1_000_000):
-    """Strategies that restrict to a Nash equilibrium in every subgame."""
-    subs = [selten_subgame(g, r).subgame
-            for r in sorted(subgame_roots(g), key=term_key)]
+    """Strategies that are Nash in every subgame: the same check run from
+    each subgame root on the whole tree. No cell straddles a subgame root's
+    boundary, so every cell of a player met below the root lies inside the
+    subgame."""
+    roots = sorted(subgame_roots(g), key=term_key)
     out = []
     for s in strategies(g, cap):
-        if all(is_nash(sub, _restrict(s, sub)) for sub in subs):
+        choice = s.as_dict()
+        if all(_nash_from(g, choice, r) for r in roots):
             out.append(s)
     return out
 

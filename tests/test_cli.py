@@ -1,5 +1,7 @@
 import shutil
 
+import pytest
+
 from gamecat import is_iso, parse_game_text, validate_game_morphism
 from gamecat.cli import main
 from conftest import fixture_path
@@ -67,11 +69,15 @@ def test_strategies_and_equilibria(capsys):
     assert out.count("spe:") >= 1
 
 
-def test_strategy_cap_flag(capsys):
-    code, out = run(capsys, "--max-strategies", "7", "strategies",
-                    fixture_path("trio_a.gm"))
+@pytest.mark.parametrize("command", ["strategies", "nash", "spe"])
+def test_strategy_cap_flag(capsys, command):
+    game = fixture_path("trio_a.gm")  # 8 strategies
+    code, out = run(capsys, "--max-strategies", "7", command, game)
     assert code == 1
-    assert "StrategySpaceTooLarge" in out
+    assert out.splitlines() == ["verdict: invalid", "error: StrategySpaceTooLarge (8)"]
+    code, out = run(capsys, "--max-strategies", "8", command, game)
+    assert code == 0
+    assert "error" not in out
 
 
 def test_morphism_check_valid_shows_transformations(capsys):

@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 
 from gamecat import (Atom, OperationError, is_nash, nash,
-                     outcome, push_strategy, spe, strategies,
+                     outcome, properties, push_strategy, spe, strategies,
                      strategy_space_size, to_distinguished)
 from gamecat.terms import FinSet, Tup
 from examplegames import A, trio_a, make_game
@@ -74,6 +75,61 @@ def test_nash_and_spe_match_oracles_on_random_games():
         g = random_game(rng, max_nodes=8, max_infosets=4, max_actions=3)
         assert as_strategy_set(nash(g)) == oracle_nash(g)
         assert as_strategy_set(spe(g)) == oracle_spe(g)
+
+
+def test_nash_and_spe_match_oracles_on_300_random_games():
+    rng = random.Random(61)
+    absent_minded = 0
+    for _ in range(300):
+        g = random_game(rng, max_nodes=10, max_infosets=4, max_actions=3)
+        absent_minded += not properties(g).no_absentmindedness
+        assert as_strategy_set(nash(g)) == oracle_nash(g)
+        assert as_strategy_set(spe(g)) == oracle_spe(g)
+    assert absent_minded > 0
+
+
+def test_absent_minded_driver_cannot_exit_at_the_second_node():
+    # One cell {1, 2}, node 2 the C-child of node 1. Exiting at 2 would pay
+    # 4, but reaching 2 takes C at the cell, so a pure strategy never exits
+    # there: all-C (pays 1) beats all-E (pays 0), and nothing beats all-C.
+    g = make_game({(1, 3): "E", (1, 2): "C", (2, 4): "E", (2, 5): "C"},
+                  [{1, 2}], {1: "P1", 2: "P1"},
+                  {("P1", 3): 0, ("P1", 4): 4, ("P1", 5): 1})
+    all_c = {runset(1, 2): A("C")}
+    assert [s.as_dict() for s in nash(g)] == [all_c]
+    assert [s.as_dict() for s in spe(g)] == [all_c]
+
+
+def binary_game(depth, seed):
+    """The full binary tree of the given depth, nodes numbered heap-style
+    from 1; P1 moves at even depths and P2 at odd ones, and each player's
+    end utilities are a seeded permutation, so every preference is strict."""
+    rng = random.Random(seed)
+    edges, mover = {}, {}
+    level = [1]
+    for d in range(depth):
+        for x in level:
+            mover[x] = "P1" if d % 2 == 0 else "P2"
+            edges[(x, 2 * x)] = "L"
+            edges[(x, 2 * x + 1)] = "R"
+        level = [y for x in level for y in (2 * x, 2 * x + 1)]
+    utilities = {}
+    for i in ("P1", "P2"):
+        values = list(range(len(level)))
+        rng.shuffle(values)
+        utilities.update({(i, e): v for e, v in zip(level, values)})
+    return make_game(edges, [{x} for x in mover], mover, utilities)
+
+
+def test_binary_4_equilibria_finish_and_agree_with_backward_induction():
+    g = binary_game(4, seed=3)
+    assert strategy_space_size(g) == 2 ** 15
+    start = time.perf_counter()
+    ns, ss = nash(g), spe(g)
+    assert time.perf_counter() - start < 60
+    want = {frozenset({x}): a for x, a in backward_induction(g).items()}
+    assert [s.as_dict() for s in ss] == [want]
+    assert want in [s.as_dict() for s in ns]
 
 
 def test_unique_spe_of_strict_perfect_information_game():
