@@ -1,8 +1,9 @@
 """Game-shape predicates and constructive converters.
 
 Each converter rebuilds the game in a normal form (distinguished actions,
-sequence nodes, action-set nodes) and returns the rebuilt game together with
-a certifying isomorphism from the input.
+sequence nodes, action-set nodes) with one `pushforward`, whose certifying
+isomorphism from the input is the composite bijection of the form's stages:
+tag actions by information set, then name nodes by their root path.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .game import Game
-from .morphism import GameMorphism, compose, pushforward
+from .morphism import GameMorphism, pushforward
 from .terms import FinSet, Tup, term_key
-from .tree import strict_predecessors, tree_leq
+from .tree import tree_leq
 
 
 @dataclass(frozen=True)
@@ -89,51 +90,49 @@ def properties(g: Game) -> GameProperties:
     )
 
 
-def _identity_actions(g: Game):
-    return {x: {a: a for a in g.clt.feasible[x]} for x in g.tree.decision_nodes}
-
-
-def to_distinguished(g: Game) -> ConversionResult:
-    """Tag each action with its information set, so distinct information
-    sets get disjoint feasible sets."""
-    action_bijs = {}
-    for x in g.tree.decision_nodes:
-        cell = g.clt.info_of[x]
+def _infoset_tags(g: Game):
+    tags: dict = {}
+    for cell in g.clt.infosets:
         tag = FinSet(tuple(cell))
-        action_bijs[x] = {a: Tup((tag, a)) for a in g.clt.feasible[x]}
-    g2, cert = pushforward(g, {x: x for x in g.tree.nodes}, action_bijs,
-                           {i: i for i in g.players})
+        table = {a: Tup((tag, a)) for a in g.clt.feasible[next(iter(cell))]}
+        tags.update(dict.fromkeys(cell, table))
+    return tags
+
+
+def _renamed(g: Game, action_bijs, name=None) -> ConversionResult:
+    """The one pushforward along action_bijs. With name, each node becomes
+    name(the action images on its root path), found in one top-down pass."""
+    t = g.tree
+    path = {t.root: ()}
+    stack = [t.root] if name else []
+    while stack:
+        x = stack.pop()
+        for y in t.children[x]:
+            path[y] = path[x] + (action_bijs[x][g.clt.label[(x, y)]],)
+            stack.append(y)
+    node_bij = {x: name(path[x]) if name else x for x in t.nodes}
+    g2, cert = pushforward(g, node_bij, action_bijs, {i: i for i in g.players})
     return ConversionResult(game=g2, certificate=cert)
 
 
-def _sequence_name(g: Game, x) -> Tup:
-    path = strict_predecessors(g.tree, x) + [x]
-    labels = tuple(g.clt.label[(path[k], path[k + 1])] for k in range(len(path) - 1))
-    return Tup(labels)
+def to_distinguished(g: Game) -> ConversionResult:
+    """Tag each action with its information set, so feasible sets are disjoint."""
+    return _renamed(g, _infoset_tags(g))
 
 
 def to_sequence(g: Game) -> ConversionResult:
     """Rename each node to the tuple of edge labels on its root path."""
-    node_bij = {x: _sequence_name(g, x) for x in g.tree.nodes}
-    g2, cert = pushforward(g, node_bij, _identity_actions(g),
-                           {i: i for i in g.players})
-    return ConversionResult(game=g2, certificate=cert)
+    return _renamed(g, {x: {a: a for a in f} for x, f in g.clt.feasible.items()}, Tup)
 
 
 def to_distinguished_sequence(g: Game) -> ConversionResult:
-    d = to_distinguished(g)
-    s = to_sequence(d.game)
-    return ConversionResult(game=s.game, certificate=compose(s.certificate, d.certificate))
+    return _renamed(g, _infoset_tags(g), Tup)
 
 
 def to_action_set(g: Game) -> ConversionResult:
-    """Rename each node to the set of actions on its root path. Needs
+    """Rename each node to the set of tagged labels on its root path. Needs
     no-absentmindedness, else the path sets collide."""
     w = _absentminded_witness(g)
     if w is not None:
         raise ValidationError("Absentminded", witness=w)
-    ds = to_distinguished_sequence(g)
-    node_bij = {x: FinSet(x.items) for x in ds.game.tree.nodes}
-    g2, cert = pushforward(ds.game, node_bij, _identity_actions(ds.game),
-                           {i: i for i in ds.game.players})
-    return ConversionResult(game=g2, certificate=compose(cert, ds.certificate))
+    return _renamed(g, _infoset_tags(g), FinSet)

@@ -356,21 +356,20 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     return g2, cert
 
 
-def _node_signature(t, x, cache):
-    if x in cache:
-        return cache[x]
-    kids = t.children[x]
-    sizes = tuple(sorted(_subtree_size(t, k) for k in kids))
-    sig = (len(strict_predecessors(t, x)), len(kids), _subtree_size(t, x), sizes)
-    cache[x] = sig
-    return sig
-
-
-def _subtree_size(t, x):
-    n = 1
-    for k in t.children[x]:
-        n += _subtree_size(t, k)
-    return n
+def _signatures(t):
+    """Each node's (depth, child count, subtree size, sorted child subtree
+    sizes), from one top-down and one bottom-up pass."""
+    order = [t.root]
+    depth = {t.root: 0}
+    for x in order:
+        for k in t.children[x]:
+            depth[k] = depth[x] + 1
+            order.append(k)
+    size: dict = {}
+    for x in reversed(order):
+        size[x] = 1 + sum(size[k] for k in t.children[x])
+    return {x: (depth[x], len(t.children[x]), size[x],
+                tuple(sorted(size[k] for k in t.children[x]))) for x in order}
 
 
 def iso_search(g1: Game, g2: Game):
@@ -379,15 +378,13 @@ def iso_search(g1: Game, g2: Game):
     Backtracking over root-preserving node bijections, pruning by structural
     node signatures, infoset-size and mover-class counts, and per-player
     ordinal profiles. Any complete candidate is re-validated, so the pruning
-    only affects speed. The returned witness is the lexicographically least
-    node map under canonical encoding.
+    only affects speed. The witness is the least isomorphism, comparing node
+    maps by the term_key images of the source nodes in term_key order (not
+    by encoding: `"a b"` encodes before `a` but sorts after it).
     """
     t1, t2 = g1.tree, g2.tree
-    if len(t1.nodes) != len(t2.nodes) or len(t1.edges) != len(t2.edges):
-        return None
-    if len(t1.end_nodes) != len(t2.end_nodes):
-        return None
-    if len(g1.clt.infosets) != len(g2.clt.infosets):
+    sig1, sig2 = _signatures(t1), _signatures(t2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
         return None
     if sorted(len(c) for c in g1.clt.infosets) != sorted(len(c) for c in g2.clt.infosets):
         return None
@@ -398,22 +395,12 @@ def iso_search(g1: Game, g2: Game):
     if prof1 != prof2:
         return None
 
-    cache1: dict = {}
-    cache2: dict = {}
+    # Only the root has depth 0, so signatures already fix root to root.
+    by_sig: dict = {}
+    for v in _sorted_nodes(t2.nodes):
+        by_sig.setdefault(sig2[v], []).append(v)
     order = _sorted_nodes(t1.nodes)
-    candidates = {}
-    for x in order:
-        sig = _node_signature(t1, x, cache1)
-        cands = [v for v in _sorted_nodes(t2.nodes)
-                 if _node_signature(t2, v, cache2) == sig]
-        if x == t1.root:
-            cands = [v for v in cands if v == t2.root]
-        if not cands:
-            return None
-        candidates[x] = cands
-
-    assignment: dict = {}
-    used = set()
+    candidates = [by_sig[sig1[x]] for x in order]
 
     def consistent(x, v):
         if x != t1.root:
@@ -425,25 +412,27 @@ def iso_search(g1: Game, g2: Game):
                 return False
         return True
 
-    def extend(idx):
-        if idx == len(order):
-            try:
-                m = validate_game_morphism(g1, g2, dict(assignment))
-            except ValidationError:
-                return None
-            return m if is_iso(m) else None
-        x = order[idx]
-        for v in candidates[x]:
-            if v in used or not consistent(x, v):
-                continue
-            assignment[x] = v
-            used.add(v)
-            found = extend(idx + 1)
-            if found is not None:
-                return found
-            del assignment[x]
-            used.remove(v)
-        return None
-
-    return extend(0)
-
+    # Depth first, one candidate iterator per level of order on the stack.
+    assignment: dict = {}
+    used = set()
+    stack = [iter(candidates[0])]
+    while stack:
+        x = order[len(stack) - 1]
+        if x in assignment:
+            used.remove(assignment.pop(x))
+        v = next((v for v in stack[-1] if v not in used and consistent(x, v)), None)
+        if v is None:
+            stack.pop()
+            continue
+        assignment[x] = v
+        used.add(v)
+        if len(stack) < len(order):
+            stack.append(iter(candidates[len(stack)]))
+            continue
+        try:
+            m = validate_game_morphism(g1, g2, dict(assignment))
+        except ValidationError:
+            continue
+        if is_iso(m):
+            return m
+    return None

@@ -80,6 +80,8 @@ def term_cmp(a: Term, b: Term) -> int:
 term_key = cmp_to_key(term_cmp)
 
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+# What str.splitlines breaks on; quoted atoms write these as \uXXXX.
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def encode(t: Term) -> str:
@@ -88,6 +90,7 @@ def encode(t: Term) -> str:
         if _BARE_ATOM.match(t.name):
             return t.name
         escaped = t.name.replace("\\", "\\\\").replace('"', '\\"')
+        escaped = _LINE_BREAK.sub(lambda m: f"\\u{ord(m.group()):04x}", escaped)
         return '"' + escaped + '"'
     if isinstance(t, Tup):
         return "(" + ",".join(encode(x) for x in t.items) + ")"
@@ -159,6 +162,15 @@ class TermReader:
             if ch == "\\":
                 if self.pos + 1 >= len(self.text):
                     self._fail("dangling escape in quoted atom")
+                if self.text[self.pos + 1] == "u":
+                    digits = self.text[self.pos + 2:self.pos + 6]
+                    # Four hex digits, not a surrogate (D800-DFFF): a lone
+                    # surrogate could not be encoded for comparison.
+                    if not re.fullmatch("(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}", digits):
+                        self._fail("bad \\u escape in quoted atom")
+                    out.append(chr(int(digits, 16)))
+                    self.pos += 6
+                    continue
                 out.append(self.text[self.pos + 1])
                 self.pos += 2
                 continue

@@ -1,13 +1,19 @@
+import glob
 import itertools
+import os
 import random
 
 import pytest
 
-from gamecat import (Atom, ValidationError, compose, identity_morphism,
-                     inverse, is_iso, one_player_zero_game, properties,
-                     to_action_set, to_distinguished,
-                     to_distinguished_sequence, to_sequence)
+import gamecat.canon
+from gamecat import (Atom, ConversionResult, ValidationError, compose,
+                     identity_morphism, inverse, is_iso, one_player_zero_game,
+                     parse_game_text, print_game, print_morphism, properties,
+                     pushforward, strict_predecessors, term_key, to_action_set,
+                     to_distinguished, to_distinguished_sequence, to_sequence,
+                     tree_leq)
 from gamecat.terms import FinSet, Tup
+from conftest import FIXTURES
 from examplegames import A, trio_a, trio_undist, relabel, split, refine
 from genrandom import random_game
 
@@ -157,3 +163,95 @@ def test_certificates_preserve_shape_predicates():
             assert q.no_absentmindedness == p.no_absentmindedness
             assert q.perfect_information == p.perfect_information
             assert is_iso(res.certificate)
+
+
+# Reference: each normal form as a chain of stages, one pushforward per stage,
+# the certificates chained through compose.
+
+def _ref_identity_actions(g):
+    return {x: {a: a for a in g.clt.feasible[x]} for x in g.tree.decision_nodes}
+
+
+def ref_to_distinguished(g):
+    action_bijs = {}
+    for x in g.tree.decision_nodes:
+        tag = FinSet(tuple(g.clt.info_of[x]))
+        action_bijs[x] = {a: Tup((tag, a)) for a in g.clt.feasible[x]}
+    return ConversionResult(*pushforward(g, {x: x for x in g.tree.nodes}, action_bijs,
+                                         {i: i for i in g.players}))
+
+
+def ref_to_sequence(g):
+    node_bij = {}
+    for x in g.tree.nodes:
+        path = strict_predecessors(g.tree, x) + [x]
+        node_bij[x] = Tup(tuple(g.clt.label[(path[k], path[k + 1])]
+                                for k in range(len(path) - 1)))
+    return ConversionResult(*pushforward(g, node_bij, _ref_identity_actions(g),
+                                         {i: i for i in g.players}))
+
+
+def ref_to_distinguished_sequence(g):
+    d = ref_to_distinguished(g)
+    s = ref_to_sequence(d.game)
+    return ConversionResult(s.game, compose(s.certificate, d.certificate))
+
+
+def ref_to_action_set(g):
+    for cell in g.clt.sorted_infosets():
+        members = sorted(cell, key=term_key)
+        for x in members:
+            for y in members:
+                if x != y and tree_leq(g.tree, x, y):
+                    raise ValidationError("Absentminded", witness=(cell, x, y))
+    ds = ref_to_distinguished_sequence(g)
+    node_bij = {x: FinSet(x.items) for x in ds.game.tree.nodes}
+    game, cert = pushforward(ds.game, node_bij, _ref_identity_actions(ds.game),
+                             {i: i for i in ds.game.players})
+    return ConversionResult(game, compose(cert, ds.certificate))
+
+
+CONVERTERS = [
+    (to_distinguished, ref_to_distinguished),
+    (to_sequence, ref_to_sequence),
+    (to_distinguished_sequence, ref_to_distinguished_sequence),
+    (to_action_set, ref_to_action_set),
+]
+
+
+def _outcome(convert, g):
+    try:
+        res = convert(g)
+    except ValidationError as e:
+        return ("error", e.code, e.witness)
+    node_map = res.certificate.node_map
+    return ("ok", res.game, node_map, print_game("c", res.game),
+            print_morphism("m", "in.gm", "out.gm", node_map))
+
+
+def reference_inputs():
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.gm"))):
+        with open(path, encoding="utf-8") as f:
+            yield parse_game_text(f.read())[1]
+    rng = random.Random(73)
+    for _ in range(240):
+        yield random_game(rng, max_nodes=10)
+
+
+def test_converters_equal_the_staged_reference(monkeypatch):
+    calls = []
+
+    def counting_pushforward(*args):
+        calls.append(1)
+        return pushforward(*args)
+
+    monkeypatch.setattr(gamecat.canon, "pushforward", counting_pushforward)
+    absentminded = 0
+    for g in reference_inputs():
+        absentminded += not properties(g).no_absentmindedness
+        for convert, reference in CONVERTERS:
+            calls.clear()
+            got = _outcome(convert, g)
+            assert len(calls) == (0 if got[0] == "error" else 1)
+            assert got == _outcome(reference, g)
+    assert absentminded >= 20

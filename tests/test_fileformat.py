@@ -1,10 +1,13 @@
 import glob
 import os
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gamecat import (ParseError, ValidationError, parse_game_text,
-                     parse_morphism_text, print_game, print_morphism)
+from gamecat import (Atom, ParseError, ValidationError, build_game, encode,
+                     parse_game_text, parse_morphism_text, parse_term,
+                     print_game, print_morphism)
 from conftest import FIXTURES
 from examplegames import A, trio_a
 
@@ -156,3 +159,49 @@ def test_keywords_must_stand_apart_from_the_next_term(old, new, line):
         parse_game_text(HASH_GAME.replace(old, new))
     assert e.value.code == "SyntaxError"
     assert e.value.line == line
+
+
+_names = st.text(min_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_names, min_size=5, max_size=5, unique=True),
+       st.lists(_names, min_size=2, max_size=2, unique=True),
+       st.lists(_names, min_size=2, max_size=2, unique=True),
+       st.lists(_names, min_size=2, max_size=2))
+def test_any_atom_names_survive_print_and_parse(nodes, acts0, acts1, players):
+    n0, n1, n2, n3, n4 = (Atom(x) for x in nodes)
+    a0, b0 = (Atom(x) for x in acts0)
+    a1, b1 = (Atom(x) for x in acts1)
+    p0, p1 = (Atom(x) for x in players)
+    ends = (n2, n3, n4)
+    g = build_game({n0, n1, n2, n3, n4},
+                   {(n0, n1): a0, (n0, n2): b0, (n1, n3): a1, (n1, n4): b1},
+                   [{n0}, {n1}], {n0: p0, n1: p1},
+                   {(i, e): Fraction(k) for i in (p0, p1) for k, e in enumerate(ends)})
+    printed = print_game("g", g)
+    assert parse_game_text(printed) == ("g", g)
+    assert print_game("g", parse_game_text(printed)[1]) == printed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_names.map(Atom), _names.map(Atom), min_size=1, max_size=5))
+def test_any_atom_names_survive_morphism_print_and_parse(node_map):
+    printed = print_morphism("m", "a.gm", "b.gm", node_map)
+    parsed = parse_morphism_text(printed)
+    assert parsed == ("m", "a.gm", "b.gm", node_map)
+    assert print_morphism(*parsed) == printed
+
+
+@pytest.mark.parametrize("ch", "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+def test_line_breaks_in_atoms_print_as_unicode_escapes(ch):
+    text = encode(Atom(f"a{ch}b"))
+    assert text == '"a\\u%04xb"' % ord(ch)
+    assert parse_term(text) == Atom(f"a{ch}b")
+
+
+@pytest.mark.parametrize("bad", ['"\\u12"', '"\\u12g4"', '"\\ud800"'])
+def test_malformed_unicode_escapes_are_syntax_errors(bad):
+    with pytest.raises(ParseError) as e:
+        parse_term(bad)
+    assert e.value.code == "SyntaxError"

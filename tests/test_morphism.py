@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,68 @@ def test_iso_search_inverts_random_relabelings():
         g2, _ = relabel_iso(rng, g)
         m = iso_search(g, g2)
         assert m is not None and is_iso(m)
+
+
+def path_game(n):
+    """A chain of n nodes plus one side leaf at the root, one player."""
+    edges = {(k, k + 1): "a" for k in range(n - 1)}
+    edges[(0, "s")] = "b"
+    return make_game(edges, [{k} for k in range(n - 1)],
+                     {k: "P1" for k in range(n - 1)},
+                     {("P1", n - 1): 1, ("P1", "s"): 0})
+
+
+def test_iso_search_on_a_deep_path_returns_the_identity():
+    g = path_game(3000)
+    start = time.perf_counter()
+    m = iso_search(g, g)
+    assert time.perf_counter() - start < 30
+    assert m.node_map == {x: x for x in g.tree.nodes}
+
+
+def isos_by_brute_force(g1, g2):
+    """Every isomorphism's node map, least first: maps compare as the
+    term_key sequence of the images of the source nodes in term_key order."""
+    src = sorted(g1.tree.nodes, key=term_key)
+    if len(src) != len(g2.tree.nodes):
+        return []
+    found = []
+    for perm in itertools.permutations(g2.tree.nodes):
+        node_map = dict(zip(src, perm))
+        if node_map[g1.tree.root] != g2.tree.root:
+            continue
+        try:
+            m = validate_game_morphism(g1, g2, node_map)
+        except ValidationError:
+            continue
+        if is_iso(m):
+            found.append(node_map)
+    return sorted(found, key=lambda tau: [term_key(tau[x]) for x in src])
+
+
+def test_iso_search_returns_the_least_isomorphism():
+    rng = random.Random(31)
+    pairs = []
+    for k in range(60):
+        # Equal utilities make sibling swaps automorphisms, so witnesses compete.
+        g = random_game(rng, max_nodes=6, util_range=(0, 1) if k % 2 else (-2, 3))
+        pairs += [(g, g), (g, relabel_iso(rng, g)[0]),
+                  (g, random_game(rng, max_nodes=6))]
+    # Two isomorphisms, onto the leaves `a` and `"a b"`: the encoding puts
+    # `"a b"` first, term_key puts `a` first.
+    g = make_game({(0, 1): "x", (0, 2): "y"}, [{0}], {0: "P1"},
+                  {("P1", 1): 0, ("P1", 2): 0})
+    h = make_game({(0, "a"): "x", (0, "a b"): "y"}, [{0}], {0: "P1"},
+                  {("P1", "a"): 0, ("P1", "a b"): 0})
+    pairs.append((g, h))
+    competing = 0
+    for g1, g2 in pairs:
+        isos = isos_by_brute_force(g1, g2)
+        m = iso_search(g1, g2)
+        assert (m.node_map if m else None) == (isos[0] if isos else None)
+        competing += len(isos) > 1
+    assert competing >= 20
+    assert iso_search(g, h).node_map[A(1)] == A("a")
 
 
 def test_mergers_are_not_mono():
