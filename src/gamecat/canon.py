@@ -8,12 +8,13 @@ tag actions by information set, then name nodes by their root path.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .game import Game
 from .morphism import GameMorphism, pushforward
-from .terms import FinSet, Tup, term_key
+from .terms import FinSet, Tup
 from .tree import tree_leq
 
 
@@ -72,11 +73,9 @@ def _uses_action_sets(g: Game) -> bool:
 
 def _absentminded_witness(g: Game):
     for cell in g.clt.sorted_infosets():
-        members = sorted(cell, key=term_key)
-        for x in members:
-            for y in members:
-                if x != y and tree_leq(g.tree, x, y):
-                    return (cell, x, y)
+        for x, y in itertools.permutations(sorted(cell), 2):
+            if tree_leq(g.tree, x, y):
+                return (cell, x, y)
     return None
 
 

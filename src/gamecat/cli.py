@@ -20,7 +20,7 @@ from .fileformat import (parse_game_text, parse_morphism_text, print_game,
 from .morphism import (clt_mono_witness, compose, is_iso, is_mono,
                        iso_search, mono_witness, validate_game_morphism)
 from .subgame import selten_subgame, subgame_roots
-from .terms import encode, encode_set, parse_term, term_key
+from .terms import encode, encode_set, parse_term
 
 
 class _Report:
@@ -35,14 +35,20 @@ class _Report:
             print(f"{key}: {text}" if text else key)
 
 
-def _load_game(path: str):
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_game_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8: bad byte at offset {e.start}") from None
+
+
+def _load_game(path: str):
+    return parse_game_text(_read_text(path))
 
 
 def _load_morphism(path: str):
-    with open(path, encoding="utf-8") as fh:
-        name, src_ref, tgt_ref, node_map = parse_morphism_text(fh.read())
+    name, src_ref, tgt_ref, node_map = parse_morphism_text(_read_text(path))
     base = os.path.dirname(os.path.abspath(path))
     src_path = os.path.join(base, src_ref) if not os.path.isabs(src_ref) else src_ref
     tgt_path = os.path.join(base, tgt_ref) if not os.path.isabs(tgt_ref) else tgt_ref
@@ -60,8 +66,8 @@ def _cmd_validate(args, rep):
     rep.line("game", name)
     rep.line("nodes", len(g.tree.nodes))
     rep.line("root", encode(g.tree.root))
-    rep.line("actions", " ".join(encode(a) for a in sorted(g.clt.actions, key=term_key)))
-    rep.line("players", " ".join(encode(i) for i in sorted(g.players, key=term_key)))
+    rep.line("actions", " ".join(encode(a) for a in sorted(g.clt.actions)))
+    rep.line("players", " ".join(encode(i) for i in sorted(g.players)))
     for z in g.runs():
         rep.line("run", encode_set(z))
     return 0
@@ -101,7 +107,7 @@ def _cmd_spe(args, rep):
 
 def _cmd_subgames(args, rep):
     _, g = _load_game(args.game)
-    for r in sorted(subgame_roots(g), key=term_key):
+    for r in sorted(subgame_roots(g)):
         rep.line("subgame_root", encode(r))
     return 0
 
@@ -149,7 +155,7 @@ def _report_morphism_error(e: GameError, rep, src=None, tgt=None, node_map=None)
     if e.code == "ActionTransformNotConstant" and src is not None:
         x1, x2 = e.witness
         for x in (x1, x2):
-            for a in sorted(src.clt.feasible[x], key=term_key):
+            for a in sorted(src.clt.feasible[x]):
                 y = src.clt.next[(x, a)]
                 image = tgt.clt.label[(node_map[x], node_map[y])]
                 rep.line("alpha", encode(x), encode(a), "->", encode(image))
@@ -164,12 +170,12 @@ def _check_morphism(path, rep, classify=False):
         return 1
     rep.line("verdict", "valid")
     for cell in sorted(gm.clt_morphism.alpha, key=encode_set):
-        for a in sorted(gm.clt_morphism.alpha[cell], key=term_key):
+        for a in sorted(gm.clt_morphism.alpha[cell]):
             rep.line("alpha", encode_set(cell), encode(a), "->",
                      encode(gm.clt_morphism.alpha[cell][a]))
     for z in gm.source.runs():
         rep.line("zeta", encode_set(z), "->", encode_set(gm.zeta[z]))
-    for i in sorted(gm.iota, key=term_key):
+    for i in sorted(gm.iota):
         rep.line("iota", encode(i), "->", encode(gm.iota[i]))
     if classify:
         mono = is_mono(gm)
@@ -179,13 +185,13 @@ def _check_morphism(path, rep, classify=False):
         w = mono_witness(gm)
         if w is not None:
             g1, g2 = w
-            for x in sorted(g1.node_map, key=term_key):
+            for x in sorted(g1.node_map):
                 rep.line("mono_witness", encode(x), "->",
                          encode(g1.node_map[x]), "|", encode(g2.node_map[x]))
         cw = clt_mono_witness(gm.clt_morphism)
         if cw is not None:
             t1, t2 = cw
-            for x in sorted(t1.node_map, key=term_key):
+            for x in sorted(t1.node_map):
                 rep.line("clt_mono_witness", encode(x), "->",
                          encode(t1.node_map[x]), "|", encode(t2.node_map[x]))
     return 0
@@ -204,7 +210,7 @@ def _cmd_morphism(args, rep):
         m1 = validate_game_morphism(s1, t1, map1)
         m2 = validate_game_morphism(s2, t2, map2)
         m = compose(m2, m1)
-        for x in sorted(m.node_map, key=term_key):
+        for x in sorted(m.node_map):
             rep.line("map", encode(x), "->", encode(m.node_map[x]))
         return 0
     raise ParseError(f"unknown morphism action {args.action!r}")
@@ -218,7 +224,7 @@ def _cmd_iso(args, rep):
         rep.line("verdict", "not-isomorphic")
         return 1
     rep.line("verdict", "isomorphic")
-    for x in sorted(m.node_map, key=term_key):
+    for x in sorted(m.node_map):
         rep.line("map", encode(x), "->", encode(m.node_map[x]))
     if args.emit_morphism:
         with open(args.emit_morphism, "w", encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import OperationError, ValidationError
-from .terms import Term, encode_set, term_key
+from .terms import Term, encode_set
 from .tree import OutTree
 
 
@@ -46,7 +46,7 @@ def _not_constant(cells, value):
     mapping value differs, scanning cells in the given order and members in
     term order; None when value is constant on every cell."""
     for cell in cells:
-        first, *rest = sorted(cell, key=term_key)
+        first, *rest = sorted(cell)
         for x in rest:
             if value[x] != value[first]:
                 return first, x
@@ -56,9 +56,7 @@ def _not_constant(cells, value):
 def validate_clt(tree: OutTree, infosets, label) -> CLT:
     label = dict(label)
     if set(label) != set(tree.edges):
-        bad = sorted(set(label) ^ set(tree.edges),
-                     key=lambda e: (term_key(e[0]), term_key(e[1])))
-        raise ValidationError("LabelBad", witness=bad[0],
+        raise ValidationError("LabelBad", witness=min(set(label) ^ set(tree.edges)),
                               detail="labeling must cover exactly the edge set")
 
     cells = sorted((frozenset(c) for c in infosets), key=encode_set)
@@ -68,22 +66,20 @@ def validate_clt(tree: OutTree, infosets, label) -> CLT:
         if not cell:
             raise ValidationError("PartitionBad", detail="empty information set")
         if not cell <= w:
-            extra = sorted(cell - w, key=term_key)[0]
-            raise ValidationError("PartitionBad", witness=extra,
+            raise ValidationError("PartitionBad", witness=min(cell - w),
                                   detail="information set contains a non-decision node")
         for x in cell:
             if x in seen and seen[x] != cell:
                 raise ValidationError("PartitionBad", witness=x,
                                       detail="node in two information sets")
             seen[x] = cell
-    uncovered = sorted(w - set(seen), key=term_key)
-    if uncovered:
-        raise ValidationError("PartitionBad", witness=uncovered[0],
+    if w - seen.keys():
+        raise ValidationError("PartitionBad", witness=min(w - seen.keys()),
                               detail="decision node in no information set")
 
     nxt: dict = {}
     feasible: dict = {x: set() for x in w}
-    for x, y in sorted(tree.edges, key=lambda e: (term_key(e[0]), term_key(e[1]))):
+    for x, y in sorted(tree.edges):
         a = label[(x, y)]
         if (x, a) in nxt:
             raise ValidationError("NonDeterministic", witness=(x, a))

@@ -20,7 +20,7 @@ from .errors import OperationError
 from .game import Game
 from .morphism import GameMorphism, is_iso
 from .subgame import subgame_roots
-from .terms import encode_set, term_key
+from .terms import encode_set
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def strategies(g: Game, cap: int = 1_000_000):
     if size > cap:
         raise OperationError("StrategySpaceTooLarge", witness=None, detail=str(size))
     cells = g.clt.sorted_infosets()
-    pools = [sorted(g.clt.feasible[next(iter(cell))], key=term_key) for cell in cells]
+    pools = [sorted(g.clt.feasible[next(iter(cell))]) for cell in cells]
     out = []
     for combo in itertools.product(*pools):
         out.append(GrandStrategy(tuple(zip(cells, combo))))
@@ -120,7 +120,7 @@ def spe(g: Game, cap: int = 1_000_000):
     each subgame root on the whole tree. No cell straddles a subgame root's
     boundary, so every cell of a player met below the root lies inside the
     subgame."""
-    roots = sorted(subgame_roots(g), key=term_key)
+    roots = sorted(subgame_roots(g))
     out = []
     for s in strategies(g, cap):
         choice = s.as_dict()

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .game import Game, build_game
-from .terms import TermReader, encode, term_key
+from .terms import TermReader, encode
 
 # Everything before the first `#` that is outside a quoted atom.
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
@@ -142,13 +142,11 @@ def parse_game_text(text: str):
         raise ParseError("missing 'game' declaration", line=1)
     unassigned = [i for i in cells if i not in cell_player]
     if unassigned:
-        raise ValidationError("MoverMissing",
-                              witness=sorted(unassigned, key=term_key)[0],
+        raise ValidationError("MoverMissing", witness=min(unassigned),
                               detail="infoset has no player line")
     stray = [i for i in cell_player if i not in cells]
     if stray:
-        raise ParseError(f"player line for unknown infoset "
-                         f"{encode(sorted(stray, key=term_key)[0])}")
+        raise ParseError(f"player line for unknown infoset {encode(min(stray))}")
     mover = {}
     for ident, cell in cells.items():
         for x in cell:
@@ -169,19 +167,19 @@ def parse_game_text(text: str):
 
 def print_game(name: str, g: Game) -> str:
     lines = [f"game {name}"]
-    for x in sorted(g.tree.nodes, key=term_key):
+    for x in sorted(g.tree.nodes):
         lines.append(f"node {encode(x)}")
-    for (x, y) in sorted(g.tree.edges, key=lambda e: (term_key(e[0]), term_key(e[1]))):
+    for (x, y) in sorted(g.tree.edges):
         lines.append(f"edge {encode(x)} {encode(y)} {encode(g.clt.label[(x, y)])}")
     cells = g.clt.sorted_infosets()
     ids = {cell: f"i{k}" for k, cell in enumerate(cells)}
     for cell in cells:
-        members = " ".join(encode(x) for x in sorted(cell, key=term_key))
+        members = " ".join(encode(x) for x in sorted(cell))
         lines.append(f"infoset {ids[cell]} {{ {members} }}")
     for cell in cells:
         pid = g.mover[next(iter(cell))]
         lines.append(f"player {encode(pid)} infoset {ids[cell]}")
-    for (i, end) in sorted(g.utilities, key=lambda k: (term_key(k[0]), term_key(k[1]))):
+    for (i, end) in sorted(g.utilities):
         lines.append(f"utility {encode(i)} end {encode(end)} {g.utilities[(i, end)]}")
     return "\n".join(lines) + "\n"
 
@@ -225,6 +223,6 @@ def parse_morphism_text(text: str):
 
 def print_morphism(name: str, source: str, target: str, node_map: dict) -> str:
     lines = [f"morphism {name}", f"source {source}", f"target {target}"]
-    for x in sorted(node_map, key=term_key):
+    for x in sorted(node_map):
         lines.append(f"map {encode(x)} -> {encode(node_map[x])}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
-from .terms import Atom, Term, term_key
+from .terms import Atom, Term
 from .tree import run_end, runs
 
 
@@ -47,12 +47,10 @@ class Game:
 def validate_game(clt: CLT, mover, utilities) -> Game:
     w = clt.tree.decision_nodes
     mover = dict(mover)
-    missing = sorted(w - set(mover), key=term_key)
-    if missing:
-        raise ValidationError("MoverMissing", witness=missing[0])
-    extra = sorted(set(mover) - w, key=term_key)
-    if extra:
-        raise ValidationError("MoverMissing", witness=extra[0],
+    if w - mover.keys():
+        raise ValidationError("MoverMissing", witness=min(w - mover.keys()))
+    if mover.keys() - w:
+        raise ValidationError("MoverMissing", witness=min(mover.keys() - w),
                               detail="mover assigned to a non-decision node")
     split = _not_constant(clt.sorted_infosets(), mover)
     if split is not None:
@@ -74,10 +72,9 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
             raise ValidationError("UtilityExtraneous", witness=(i, end))
         table[(i, end)] = Fraction(value)
 
-    for i in sorted(players, key=term_key):
-        for end in sorted(run_of, key=term_key):
-            if (i, end) not in table:
-                raise ValidationError("UtilityMissing", witness=(i, run_of[end]))
+    gap = min({(i, end) for i in players for end in run_of} - table.keys(), default=None)
+    if gap is not None:
+        raise ValidationError("UtilityMissing", witness=(gap[0], run_of[gap[1]]))
 
     player_nodes = {i: frozenset(x for x in w if mover[x] == i) for i in players}
     return Game(clt=clt, mover=mover, players=players, utilities=table,

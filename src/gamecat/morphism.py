@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .game import Game, ordinal_profile, validate_game
-from .terms import Atom, Term, term_key
+from .terms import Atom, Term
 from .tree import strict_predecessors, validate_out_tree
 
 
@@ -55,17 +55,9 @@ class GameMorphism:
         return self.clt_morphism.node_map
 
 
-def _sorted_nodes(nodes):
-    return sorted(nodes, key=term_key)
-
-
-def _sorted_edges(edges):
-    return sorted(edges, key=lambda e: (term_key(e[0]), term_key(e[1])))
-
-
 def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
     node_map = dict(node_map)
-    for x in _sorted_nodes(src.tree.nodes):
+    for x in sorted(src.tree.nodes):
         if x not in node_map:
             raise OperationError("BadNodeMap", witness=x, detail="node unmapped")
         if node_map[x] not in tgt.tree.nodes:
@@ -73,10 +65,9 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
                                  detail="image is not a target node")
     extra = set(node_map) - src.tree.nodes
     if extra:
-        raise OperationError("BadNodeMap", witness=_sorted_nodes(extra)[0],
-                             detail="map key is not a source node")
+        raise OperationError("BadNodeMap", witness=min(extra), detail="map key is not a source node")
 
-    for x, y in _sorted_edges(src.tree.edges):
+    for x, y in sorted(src.tree.edges):
         if (node_map[x], node_map[y]) not in tgt.tree.edges:
             raise ValidationError("EdgeNotPreserved", witness=(x, y))
 
@@ -89,9 +80,9 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
             raise ValidationError("InfosetSplit", witness=cell)
 
     alpha_at: dict = {}
-    for x in _sorted_nodes(src.tree.decision_nodes):
+    for x in sorted(src.tree.decision_nodes):
         table = {}
-        for a in sorted(src.feasible[x], key=term_key):
+        for a in sorted(src.feasible[x]):
             y = src.next[(x, a)]
             table[a] = tgt.label[(node_map[x], node_map[y])]
         alpha_at[x] = table
@@ -116,7 +107,7 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
     cm = validate_clt_morphism(src.clt, tgt.clt, node_map)
     node_map = cm.node_map
 
-    for x in _sorted_nodes(src.tree.end_nodes):
+    for x in sorted(src.tree.end_nodes):
         if node_map[x] not in tgt.tree.end_nodes:
             raise ValidationError("NotEndPreserving", witness=x)
 
@@ -131,7 +122,7 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
 
     iota: dict = {}
     chosen_at: dict = {}
-    for x in _sorted_nodes(src.tree.decision_nodes):
+    for x in sorted(src.tree.decision_nodes):
         i = src.mover[x]
         i2 = tgt.mover[node_map[x]]
         if i in iota and iota[i] != i2:
@@ -154,7 +145,7 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
 def _utility_orders(src: Game, tgt: Game, node_map, iota):
     """(i, i's utilities, iota(i)'s at the images), keyed by source end node."""
     ends = src.tree.run_of
-    for i in sorted(src.players, key=term_key):
+    for i in sorted(src.players):
         yield (i, {e: src.utilities[(i, e)] for e in ends},
                {e: tgt.utilities[(iota[i], node_map[e])] for e in ends})
 
@@ -220,7 +211,7 @@ def clt_mono_witness(m: CltMorphism):
     when the node map is not injective; None otherwise."""
     collision = None
     by_image: dict = {}
-    for x in _sorted_nodes(m.source.tree.nodes):
+    for x in sorted(m.source.tree.nodes):
         v = m.node_map[x]
         if v in by_image:
             collision = (by_image[v], x)
@@ -334,7 +325,7 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     action_bijs = {x: dict(t) for x, t in action_bijs.items()}
     if set(action_bijs) != set(g.tree.decision_nodes):
         raise OperationError("NotBijective", detail="action maps must cover decision nodes")
-    for x in _sorted_nodes(g.tree.decision_nodes):
+    for x in sorted(g.tree.decision_nodes):
         t = action_bijs[x]
         if set(t) != set(g.clt.feasible[x]) or len(set(t.values())) != len(t):
             raise OperationError("NotBijective", witness=x, detail="action map at node")
@@ -379,8 +370,8 @@ def iso_search(g1: Game, g2: Game):
     node signatures, infoset-size and mover-class counts, and per-player
     ordinal profiles. Any complete candidate is re-validated, so the pruning
     only affects speed. The witness is the least isomorphism, comparing node
-    maps by the term_key images of the source nodes in term_key order (not
-    by encoding: `"a b"` encodes before `a` but sorts after it).
+    maps by the images of the source nodes taken in term order, each in term
+    order (not by encoding: `"a b"` encodes before `a` but sorts after it).
     """
     t1, t2 = g1.tree, g2.tree
     sig1, sig2 = _signatures(t1), _signatures(t2)
@@ -397,9 +388,9 @@ def iso_search(g1: Game, g2: Game):
 
     # Only the root has depth 0, so signatures already fix root to root.
     by_sig: dict = {}
-    for v in _sorted_nodes(t2.nodes):
+    for v in sorted(t2.nodes):
         by_sig.setdefault(sig2[v], []).append(v)
-    order = _sorted_nodes(t1.nodes)
+    order = sorted(t1.nodes)
     candidates = [by_sig[sig1[x]] for x in order]
 
     def consistent(x, v):

@@ -10,46 +10,72 @@ deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .errors import ParseError
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
 
-    def __post_init__(self):
-        if not self.name:
+class _Term:
+    """Equality, order and hash from values cached at construction: the key
+    (0, name), or the rank (1 tuple, 2 set) then the items' keys, compares
+    names by code point (UTF-8 byte order); the hash uses the items' hashes."""
+
+    __slots__ = ("_key", "_hash")
+
+    def _cache(self, rank, items):
+        _set(self, "_key", (rank, *[x._key for x in items]))
+        _set(self, "_hash", hash((rank, items)))
+
+    def __eq__(self, other):
+        return isinstance(other, _Term) and self._hash == other._hash and self._key == other._key
+
+    def __lt__(self, other):
+        return self._key < other._key if isinstance(other, _Term) else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # copies and pickles rebuild the cache by constructor
+        return type(self), (self.name if isinstance(self, Atom) else self.items,)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Atom(_Term):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        if not name:
             raise ValueError("atom name must be nonempty")
+        _set(self, "name", name)
+        _set(self, "_key", (0, name))
+        _set(self, "_hash", hash(self._key))
 
     def __repr__(self):
         return f"Atom({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Tup:
-    items: tuple
+class Tup(_Term):
+    __slots__ = ("items",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, items):
+        _set(self, "items", tuple(items))
+        self._cache(1, self.items)
 
     def __repr__(self):
         return f"Tup({list(self.items)!r})"
 
 
-@dataclass(frozen=True)
-class FinSet:
-    items: tuple  # held sorted and deduplicated, so equality ignores input order
+class FinSet(_Term):
+    __slots__ = ("items",)  # sorted and deduplicated, so equality ignores input order
 
-    def __post_init__(self):
-        items = sorted(self.items, key=term_key)
-        deduped = []
-        for t in items:
-            if not deduped or deduped[-1] != t:
-                deduped.append(t)
-        object.__setattr__(self, "items", tuple(deduped))
+    def __init__(self, items):
+        _set(self, "items", tuple(sorted(set(items))))
+        self._cache(2, self.items)
 
     def __repr__(self):
         return f"FinSet({list(self.items)!r})"
@@ -57,27 +83,16 @@ class FinSet:
 
 Term = Atom | Tup | FinSet
 
-_KIND_RANK = {Atom: 0, Tup: 1, FinSet: 2}
+
+def term_key(t: Term) -> tuple:
+    """The structural key that orders terms: atoms < tuples < sets."""
+    return t._key
 
 
 def term_cmp(a: Term, b: Term) -> int:
     """Strict total order: -1, 0, or 1. Atom < Tup < FinSet across kinds."""
-    ka, kb = _KIND_RANK[type(a)], _KIND_RANK[type(b)]
-    if ka != kb:
-        return -1 if ka < kb else 1
-    if isinstance(a, Atom):
-        na, nb = a.name.encode("utf-8"), b.name.encode("utf-8")
-        return -1 if na < nb else (0 if na == nb else 1)
-    # Tup and FinSet both compare as their item lists, lexicographically.
-    for x, y in zip(a.items, b.items):
-        c = term_cmp(x, y)
-        if c != 0:
-            return c
-    la, lb = len(a.items), len(b.items)
-    return -1 if la < lb else (0 if la == lb else 1)
+    return (a._key > b._key) - (a._key < b._key)
 
-
-term_key = cmp_to_key(term_cmp)
 
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_.+-]+\Z")
 # What str.splitlines breaks on; quoted atoms write these as \uXXXX.
@@ -194,4 +209,4 @@ def parse_term(s: str) -> Term:
 
 def encode_set(nodes) -> str:
     """Canonical encoding of a collection of terms as a set."""
-    return encode(FinSet(tuple(nodes)))
+    return encode(FinSet(nodes))

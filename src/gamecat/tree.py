@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import OperationError, ValidationError
-from .terms import Term, encode, term_key
+from .terms import Term, encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +39,8 @@ def validate_out_tree(nodes, edges) -> OutTree:
     if not node_set:
         raise ValidationError("NoRoot", detail="empty node set")
 
-    for x, y in sorted(edge_set, key=lambda e: (term_key(e[0]), term_key(e[1]))):
+    ordered = sorted(edge_set)
+    for x, y in ordered:
         if x not in node_set or y not in node_set:
             raise ValidationError("DanglingEdge", witness=(x, y))
         if x == y:
@@ -51,13 +52,13 @@ def validate_out_tree(nodes, edges) -> OutTree:
         raise ValidationError("Trivial")
 
     pred: dict = {}
-    for x, y in sorted(edge_set, key=lambda e: (term_key(e[1]), term_key(e[0]))):
+    for x, y in sorted(edge_set, key=lambda e: (e[1], e[0])):
         if y in pred:
             raise ValidationError("HasCycle", witness=y,
                                   detail="node has two incoming edges")
         pred[y] = x
 
-    roots = sorted(node_set - set(pred), key=term_key)
+    roots = sorted(node_set - set(pred))
     if not roots:
         raise ValidationError("NoRoot")
     if len(roots) > 1:
@@ -65,10 +66,8 @@ def validate_out_tree(nodes, edges) -> OutTree:
     root = roots[0]
 
     children: dict = {x: [] for x in node_set}
-    for x, y in edge_set:
+    for x, y in ordered:
         children[x].append(y)
-    for x in children:
-        children[x].sort(key=term_key)
 
     # One DFS checks connectivity and records each end's root path.
     reached = {root}
@@ -86,16 +85,15 @@ def validate_out_tree(nodes, edges) -> OutTree:
                 reached.add(y)
                 stack.append((y, depth + 1))
     if reached != node_set:
-        missing = sorted(node_set - reached, key=term_key)
         # Every unreached node has a parent (roots were unique), so following
         # parents inside the unreached part must loop.
         seen = set()
-        x = missing[0]
+        first = x = min(node_set - reached)
         while x not in seen:
             seen.add(x)
             x = pred[x]
             if x in reached:
-                raise ValidationError("NotConnected", witness=missing[0])
+                raise ValidationError("NotConnected", witness=first)
         raise ValidationError("HasCycle", witness=x)
 
     decision = frozenset(x for x, _ in edge_set)

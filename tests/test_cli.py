@@ -43,6 +43,31 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_non_utf8_game_is_a_syntax_error(tmp_path, capsys):
+    bad = tmp_path / "bad.gm"
+    bad.write_bytes(b"game g\nnode \xff\n")
+    code, out = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == f"error: SyntaxError ({bad} is not UTF-8: bad byte at offset 12)\n"
+
+
+def test_non_utf8_morphism_is_a_syntax_error(tmp_path, capsys):
+    shutil.copy(fixture_path("relabel_src.gm"), tmp_path / "src.gm")
+    (tmp_path / "tgt.gm").write_bytes(b"game t\nnode \xe9\n")
+    bad = tmp_path / "bad.gmm"
+    bad.write_bytes(b"morphism m\nsource src.gm\ntarget tgt.gm\nmap \xc3( -> 0\n")
+    code, out = run(capsys, "--format", "machine", "morphism", "check", str(bad))
+    assert code == 2
+    assert out == f"error SyntaxError ({bad} is not UTF-8: bad byte at offset 43)\n"
+    # The game files a .gmm names are read the same way.
+    good = tmp_path / "good.gmm"
+    good.write_text("morphism m\nsource src.gm\ntarget tgt.gm\n")
+    code, out = run(capsys, "morphism", "check", str(good))
+    assert code == 2
+    tgt = tmp_path / "tgt.gm"
+    assert out == f"error: SyntaxError ({tgt} is not UTF-8: bad byte at offset 12)\n"
+
+
 def test_props_output(capsys):
     code, out = run(capsys, "props", fixture_path("trio_a.gm"))
     assert code == 0

@@ -3,6 +3,7 @@
 import ast
 import glob
 import os
+import re
 
 import gamecat
 
@@ -15,4 +16,19 @@ def test_library_has_no_assert_statements():
             tree = ast.parse(fh.read(), filename=path)
         found += [f"{os.path.basename(path)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_term_order_is_defined_only_in_terms():
+    # Terms order and hash themselves; other modules sort them with plain
+    # sorted(), so the order stays one module's decision.
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gamecat.__file__), "*.py"))):
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if "cmp_to_key" in text:
+            found.append(f"{name}: cmp_to_key")
+        if name not in ("terms.py", "__init__.py") and re.search(r"\bterm_(key|cmp)\b", text):
+            found.append(f"{name}: term_key or term_cmp")
     assert found == []

@@ -1,3 +1,9 @@
+import copy
+import pickle
+import random
+import time
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,3 +97,78 @@ def test_cmp_is_transitive_via_sorting(a, b, c):
     xs = sorted([a, b, c], key=term_key)
     for i in range(len(xs) - 1):
         assert term_cmp(xs[i], xs[i + 1]) <= 0
+
+
+def _ref_cmp(a, b):
+    """The order as first defined, recursively: atoms < tuples < sets, atoms
+    by the bytes of their UTF-8 names, tuples and sets item by item."""
+    rank = {Atom: 0, Tup: 1, FinSet: 2}
+    ka, kb = rank[type(a)], rank[type(b)]
+    if ka != kb:
+        return -1 if ka < kb else 1
+    if isinstance(a, Atom):
+        na, nb = a.name.encode("utf-8"), b.name.encode("utf-8")
+        return (na > nb) - (na < nb)
+    for x, y in zip(a.items, b.items):
+        c = _ref_cmp(x, y)
+        if c:
+            return c
+    return (len(a.items) > len(b.items)) - (len(a.items) < len(b.items))
+
+
+@given(_terms, _terms)
+def test_order_and_equality_agree_with_the_reference(a, b):
+    ref = _ref_cmp(a, b)
+    assert term_cmp(a, b) == ref
+    assert (a < b) == (ref < 0) and (b < a) == (ref > 0)
+    assert (a == b) == (ref == 0) and (a != b) == (ref != 0)
+
+
+@given(st.lists(_terms, max_size=8))
+def test_sorted_agrees_with_the_reference(xs):
+    assert sorted(xs) == sorted(xs, key=cmp_to_key(_ref_cmp))
+
+
+@given(_terms)
+def test_equal_terms_built_apart_hash_equal(t):
+    copy = parse_term(encode(t))
+    assert copy is not t
+    assert copy == t and hash(copy) == hash(t) and term_cmp(copy, t) == 0
+
+
+def test_explicit_orders():
+    # Code point order, not UTF-16 order, which puts U+FFFF after U+10000.
+    assert Atom("\uffff") < Atom("\U00010000")
+    assert _ref_cmp(Atom("\uffff"), Atom("\U00010000")) == -1
+    assert Atom("z") < Atom("é") and not Atom("é") < Atom("z")
+    assert term_cmp(Atom("é"), Atom("z")) == _ref_cmp(Atom("é"), Atom("z")) == 1
+    a, b, c = Atom("a"), Tup((Atom("b"),)), FinSet((Atom("c"),))
+    s = FinSet((c, a, b, a, c))
+    assert s == FinSet((b, c, a)) and hash(s) == hash(FinSet((b, c, a)))
+    assert s.items == (a, b, c)
+
+
+def test_edges_sort_natively_as_by_pair_keys():
+    rng = random.Random(5)
+    names = ["a", "b", "é", "z", "\uffff", "\U00010000", "a b", "10", "2"]
+    pool = [Atom(n) for n in names] + [Tup((Atom(n),)) for n in names[:4]]
+    pool += [FinSet((Atom(n), Atom("a"))) for n in names[:4]]
+    edges = [(rng.choice(pool), rng.choice(pool)) for _ in range(300)]
+    assert sorted(edges) == sorted(edges, key=lambda e: (term_key(e[0]), term_key(e[1])))
+    assert sorted(edges) == sorted(edges, key=cmp_to_key(
+        lambda e, f: _ref_cmp(e[0], f[0]) or _ref_cmp(e[1], f[1])))
+
+
+def test_deeply_nested_term_hashes_in_linear_time():
+    start = time.perf_counter()
+    t = Atom("x")
+    for _ in range(100_000):
+        t = Tup((t,))
+    assert t in {t, Atom("x")} and hash(t) == hash(t)
+    assert time.perf_counter() - start < 10
+
+
+@given(_terms)
+def test_copies_and_pickles_equal_the_original(t):
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
