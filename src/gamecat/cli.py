@@ -173,8 +173,8 @@ def _check_morphism(path, rep, classify=False):
         for a in sorted(gm.clt_morphism.alpha[cell]):
             rep.line("alpha", encode_set(cell), encode(a), "->",
                      encode(gm.clt_morphism.alpha[cell][a]))
-    for z in gm.source.runs():
-        rep.line("zeta", encode_set(z), "->", encode_set(gm.zeta[z]))
+    for z, image in gm.zeta.items():
+        rep.line("zeta", encode_set(z), "->", encode_set(image))
     for i in sorted(gm.iota):
         rep.line("iota", encode(i), "->", encode(gm.iota[i]))
     if classify:

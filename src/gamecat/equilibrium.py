@@ -21,6 +21,7 @@ from .game import Game
 from .morphism import GameMorphism, is_iso
 from .subgame import subgame_roots
 from .terms import encode_set
+from .tree import _run
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def _play(g: Game, choice: dict, x):
 
 
 def outcome(g: Game, s: GrandStrategy) -> frozenset:
-    return g.tree.run_of[_play(g, s.as_dict(), g.tree.root)]
+    return _run(g.tree, _play(g, s.as_dict(), g.tree.root))
 
 
 def _deviation_gains(g: Game, choice: dict, start, i, base) -> bool:

@@ -59,8 +59,8 @@ def _expect_end(r: TermReader, lineno: int):
         raise ParseError("trailing input", line=lineno)
 
 
-def _read_braced(r: TermReader, lineno: int) -> frozenset:
-    """A `{ term term ... }` member list."""
+def _read_braced(r: TermReader, lineno: int, read_term) -> frozenset:
+    """A `{ term term ... }` member list, each member read by read_term."""
     r.skip_ws()
     if r.peek() != "{":
         raise ParseError("expected '{'", line=lineno)
@@ -71,7 +71,7 @@ def _read_braced(r: TermReader, lineno: int) -> frozenset:
         if r.peek() == "}":
             r.pos += 1
             return frozenset(members)
-        members.append(r.read_term())
+        members.append(read_term(r))
 
 
 def parse_game_text(text: str):
@@ -83,6 +83,12 @@ def parse_game_text(text: str):
     cells: dict = {}       # infoset id (Term) -> frozenset of nodes
     cell_player: dict = {}  # infoset id -> player
     utilities: dict = {}
+    shared: dict = {}  # one object per distinct term, so lookups hit by identity
+
+    def term(r):
+        t = r.read_term()
+        return shared.setdefault(t, t)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
@@ -94,39 +100,39 @@ def parse_game_text(text: str):
                 if not name:
                     raise ParseError("missing game name", line=lineno)
             elif head == "node":
-                nodes.add(r.read_term())
+                nodes.add(term(r))
                 _expect_end(r, lineno)
             elif head == "edge":
-                src = r.read_term()
-                tgt = r.read_term()
-                act = r.read_term()
+                src = term(r)
+                tgt = term(r)
+                act = term(r)
                 _expect_end(r, lineno)
                 if (src, tgt) in edges:
                     raise ParseError("duplicate edge", line=lineno)
                 edges[(src, tgt)] = act
                 edge_lines[(src, tgt)] = lineno
             elif head == "infoset":
-                ident = r.read_term()
-                members = _read_braced(r, lineno)
+                ident = term(r)
+                members = _read_braced(r, lineno, term)
                 _expect_end(r, lineno)
                 if ident in cells:
                     raise ParseError("duplicate infoset id", line=lineno)
                 cells[ident] = members
             elif head == "player":
-                pid = r.read_term()
+                pid = term(r)
                 if not _keyword(r, "infoset"):
                     raise ParseError("expected 'infoset'", line=lineno)
-                ident = r.read_term()
+                ident = term(r)
                 _expect_end(r, lineno)
                 if ident in cell_player:
                     raise ParseError("infoset assigned to two players", line=lineno)
                 cell_player[ident] = pid
             elif head == "utility":
-                pid = r.read_term()
+                pid = term(r)
                 if _keyword(r, "end"):
-                    where = r.read_term()
+                    where = term(r)
                 elif _keyword(r, "run"):
-                    where = _read_braced(r, lineno)
+                    where = _read_braced(r, lineno, term)
                 else:
                     raise ParseError("expected 'end' or 'run'", line=lineno)
                 value = _read_rational(r, lineno)

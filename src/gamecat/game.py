@@ -14,7 +14,7 @@ from fractions import Fraction
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .terms import Atom, Term
-from .tree import run_end, runs
+from .tree import _run, run_end, runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,24 +57,23 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
         raise ValidationError("MoverNotConstant", witness=split)
 
     players = frozenset(mover.values())
-    run_of = clt.tree.run_of
-    end_of = {z: e for e, z in run_of.items()}
+    tree = clt.tree
 
     table: dict = {}
     for key, value in utilities.items():
         i, end = key
         if isinstance(end, (frozenset, set)):
-            node_set = frozenset(end)
-            end = end_of.get(node_set)
-            if end is None:
-                raise ValidationError("UtilityExtraneous", witness=(i, node_set))
-        if i not in players or end not in run_of:
+            try:
+                end = run_end(tree, end)
+            except OperationError:
+                raise ValidationError("UtilityExtraneous", witness=(i, frozenset(end))) from None
+        if i not in players or end not in tree.end_nodes:
             raise ValidationError("UtilityExtraneous", witness=(i, end))
         table[(i, end)] = Fraction(value)
 
-    gap = min({(i, end) for i in players for end in run_of} - table.keys(), default=None)
+    gap = min({(i, end) for i in players for end in tree.ends} - table.keys(), default=None)
     if gap is not None:
-        raise ValidationError("UtilityMissing", witness=(gap[0], run_of[gap[1]]))
+        raise ValidationError("UtilityMissing", witness=(gap[0], _run(tree, gap[1])))
 
     player_nodes = {i: frozenset(x for x in w if mover[x] == i) for i in players}
     return Game(clt=clt, mover=mover, players=players, utilities=table,
@@ -84,7 +83,7 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
 def one_player_zero_game(clt: CLT, player: Term = Atom("P1")) -> Game:
     """Wrap a CLT as a game: one player, zero utility on every run."""
     mover = {x: player for x in clt.tree.decision_nodes}
-    utilities = {(player, e): 0 for e in clt.tree.run_of}
+    utilities = {(player, e): 0 for e in clt.tree.ends}
     return validate_game(clt, mover, utilities)
 
 
@@ -92,10 +91,14 @@ def ordinal_profile(g: Game, i: Term) -> dict:
     """Dense ranks of player i's utility over runs: 0 is best, ties share."""
     if i not in g.players:
         raise OperationError("UnknownPlayer", witness=i)
-    run_of = g.tree.run_of
-    values = sorted({g.utilities[(i, e)] for e in run_of}, reverse=True)
+    return {_run(g.tree, e): k for e, k in _ranks(g, i).items()}
+
+
+def _ranks(g: Game, i: Term) -> dict:
+    """ordinal_profile keyed by end node."""
+    values = sorted({g.utilities[(i, e)] for e in g.tree.ends}, reverse=True)
     rank = {v: k for k, v in enumerate(values)}
-    return {z: rank[g.utilities[(i, e)]] for e, z in run_of.items()}
+    return {e: rank[g.utilities[(i, e)]] for e in g.tree.ends}
 
 
 def build_game(nodes, edges, infosets, mover, utilities) -> Game:

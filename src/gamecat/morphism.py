@@ -10,12 +10,13 @@ reports the first violated condition, in a fixed order, with a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
-from .game import Game, ordinal_profile, validate_game
+from .game import Game, _ranks, validate_game
 from .terms import Atom, Term
-from .tree import strict_predecessors, validate_out_tree
+from .tree import _run, run_end, strict_predecessors, validate_out_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +40,6 @@ class GameMorphism:
     source: Game
     target: Game
     clt_morphism: CltMorphism
-    zeta: dict = field(repr=False)  # run -> run
     iota: dict = field(repr=False)  # player -> player
 
     def __eq__(self, other):
@@ -53,6 +53,12 @@ class GameMorphism:
     @property
     def node_map(self):
         return self.clt_morphism.node_map
+
+    @cached_property
+    def zeta(self) -> dict:
+        """Run -> run: each run goes to the run through its end's image."""
+        src, tgt, tau = self.source.tree, self.target.tree, self.node_map
+        return {_run(src, e): _run(tgt, tau[e]) for e in src.ends}
 
 
 def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
@@ -111,15 +117,6 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
         if node_map[x] not in tgt.tree.end_nodes:
             raise ValidationError("NotEndPreserving", witness=x)
 
-    prefix = frozenset(strict_predecessors(tgt.tree, node_map[src.tree.root]))
-    zeta: dict = {}
-    for e, z in src.tree.run_of.items():
-        image = prefix | frozenset(node_map[x] for x in z)
-        if image != tgt.tree.run_of[node_map[e]]:
-            raise ValidationError("NotEndPreserving", witness=e,
-                                  detail="run image is not a target run")
-        zeta[z] = image
-
     iota: dict = {}
     chosen_at: dict = {}
     for x in sorted(src.tree.decision_nodes):
@@ -131,20 +128,18 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
             iota[i] = i2
             chosen_at[i] = x
 
-    run_of = src.tree.run_of
-    ends = list(run_of)
     for i, a, b in _utility_orders(src, tgt, node_map, iota):
-        bad = _order_violation(ends, a, b)
+        bad = _order_violation(src.tree.ends, a, b)
         if bad is not None:
             raise ValidationError("UtilityNotPreserved",
-                                  witness=(i, run_of[bad[0]], run_of[bad[1]]))
+                                  witness=(i, _run(src.tree, bad[0]), _run(src.tree, bad[1])))
 
-    return GameMorphism(source=src, target=tgt, clt_morphism=cm, zeta=zeta, iota=iota)
+    return GameMorphism(source=src, target=tgt, clt_morphism=cm, iota=iota)
 
 
 def _utility_orders(src: Game, tgt: Game, node_map, iota):
     """(i, i's utilities, iota(i)'s at the images), keyed by source end node."""
-    ends = src.tree.run_of
+    ends = src.tree.ends
     for i in sorted(src.players):
         yield (i, {e: src.utilities[(i, e)] for e in ends},
                {e: tgt.utilities[(iota[i], node_map[e])] for e in ends})
@@ -166,9 +161,7 @@ def _order_violation(zs, a, b):
 
 
 def run_at(gm: GameMorphism, z: frozenset) -> frozenset:
-    if z not in gm.zeta:
-        raise OperationError("NotARun", witness=z)
-    return gm.zeta[z]
+    return _run(gm.target.tree, gm.node_map[run_end(gm.source.tree, z)])
 
 
 def identity_clt_morphism(c: CLT) -> CltMorphism:
@@ -200,8 +193,9 @@ def forget(gm: GameMorphism) -> CltMorphism:
 
 def is_mono(m) -> bool:
     if isinstance(m, GameMorphism):
-        images = set(m.zeta.values())
-        return len(images) == len(m.zeta)
+        # Runs have equal images exactly when their ends do.
+        ends = m.source.tree.ends
+        return len({m.node_map[e] for e in ends}) == len(ends)
     images = set(m.node_map.values())
     return len(images) == len(m.node_map)
 
@@ -243,7 +237,7 @@ def mono_witness(gm: GameMorphism):
     # run order is the first class with two members, and its first two.
     tau = gm.node_map
     by_image: dict = {}
-    for e in gm.source.tree.run_of:
+    for e in gm.source.tree.ends:
         by_image.setdefault(tau[e], []).append(e)
     pair = next((ends[:2] for ends in by_image.values() if len(ends) > 1), None)
     if pair is None:
@@ -271,7 +265,7 @@ def _path_game(path) -> Game:
     tree = validate_out_tree(set(path), set(edges))
     clt = validate_clt(tree, [{x} for x in path[:-1]], edges)
     mover = {x: x for x in path[:-1]}
-    utilities = {(x, frozenset(path)): 0 for x in path[:-1]}
+    utilities = {(x, path[-1]): 0 for x in path[:-1]}
     return validate_game(clt, mover, utilities)
 
 
@@ -289,7 +283,7 @@ def _is_iso(m) -> bool:
             return False
         if len(set(m.iota.values())) != len(m.iota):
             return False
-        ends = list(m.source.tree.run_of)
+        ends = m.source.tree.ends
         return all(_order_violation(ends, a, b) is None and _order_violation(ends, b, a) is None
                    for _, a, b in _utility_orders(m.source, m.target, m.node_map, m.iota))
     if len(set(m.node_map.values())) != len(m.source.tree.nodes):
@@ -379,10 +373,8 @@ def iso_search(g1: Game, g2: Game):
         return None
     if sorted(len(c) for c in g1.clt.infosets) != sorted(len(c) for c in g2.clt.infosets):
         return None
-    if len(g1.players) != len(g2.players):
-        return None
-    prof1 = sorted(sorted(ordinal_profile(g1, i).values()) for i in g1.players)
-    prof2 = sorted(sorted(ordinal_profile(g2, i).values()) for i in g2.players)
+    prof1 = sorted(sorted(_ranks(g1, i).values()) for i in g1.players)
+    prof2 = sorted(sorted(_ranks(g2, i).values()) for i in g2.players)
     if prof1 != prof2:
         return None
 

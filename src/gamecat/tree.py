@@ -3,7 +3,7 @@
 An out-tree is a rooted oriented tree: exactly one node (the root) has no
 incoming edge, every other node has exactly one. Decision nodes are those
 with outgoing edges; runs are root-to-end paths, identified with their node
-sets and keyed by their end node (`OutTree.run_of`).
+sets but held as their end nodes (`OutTree.ends`), which biject with them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class OutTree:
     children: dict = field(repr=False)  # node -> tuple of children in term order
     decision_nodes: frozenset = field(repr=False)
     end_nodes: frozenset = field(repr=False)
-    run_of: dict = field(repr=False)    # end node -> run node set, by end encoding
+    ends: tuple = field(repr=False)     # end nodes by encoding: one per run, in run order
 
     def __eq__(self, other):
         if not isinstance(other, OutTree):
@@ -69,21 +69,11 @@ def validate_out_tree(nodes, edges) -> OutTree:
     for x, y in ordered:
         children[x].append(y)
 
-    # One DFS checks connectivity and records each end's root path.
-    reached = {root}
-    stack = [(root, 0)]
-    path: list = []
-    run_of: dict = {}
-    while stack:
-        x, depth = stack.pop()
-        del path[depth:]
-        path.append(x)
-        if not children[x]:
-            run_of[x] = frozenset(path)
-        for y in children[x]:
-            if y not in reached:
-                reached.add(y)
-                stack.append((y, depth + 1))
+    # Parents are unique, so this walk meets each reachable node once.
+    order = [root]
+    for x in order:
+        order.extend(children[x])
+    reached = set(order)
     if reached != node_set:
         # Every unreached node has a parent (roots were unique), so following
         # parents inside the unreached part must loop.
@@ -105,7 +95,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
         children={x: tuple(children[x]) for x in node_set},
         decision_nodes=decision,
         end_nodes=node_set - decision,
-        run_of={e: run_of[e] for e in sorted(run_of, key=encode)},
+        ends=tuple(sorted(node_set - decision, key=encode)),
     )
 
 
@@ -139,17 +129,22 @@ def tree_leq(t: OutTree, x: Term, y: Term) -> bool:
         z = t.pred[z]
 
 
+def _run(t: OutTree, e: Term) -> frozenset:
+    """The node set of the run ending at end node e; run_end inverts it."""
+    return frozenset([*strict_predecessors(t, e), e])
+
+
 def runs(t: OutTree):
     """All root-to-end paths as node sets, ordered by end-node encoding."""
-    return list(t.run_of.values())
+    return [_run(t, e) for e in t.ends]
 
 
 def run_end(t: OutTree, run: frozenset) -> Term:
-    """The unique end node of a run."""
-    tail = run & t.end_nodes
-    if len(tail) != 1:
+    """The end node of a run; NotARun unless run is the node set of one."""
+    tail = [e for e in run if e in t.end_nodes]
+    if len(tail) != 1 or _run(t, tail[0]) != run:
         raise OperationError("NotARun", witness=run)
-    return next(iter(tail))
+    return tail[0]
 
 
 def descendants(t: OutTree, x: Term) -> frozenset:

@@ -82,6 +82,29 @@ utility P1 end 2 -3
     assert g.utilities[(A("P1"), A(2))] == Fraction(-3)
 
 
+RUN_KEYED_TUPLES = """game t
+node (0)
+node (0,a)
+node (0,b)
+edge (0) (0,a) a
+edge (0) (0,b) b
+infoset i0 { (0) }
+player P1 infoset i0
+utility P1 run { (0) (0,a) } 1
+utility P1 end (0,b) 0
+"""
+
+
+@pytest.mark.parametrize("path", all_game_fixtures() + [None])
+def test_parsed_games_share_one_object_per_term(path):
+    text = RUN_KEYED_TUPLES if path is None else open(path, encoding="utf-8").read()
+    _, g = parse_game_text(text)
+    node = {x: x for x in g.tree.nodes}
+    uses = ([x for edge in g.tree.edges for x in edge] + list(g.mover)
+            + [end for _, end in g.utilities])
+    assert all(x is node[x] for x in uses)
+
+
 def test_syntax_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
         parse_game_text("game t\nnode (0\n")

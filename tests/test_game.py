@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gamecat import (Atom, ValidationError, build_game, one_player_zero_game,
-                     ordinal_profile, validate_game)
+from gamecat import (Atom, OperationError, ValidationError, build_game,
+                     one_player_zero_game, ordinal_profile, parse_game_text,
+                     run_end, validate_game)
 from examplegames import A, trio_a, trio_b, collapse, make_clt, make_game
 from genrandom import random_game
 
@@ -52,6 +53,36 @@ def test_utilities_accept_run_sets():
                       {(A("P1"), frozenset({A(0), A(1)})): Fraction(1, 3),
                        (A("P1"), A(2)): 2})
     assert g.utility(A("P1"), frozenset({A(0), A(1)})) == Fraction(1, 3)
+
+
+# On the tree 0 -> 1 -> 2, 0 -> 3: a partial run, a set mixing two branches
+# and a set with two ends.
+NOT_RUNS = [(1, 2), (1, 3), (0, 2, 3)]
+
+
+@pytest.mark.parametrize("nodes", NOT_RUNS)
+def test_sets_that_are_not_runs_are_rejected_everywhere(nodes):
+    g = make_game({(0, 1): "a", (1, 2): "b", (0, 3): "c"}, [{0}, {1}],
+                  {0: "P1", 1: "P1"}, {("P1", 2): 1, ("P1", 3): 0})
+    z = frozenset(A(x) for x in nodes)
+    for call in (lambda: run_end(g.tree, z), lambda: g.utility(A("P1"), z)):
+        with pytest.raises(OperationError) as e:
+            call()
+        assert (e.value.code, e.value.witness) == ("NotARun", z)
+
+    with pytest.raises(ValidationError) as e:
+        validate_game(g.clt, g.mover, {**g.utilities, (A("P1"), z): 1})
+    assert (e.value.code, e.value.witness) == ("UtilityExtraneous", (A("P1"), z))
+
+    text = ("game g\nnode 0\nnode 1\nnode 2\nnode 3\n"
+            "edge 0 1 a\nedge 1 2 b\nedge 0 3 c\n"
+            "infoset i0 { 0 }\ninfoset i1 { 1 }\n"
+            "player P1 infoset i0\nplayer P1 infoset i1\n"
+            "utility P1 run { 0 1 2 } 1\nutility P1 end 3 0\n"
+            f"utility P1 run {{ {' '.join(map(str, nodes))} }} 1\n")
+    with pytest.raises(ValidationError) as e:
+        parse_game_text(text)
+    assert (e.value.code, e.value.witness) == ("UtilityExtraneous", (A("P1"), z))
 
 
 def test_one_player_zero_game():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ import pytest
 from gamecat import (Atom, GameMorphism, OperationError, ValidationError, action_at,
                      build_game, clt_mono_witness, compose, forget, identity_clt_morphism,
                      identity_morphism, inverse, is_iso, is_mono, iso_search,
-                     mono_witness, one_player_zero_game, pushforward, run_at, term_key,
-                     validate_clt_morphism, validate_game_morphism)
+                     mono_witness, one_player_zero_game, pushforward, run_at, run_end,
+                     strict_predecessors, term_key, validate_clt_morphism,
+                     validate_game_morphism)
 from gamecat.terms import FinSet, Tup
 from examplegames import (A, trio_a, trio_b, relabel, split, mixedalpha, endclash, prefixed,
                      twomover, prefixinc, collapse, mergeplayers, flatten, refine, make_game)
-from genrandom import merge_two_ends, random_game, random_morphism, relabel_iso
+from genrandom import (extend_under_new_root, merge_two_ends, random_game,
+                       random_morphism, relabel_iso)
 
 
 def ident(c):
@@ -461,9 +464,93 @@ def test_mono_witness_rejects_a_broken_run_map():
     node_map[A(3)] = A(2)
     fake = GameMorphism(source=g, target=g,
                         clt_morphism=identity_clt_morphism(g.clt),
-                        zeta={}, iota={})
+                        iota={})
     object.__setattr__(fake.clt_morphism, "node_map", node_map)
     with pytest.raises(OperationError) as e:
         mono_witness(fake)
     assert e.value.code == "InvariantBroken"
     assert e.value.witness == (A(2), A(3))
+
+
+def eager_run_map(src, tgt, node_map):
+    """The run map as validation built it when runs were stored as node
+    sets: each source run's node images plus the target's root path above
+    the image of the root. Returns the first end whose image is not a target
+    run, which the check that went with it reported as NotEndPreserving."""
+    target_run = {run_end(tgt.tree, z): z for z in tgt.runs()}
+    prefix = frozenset(strict_predecessors(tgt.tree, node_map[src.tree.root]))
+    zeta = {}
+    for z in src.runs():
+        image = prefix | frozenset(node_map[x] for x in z)
+        e = run_end(src.tree, z)
+        if image != target_run[node_map[e]]:
+            return e
+        zeta[z] = image
+    return zeta
+
+
+def test_the_deleted_run_image_check_never_fires_and_zeta_matches_it():
+    rng = random.Random(45)
+    merges = 0
+    for _ in range(150):
+        g = random_game(rng, max_nodes=10)
+        ms = [identity_morphism(g), relabel_iso(rng, g)[1], extend_under_new_root(rng, g)[1],
+              random_morphism(rng, g)]
+        merged = merge_two_ends(rng, g)
+        if merged is not None:
+            ms.append(merged[1])
+            merges += 1
+        for m in ms:
+            eager = eager_run_map(m.source, m.target, m.node_map)
+            assert isinstance(eager, dict)
+            assert list(m.zeta.items()) == list(eager.items())
+            assert all(run_at(m, z) == image for z, image in eager.items())
+    assert merges > 50
+
+
+def comb_game(n):
+    """A spine of n decision nodes, each with one side leaf: n + 1 runs of
+    average length about n / 2."""
+    edges = {}
+    for k in range(n):
+        edges[(f"d{k}", f"l{k}")] = "s"
+        edges[(f"d{k}", f"d{k + 1}")] = "c"
+    utilities = {("P1", f"l{k}"): k % 5 for k in range(n)}
+    utilities[("P1", f"d{n}")] = 0
+    return make_game(edges, [{f"d{k}"} for k in range(n)],
+                     {f"d{k}": "P1" for k in range(n)}, utilities)
+
+
+def test_a_long_comb_validates_and_classifies_within_seconds():
+    start = time.perf_counter()
+    m = identity_morphism(comb_game(4000))
+    assert is_mono(m) and is_iso(m)
+    assert time.perf_counter() - start < 5
+
+
+@pytest.fixture
+def run_node_sets(monkeypatch):
+    """The end nodes whose run node set gamecat builds, one per build."""
+    import gamecat.tree
+    build = gamecat.tree._run
+    calls = []
+
+    def counted(t, e):
+        calls.append(e)
+        return build(t, e)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gamecat" and getattr(module, "_run", None) is build:
+            monkeypatch.setattr(module, "_run", counted)
+    return calls
+
+
+def test_run_node_sets_are_built_only_when_zeta_is_read(run_node_sets):
+    g = comb_game(200)
+    m = identity_morphism(g)
+    assert is_mono(m) and is_iso(m)
+    assert iso_search(g, g).node_map == m.node_map
+    assert run_node_sets == []
+    zeta = m.zeta
+    assert len(zeta) == 201 and len(run_node_sets) == 2 * 201
+    assert m.zeta is zeta and len(run_node_sets) == 2 * 201
