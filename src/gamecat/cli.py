@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -169,10 +170,9 @@ def _check_morphism(path, rep, classify=False):
         _report_morphism_error(e, rep, src, tgt, node_map)
         return 1
     rep.line("verdict", "valid")
-    for cell in sorted(gm.clt_morphism.alpha, key=encode_set):
-        for a in sorted(gm.clt_morphism.alpha[cell]):
-            rep.line("alpha", encode_set(cell), encode(a), "->",
-                     encode(gm.clt_morphism.alpha[cell][a]))
+    for cell, table in gm.clt_morphism.alpha.items():  # in encoding order
+        for a in sorted(table):
+            rep.line("alpha", encode_set(cell), encode(a), "->", encode(table[a]))
     for z, image in gm.zeta.items():
         rep.line("zeta", encode_set(z), "->", encode_set(image))
     for i in sorted(gm.iota):
@@ -235,6 +235,7 @@ def _cmd_iso(args, rep):
     return 0
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="gamecat")
     p.add_argument("--format", choices=["human", "machine"], default="human")

@@ -24,6 +24,7 @@ class CLT:
     feasible: dict = field(repr=False)       # decision node -> frozenset of actions
     next: dict = field(repr=False)           # (node, action) -> node
     info_of: dict = field(repr=False)        # decision node -> its cell
+    cells: tuple = field(repr=False)         # infosets sorted by encoding
 
     def __eq__(self, other):
         if not isinstance(other, CLT):
@@ -37,8 +38,8 @@ class CLT:
     def decision_nodes(self):
         return self.tree.decision_nodes
 
-    def sorted_infosets(self):
-        return sorted(self.infosets, key=encode_set)
+    def sorted_infosets(self) -> tuple:
+        return self.cells
 
 
 def _not_constant(cells, value):
@@ -59,7 +60,7 @@ def validate_clt(tree: OutTree, infosets, label) -> CLT:
         raise ValidationError("LabelBad", witness=min(set(label) ^ set(tree.edges)),
                               detail="labeling must cover exactly the edge set")
 
-    cells = sorted((frozenset(c) for c in infosets), key=encode_set)
+    cells = tuple(sorted((frozenset(c) for c in infosets), key=encode_set))
     w = tree.decision_nodes
     seen: dict = {}
     for cell in cells:
@@ -99,6 +100,7 @@ def validate_clt(tree: OutTree, infosets, label) -> CLT:
         feasible=feasible,
         next=nxt,
         info_of=seen,
+        cells=cells,
     )
 
 

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 
 def witness_str(w) -> str:
-    from .terms import encode, Atom, Tup, FinSet
+    from .terms import encode, encode_set, Atom, Tup, FinSet
 
     if w is None:
         return ""
     if isinstance(w, (Atom, Tup, FinSet)):
         return encode(w)
     if isinstance(w, frozenset):
-        return encode(FinSet(tuple(w)))
+        return encode_set(w)
     if isinstance(w, tuple):
         return " ".join(witness_str(part) for part in w)
     return str(w)

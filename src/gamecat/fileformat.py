@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .game import Game, build_game
-from .terms import TermReader, encode
+from .terms import Atom, TermReader, encode
 
 # Everything before the first `#` that is outside a quoted atom.
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
@@ -35,11 +35,11 @@ def _keyword(r: TermReader, word: str) -> bool:
     return False
 
 
-def _reader_words(line: str):
+def _reader_words(line: str, atoms: dict):
     """Split a line into the leading keyword and a TermReader for the rest."""
     stripped = line.strip()
     head, _, rest = stripped.partition(" ")
-    return head, TermReader(rest.strip())
+    return head, TermReader(rest.strip(), atoms=atoms)
 
 
 def _read_rational(r: TermReader, lineno: int) -> Fraction:
@@ -83,17 +83,20 @@ def parse_game_text(text: str):
     cells: dict = {}       # infoset id (Term) -> frozenset of nodes
     cell_player: dict = {}  # infoset id -> player
     utilities: dict = {}
-    shared: dict = {}  # one object per distinct term, so lookups hit by identity
+    # One object per distinct term, so lookups hit by identity: the readers
+    # share one Atom per name, and compound terms are shared by value.
+    atoms: dict = {}
+    shared: dict = {}
 
     def term(r):
         t = r.read_term()
-        return shared.setdefault(t, t)
+        return t if type(t) is Atom else shared.setdefault(t, t)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
             continue
-        head, r = _reader_words(line)
+        head, r = _reader_words(line, atoms)
         try:
             if head == "game":
                 name = r.text.strip()
@@ -196,11 +199,12 @@ def parse_morphism_text(text: str):
     source = None
     target = None
     node_map: dict = {}
+    atoms: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
             continue
-        head, r = _reader_words(line)
+        head, r = _reader_words(line, atoms)
         if head == "morphism":
             name = r.text.strip()
         elif head == "source":

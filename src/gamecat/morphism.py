@@ -24,7 +24,7 @@ class CltMorphism:
     source: CLT
     target: CLT
     node_map: dict
-    alpha: dict = field(repr=False)  # infoset cell -> {action -> action}
+    alpha: dict = field(repr=False)  # cell -> {action -> action}, cells in encoding order
 
     def __eq__(self, other):
         if not isinstance(other, CltMorphism):
@@ -360,12 +360,15 @@ def _signatures(t):
 def iso_search(g1: Game, g2: Game):
     """Search for an isomorphism from g1 to g2; None when there is none.
 
-    Backtracking over root-preserving node bijections, pruning by structural
-    node signatures, infoset-size and mover-class counts, and per-player
-    ordinal profiles. Any complete candidate is re-validated, so the pruning
-    only affects speed. The witness is the least isomorphism, comparing node
-    maps by the images of the source nodes taken in term order, each in term
-    order (not by encoding: `"a b"` encodes before `a` but sorts after it).
+    Backtracking over root-preserving node bijections. Before the search,
+    the games must agree on the multisets of structural node signatures,
+    of infoset sizes and of per-player ordinal utility profiles; during it,
+    a source node is tried only on target nodes with its signature that
+    keep the parent and child links already assigned. Any complete
+    candidate is re-validated, so the pruning only affects speed. The
+    witness is the least isomorphism, comparing node maps by the images of
+    the source nodes taken in term order, each in term order (not by
+    encoding: `"a b"` encodes before `a` but sorts after it).
     """
     t1, t2 = g1.tree, g2.tree
     sig1, sig2 = _signatures(t1), _signatures(t2)

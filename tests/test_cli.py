@@ -230,3 +230,17 @@ def test_usage_error_exits_2(capsys):
     with contextlib.redirect_stderr(err):
         code = main(["no-such-command"])
     assert code == 2
+
+
+def test_parser_is_reused_across_calls_in_one_process(capsys):
+    from gamecat.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    first = run(capsys, "--format", "machine", "nash", fixture_path("trio_a.gm"))
+    assert first[0] == 0 and first[1]
+    assert main(["nash"]) == 2  # missing argument: usage error
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert run(capsys, "--format", "machine", "nash", fixture_path("trio_a.gm")) == first
+    # The default format is not left over from the earlier call.
+    code, out = run(capsys, "nash", fixture_path("trio_a.gm"))
+    assert code == 0 and out == first[1].replace("nash ", "nash: ")

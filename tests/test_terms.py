@@ -1,14 +1,16 @@
 import copy
 import pickle
 import random
+import re
 import time
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gamecat import (Atom, FinSet, ParseError, Tup, encode, encode_set,
                      parse_term, term_cmp, term_key)
+from gamecat.terms import TermReader
 
 
 def test_atom_order_is_bytewise():
@@ -172,3 +174,198 @@ def test_deeply_nested_term_hashes_in_linear_time():
 def test_copies_and_pickles_equal_the_original(t):
     for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+
+
+class _RefReader:
+    """The reader as first written, recursing once per nesting level; kept
+    as the reference for terms, error messages and columns."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def fail(self, msg):
+        raise ParseError(msg, col=self.pos + 1)
+
+    def read_term(self):
+        self.skip_ws()
+        ch = self.peek()
+        if ch == "(":
+            return self.read_seq(")", Tup)
+        if ch == "{":
+            return self.read_seq("}", FinSet)
+        if ch == '"':
+            return self.read_quoted()
+        m = re.match(r"[A-Za-z0-9_.+-]+", self.text[self.pos:])
+        if not m:
+            self.fail(f"expected a term, found {ch!r}" if ch else "expected a term")
+        self.pos += m.end()
+        return Atom(m.group(0))
+
+    def read_seq(self, closer, ctor):
+        self.pos += 1
+        items = []
+        self.skip_ws()
+        if self.peek() == closer:
+            self.pos += 1
+            return ctor(())
+        while True:
+            items.append(self.read_term())
+            self.skip_ws()
+            ch = self.peek()
+            if ch == ",":
+                self.pos += 1
+                continue
+            if ch == closer:
+                self.pos += 1
+                return ctor(tuple(items))
+            self.fail(f"expected ',' or '{closer}'")
+
+    def read_quoted(self):
+        self.pos += 1
+        out = []
+        while True:
+            if self.pos >= len(self.text):
+                self.fail("unterminated quoted atom")
+            ch = self.text[self.pos]
+            if ch == "\\":
+                if self.pos + 1 >= len(self.text):
+                    self.fail("dangling escape in quoted atom")
+                if self.text[self.pos + 1] == "u":
+                    digits = self.text[self.pos + 2:self.pos + 6]
+                    if not re.fullmatch("(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}", digits):
+                        self.fail("bad \\u escape in quoted atom")
+                    out.append(chr(int(digits, 16)))
+                    self.pos += 6
+                    continue
+                out.append(self.text[self.pos + 1])
+                self.pos += 2
+                continue
+            if ch == '"':
+                self.pos += 1
+                if not out:
+                    self.fail("empty quoted atom")
+                return Atom("".join(out))
+            out.append(ch)
+            self.pos += 1
+
+
+def _ref_parse(s):
+    r = _RefReader(s)
+    t = r.read_term()
+    r.skip_ws()
+    if r.pos < len(r.text):
+        raise ParseError("trailing input after term", col=r.pos + 1)
+    return t
+
+
+def _outcome(parse, s):
+    try:
+        return "term", parse(s)
+    except ParseError as e:
+        return "error", e.detail, e.col
+
+
+_PIECES = ["(", ")", "{", "}", ",", '"', " ", "\t", "\\", "a", "Z9", "_.+-", "u",
+           "\\u0041", "\\u00e9", "\\uD800", "\\udfff", "\\u12", "\\u2028", "é", "#", "\n"]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+def test_reader_agrees_with_the_recursive_reference(s):
+    assert _outcome(parse_term, s) == _outcome(_ref_parse, s)
+
+
+def test_reader_agrees_with_the_reference_on_fuzzed_strings():
+    rng = random.Random(7)
+    for _ in range(5000):
+        s = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 30)))
+        assert _outcome(parse_term, s) == _outcome(_ref_parse, s), s
+
+
+def test_reader_keeps_the_cursor_for_embedded_terms():
+    r = TermReader("x (a, b) {c} tail", 2)
+    assert r.read_term() == Tup((Atom("a"), Atom("b")))
+    assert r.read_term() == FinSet((Atom("c"),))
+    assert r.pos == len("x (a, b) {c}")
+    with pytest.raises(ParseError) as e:
+        TermReader("(a, b c)").read_term()
+    assert (e.value.detail, e.value.col) == ("expected ',' or ')'", 7)
+
+
+def test_readers_sharing_an_atom_table_return_one_object_per_name():
+    atoms = {}
+    t1 = TermReader('(a, "b", a)', atoms=atoms).read_term()
+    t2 = TermReader('{b, "a"}', atoms=atoms).read_term()
+    assert t1.items[0] is t1.items[2] is t2.items[0] is atoms["a"]
+    assert t1.items[1] is t2.items[1] is atoms["b"]
+
+
+def test_deeply_nested_term_parses_and_encodes_in_linear_time():
+    start = time.perf_counter()
+    s = "(" * 100_000 + ")" * 100_000
+    t = parse_term(s)
+    assert encode(t) == s and encode(t) == s
+    assert time.perf_counter() - start < 10
+
+
+def _ref_encode(t):
+    """The encoding as first written, recursively and with nothing stored."""
+    if isinstance(t, Atom):
+        if re.fullmatch(r"[A-Za-z0-9_.+-]+", t.name):
+            return t.name
+        escaped = t.name.replace("\\", "\\\\").replace('"', '\\"')
+        escaped = re.sub("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]",
+                         lambda m: f"\\u{ord(m.group()):04x}", escaped)
+        return '"' + escaped + '"'
+    if isinstance(t, Tup):
+        return "(" + ",".join(_ref_encode(x) for x in t.items) + ")"
+    return "{" + ",".join(_ref_encode(x) for x in t.items) + "}"
+
+
+def _subterms(t):
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        out.append(x)
+        if not isinstance(x, Atom):
+            todo.extend(x.items)
+    return out
+
+
+@given(_terms, st.randoms(use_true_random=False))
+def test_encode_agrees_with_the_recursive_reference(t, rng):
+    ref = _ref_encode(t)
+    fresh = parse_term(ref)
+    assert encode(fresh) == ref and encode(fresh) == ref
+    # Encoding the subterms first, in any order, leaves the result unchanged.
+    inner = _subterms(parse_term(ref))
+    for x in rng.sample(inner, len(inner)):
+        assert encode(x) == _ref_encode(x)
+    assert encode(inner[0]) == ref
+
+
+@given(_terms)
+def test_copies_and_pickles_of_an_encoded_term_encode_the_same(t):
+    enc = encode(t)
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and hash(twin) == hash(t)
+        assert encode(twin) == enc == _ref_encode(twin)
+
+
+def test_encoding_is_stored_on_the_term_and_its_atoms_only():
+    a, b = Atom("a"), Atom("b c")
+    inner = Tup((a, b))
+    t = FinSet((inner, Tup((inner,))))
+    assert encode(t) == '{(a,"b c"),((a,"b c"))}'
+    assert (t._enc, a._enc, b._enc) == (encode(t), "a", '"b c"')
+    assert inner._enc is None
+    assert encode_set([inner, a, inner]) == '{a,(a,"b c")}'
+    assert inner._enc == '(a,"b c")'
