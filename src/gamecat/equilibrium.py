@@ -3,18 +3,26 @@ and their transport along isomorphisms.
 
 A grand strategy picks one feasible action per information set (feasibility
 is constant on cells, so this is the same as a continuous node-keyed
-choice). `nash` and `spe` enumerate the exact strategy space, capped, and
-check each strategy with one reachability pass per player: with the other
-players held to the strategy, player i can reach a run exactly when it
-follows the strategy at every node of another player and i's own choices
-along it agree within each information set (Kuhn 1953; agreement matters
-only under absentmindedness). So no deviation is enumerated.
+choice). Internally a profile is a tuple of action indices, one per cell of
+some fixed list of cells, each index into the cell's actions in term order.
+
+With the other players held to a profile, player i can reach an end node
+exactly when play follows the profile at every node of another player and
+i's own choices along the way agree within each information set (Kuhn 1953;
+agreement matters only under absentmindedness). One walk of the tree finds
+i's best reachable payoff, and it depends only on the other players'
+actions, so it is computed once per tuple of them: a profile is Nash when
+no player's best payoff beats what the player gets at its outcome. `nash`
+runs this check over the strategy space, one profile at a time. `spe` never
+goes through the strategy space: it builds the profiles that are Nash in
+every subgame bottom up over the subgame roots (Selten 1965/1975).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import OperationError
 from .game import Game
@@ -39,17 +47,105 @@ def strategy_space_size(g: Game) -> int:
     return n
 
 
-def strategies(g: Game, cap: int = 1_000_000):
-    """All grand strategies in lexicographic (infoset, action) order."""
+def _check_cap(g: Game, cap: int):
     size = strategy_space_size(g)
     if size > cap:
         raise OperationError("StrategySpaceTooLarge", witness=None, detail=str(size))
-    cells = g.clt.sorted_infosets()
-    pools = [sorted(g.clt.feasible[next(iter(cell))]) for cell in cells]
-    out = []
-    for combo in itertools.product(*pools):
-        out.append(GrandStrategy(tuple(zip(cells, combo))))
-    return out
+
+
+class _Index:
+    """A game's cells in encoding order with their actions in term order,
+    each decision node's children by action index, and each player's payoff
+    by end node."""
+
+    def __init__(self, g: Game):
+        self.g = g
+        self.cells = g.clt.sorted_infosets()
+        self.pools = [sorted(g.clt.feasible[next(iter(cell))]) for cell in self.cells]
+        nxt = g.clt.next
+        self.succ = {x: tuple(nxt[(x, a)] for a in pool)
+                     for cell, pool in zip(self.cells, self.pools) for x in cell}
+        self.pay = {i: {e: g.utilities[(i, e)] for e in g.tree.ends} for i in g.players}
+
+    def strategy(self, p) -> GrandStrategy:
+        """The grand strategy of a profile over all cells in order."""
+        return GrandStrategy(tuple(zip(self.cells, (pool[a] for pool, a in zip(self.pools, p)))))
+
+    def nash_among(self, start, order, profiles) -> list:
+        """The profiles that are Nash in play from start, in the order given.
+
+        A profile holds one action index for each cell self.cells[k], k in
+        order; these must be all the cells met below start. Each player's
+        best payoff is computed once per tuple of the other players'
+        actions."""
+        g, ends = self.g, self.g.tree.end_nodes
+        at = {x: (j, self.succ[x]) for j, k in enumerate(order) for x in self.cells[k]}
+        owner = [g.mover[next(iter(self.cells[k]))] for k in order]
+        checks = []
+        for i in dict.fromkeys(owner):
+            mine = frozenset(j for j, o in enumerate(owner) if o == i)
+            others = [j for j in range(len(owner)) if j not in mine]
+            key = itemgetter(*others) if others else (lambda p: ())
+            checks.append((key, mine, self.pay[i], {}))
+        out = []
+        for p in profiles:
+            x = start
+            while x not in ends:
+                j, succ = at[x]
+                x = succ[p[j]]
+            for key, mine, pay, memo in checks:
+                k = key(p)
+                best = memo.get(k)
+                if best is None:
+                    best = memo[k] = _best_payoff(at, ends, pay, start, p, mine)
+                if best > pay[x]:
+                    break
+            else:
+                out.append(p)
+        return out
+
+
+def _best_payoff(at, ends, pay, start, p, mine):
+    """The best payoff in pay among the end nodes reachable from start when
+    the positions in mine are free and every other position plays p.
+
+    An iterative DFS: at a node whose position is not in mine it follows p;
+    at one in mine it branches over the actions, unless that position was
+    fixed higher up the same path (absentmindedness), where it keeps the
+    fixed action. Each node is visited at most once."""
+    best = None
+    fixed: dict = {}  # free positions fixed on the current path -> action index
+    path: list = []   # per depth, the position the edge into that node fixed, or None
+    stack = [(start, 0, None, 0)]
+    while stack:
+        x, depth, j, a = stack.pop()
+        for c in path[depth:]:
+            if c is not None:
+                del fixed[c]
+        del path[depth:]
+        path.append(j)
+        if j is not None:
+            fixed[j] = a
+        if x in ends:
+            if best is None or pay[x] > best:
+                best = pay[x]
+            continue
+        j, succ = at[x]
+        if j not in mine:
+            stack.append((succ[p[j]], depth + 1, None, 0))
+        elif j in fixed:
+            stack.append((succ[fixed[j]], depth + 1, None, 0))
+        else:
+            stack.extend((y, depth + 1, j, a) for a, y in enumerate(succ))
+    return best
+
+
+def strategies(g: Game, cap: int = 1_000_000):
+    """All grand strategies in lexicographic (infoset, action) order."""
+    _check_cap(g, cap)
+    idx = _Index(g)
+    return [GrandStrategy(tuple(zip(idx.cells, combo)))
+            for combo in itertools.product(*idx.pools)]
 
 
 def _play(g: Game, choice: dict, x):
@@ -64,70 +160,63 @@ def outcome(g: Game, s: GrandStrategy) -> frozenset:
     return _run(g.tree, _play(g, s.as_dict(), g.tree.root))
 
 
-def _deviation_gains(g: Game, choice: dict, start, i, base) -> bool:
-    """True when player i, the others held to choice, can reach from start
-    an end node worth more than base to i.
-
-    An iterative DFS: at another player's node it follows choice; at one of
-    i's nodes it branches over the feasible actions, unless the node's cell
-    was fixed higher up the same path (absentmindedness), where it keeps the
-    fixed action. Each node is visited at most once."""
-    info_of, nxt, mine = g.clt.info_of, g.clt.next, g.player_nodes[i]
-    feasible, ends, utilities = g.clt.feasible, g.tree.end_nodes, g.utilities
-    fixed: dict = {}  # i's cells fixed on the current path -> action
-    path: list = []   # per depth, the cell the edge into that node fixed, or None
-    stack = [(start, 0, None, None)]
-    while stack:
-        x, depth, cell, a = stack.pop()
-        for c in path[depth:]:
-            if c is not None:
-                del fixed[c]
-        del path[depth:]
-        path.append(cell)
-        if cell is not None:
-            fixed[cell] = a
-        if x in ends:
-            if utilities[(i, x)] > base:
-                return True
-            continue
-        c = info_of[x]
-        if x not in mine:
-            stack.append((nxt[(x, choice[c])], depth + 1, None, None))
-        elif c in fixed:
-            stack.append((nxt[(x, fixed[c])], depth + 1, None, None))
-        else:
-            for a in feasible[x]:
-                stack.append((nxt[(x, a)], depth + 1, c, a))
-    return False
-
-
-def _nash_from(g: Game, choice: dict, start) -> bool:
-    """No player gains by a unilateral deviation in play from start."""
-    end = _play(g, choice, start)
-    return not any(_deviation_gains(g, choice, start, i, g.utilities[(i, end)])
-                   for i in g.players)
-
-
 def is_nash(g: Game, s: GrandStrategy) -> bool:
-    return _nash_from(g, s.as_dict(), g.tree.root)
+    """No player gains by a unilateral deviation from s."""
+    idx = _Index(g)
+    choice = s.as_dict()
+    p = tuple(pool.index(choice[cell]) for cell, pool in zip(idx.cells, idx.pools))
+    return bool(idx.nash_among(g.tree.root, range(len(p)), [p]))
 
 
 def nash(g: Game, cap: int = 1_000_000):
-    return [s for s in strategies(g, cap) if is_nash(g, s)]
+    """The Nash equilibria in lexicographic (infoset, action) order. The
+    strategy space is walked one index tuple at a time and never stored;
+    only the equilibria become GrandStrategy objects."""
+    _check_cap(g, cap)
+    idx = _Index(g)
+    profiles = itertools.product(*(range(len(pool)) for pool in idx.pools))
+    return [idx.strategy(p)
+            for p in idx.nash_among(g.tree.root, range(len(idx.pools)), profiles)]
 
 
 def spe(g: Game, cap: int = 1_000_000):
-    """Strategies that are Nash in every subgame: the same check run from
-    each subgame root on the whole tree. No cell straddles a subgame root's
-    boundary, so every cell of a player met below the root lies inside the
-    subgame."""
-    roots = sorted(subgame_roots(g))
-    out = []
-    for s in strategies(g, cap):
-        choice = s.as_dict()
-        if all(_nash_from(g, choice, r) for r in roots):
-            out.append(s)
-    return out
+    """The strategies that are Nash in every subgame, in lexicographic
+    (infoset, action) order, built bottom up over the subgame roots.
+
+    No cell straddles a subgame root, so each cell belongs to the nearest
+    subgame root above its members, and the roots form a tree. The profiles
+    on the cells below a root r that are Nash from r and from every root
+    below it are r's own choices joined with one such profile per child
+    root, kept when Nash from r. At the tree's root they are the SPE."""
+    _check_cap(g, cap)
+    idx = _Index(g)
+    roots = subgame_roots(g)
+    children, nearest, preorder = {r: [] for r in roots}, {}, []
+    stack = [(g.tree.root, None)]
+    while stack:
+        x, above = stack.pop()
+        if x in roots:
+            if above is not None:
+                children[above].append(x)
+            preorder.append(x)
+            above = x
+        nearest[x] = above
+        stack.extend((y, above) for y in g.tree.children[x])
+    own = {r: [] for r in roots}
+    for k, cell in enumerate(idx.cells):
+        own[nearest[next(iter(cell))]].append(k)
+    # order[r] lists the cells below r: r's own, then each child's order.
+    order, found = {}, {}
+    for r in reversed(preorder):
+        kids = children[r]
+        order[r] = own[r] + [k for c in kids for k in order.pop(c)]
+        choices = itertools.product(*(range(len(idx.pools[k])) for k in own[r]))
+        joined = (sum(parts, ()) for parts in
+                  itertools.product(choices, *(found.pop(c) for c in kids)))
+        found[r] = idx.nash_among(r, order[r], joined)
+    top = g.tree.root
+    back = sorted(range(len(idx.cells)), key=order[top].__getitem__)
+    return [idx.strategy(p) for p in sorted(tuple(p[j] for j in back) for p in found[top])]
 
 
 def push_strategy(iso: GameMorphism, s: GrandStrategy) -> GrandStrategy:

@@ -17,6 +17,10 @@ from .terms import Atom, TermReader, encode
 # Everything before the first `#` that is outside a quoted atom.
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
 
+# A rational: [+-]digits, optionally /digits, ending where the run of sign,
+# slash and digit characters ends; any other such run is a bad token.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?![-+/0-9])|[-+/0-9]*")
+
 
 def _strip_comment(line: str) -> str:
     if "#" not in line:
@@ -36,22 +40,20 @@ def _keyword(r: TermReader, word: str) -> bool:
 
 
 def _reader_words(line: str, atoms: dict):
-    """Split a line into the leading keyword and a TermReader for the rest."""
-    stripped = line.strip()
-    head, _, rest = stripped.partition(" ")
+    """Split a stripped line into the leading keyword and a TermReader for
+    the rest."""
+    head, _, rest = line.partition(" ")
     return head, TermReader(rest.strip(), atoms=atoms)
 
 
 def _read_rational(r: TermReader, lineno: int) -> Fraction:
     r.skip_ws()
-    start = r.pos
-    while r.pos < len(r.text) and r.text[r.pos] in "+-/0123456789":
-        r.pos += 1
-    token = r.text[start:r.pos]
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {token!r}", line=lineno)
+    m = _RATIONAL.match(r.text, r.pos)
+    r.pos = m.end()
+    num, den = m.group(1), int(m.group(2) or 1)
+    if num is None or den == 0:
+        raise ParseError(f"bad rational {m.group()!r}", line=lineno)
+    return Fraction(int(num), den)
 
 
 def _expect_end(r: TermReader, lineno: int):

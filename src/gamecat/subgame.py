@@ -59,8 +59,39 @@ def selten_subgame(g: Game, r: Term) -> SeltenResult:
 
 
 def subgame_roots(g: Game):
-    return {r for r in g.tree.decision_nodes
-            if _straddling(g.clt.infosets, descendants(g.tree, r)) is None}
+    """The decision nodes that no information set straddles, in one pass.
+
+    Nodes are numbered in depth-first preorder, so each subtree is the
+    interval from its node's number to its last descendant's. A cell lies
+    inside a subtree exactly when its least and greatest member numbers do,
+    so a node is a root exactly when every cell met in its subtree spans
+    numbers within the interval; the bounds fold up from the leaves."""
+    tree, info_of = g.tree, g.clt.info_of
+    order, stack = [], [tree.root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(tree.children[x])
+    num = {x: k for k, x in enumerate(order)}
+    span = {}
+    for cell in g.clt.infosets:
+        members = [num[x] for x in cell]
+        span[cell] = (min(members), max(members))
+    bounds = {}  # node -> (least and greatest number of a cell met below, last number below)
+    roots = set()
+    for x in reversed(order):
+        kids = tree.children[x]
+        if not kids:
+            bounds[x] = (len(order), -1, num[x])
+            continue
+        (lo, hi), last = span[info_of[x]], num[x]
+        for y in kids:
+            y_lo, y_hi, y_last = bounds[y]
+            lo, hi, last = min(lo, y_lo), max(hi, y_hi), max(last, y_last)
+        bounds[x] = (lo, hi, last)
+        if lo >= num[x] and hi <= last:
+            roots.add(x)
+    return roots
 
 
 def is_selten_subgame(sub: Game, sup: Game) -> bool:

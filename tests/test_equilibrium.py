@@ -5,7 +5,8 @@ import pytest
 
 from gamecat import (Atom, OperationError, is_nash, nash,
                      outcome, properties, push_strategy, spe, strategies,
-                     strategy_space_size, to_distinguished)
+                     strategy_space_size, subgame_roots, to_distinguished)
+from gamecat.equilibrium import _play
 from gamecat.terms import FinSet, Tup
 from examplegames import A, trio_a, make_game
 from genrandom import random_game, relabel_iso
@@ -130,6 +131,89 @@ def test_binary_4_equilibria_finish_and_agree_with_backward_induction():
     want = {frozenset({x}): a for x, a in backward_induction(g).items()}
     assert [s.as_dict() for s in ss] == [want]
     assert want in [s.as_dict() for s in ns]
+
+
+def test_binary_8_spe_is_backward_induction_within_seconds():
+    g = binary_game(8, seed=3)
+    start = time.perf_counter()
+    ss = spe(g, cap=2 ** 300)
+    assert time.perf_counter() - start < 10
+    want = {frozenset({x}): a for x, a in backward_induction(g).items()}
+    assert [s.as_dict() for s in ss] == [want]
+
+
+def _ref_deviation_gains(g, choice, start, i, base):
+    """True when player i, the others held to choice, can reach from start
+    an end node worth more than base to i; stops at the first such node."""
+    info_of, nxt, mine = g.clt.info_of, g.clt.next, g.player_nodes[i]
+    feasible, ends, utilities = g.clt.feasible, g.tree.end_nodes, g.utilities
+    fixed, path = {}, []
+    stack = [(start, 0, None, None)]
+    while stack:
+        x, depth, cell, a = stack.pop()
+        for c in path[depth:]:
+            if c is not None:
+                del fixed[c]
+        del path[depth:]
+        path.append(cell)
+        if cell is not None:
+            fixed[cell] = a
+        if x in ends:
+            if utilities[(i, x)] > base:
+                return True
+            continue
+        c = info_of[x]
+        if x not in mine:
+            stack.append((nxt[(x, choice[c])], depth + 1, None, None))
+        elif c in fixed:
+            stack.append((nxt[(x, fixed[c])], depth + 1, None, None))
+        else:
+            for a in feasible[x]:
+                stack.append((nxt[(x, a)], depth + 1, c, a))
+    return False
+
+
+def _ref_nash_from(g, choice, start):
+    end = _play(g, choice, start)
+    return not any(_ref_deviation_gains(g, choice, start, i, g.utilities[(i, end)])
+                   for i in g.players)
+
+
+def ref_nash(g):
+    """Every strategy, then the ones no player can improve on from the root."""
+    return [s for s in strategies(g) if _ref_nash_from(g, s.as_dict(), g.tree.root)]
+
+
+def ref_spe(g):
+    """Every strategy, then the ones Nash from every subgame root."""
+    roots = sorted(subgame_roots(g))
+    return [s for s in strategies(g)
+            if all(_ref_nash_from(g, s.as_dict(), r) for r in roots)]
+
+
+def test_nash_and_spe_equal_enumerate_and_filter_on_1000_random_games():
+    rng = random.Random(67)
+    imperfect = absent_minded = several_players = 0
+    for _ in range(1000):
+        g = random_game(rng, max_nodes=16, max_players=3, max_actions=3)
+        imperfect += not properties(g).perfect_information
+        absent_minded += not properties(g).no_absentmindedness
+        several_players += len(g.players) > 1
+        assert nash(g) == ref_nash(g)
+        assert spe(g) == ref_spe(g)
+    assert imperfect > 300 and absent_minded > 300 and several_players > 300
+
+
+@pytest.mark.parametrize("solver", [nash, spe, strategies])
+def test_cap_names_the_full_space_at_size_minus_one(solver):
+    g = binary_game(3, seed=1)
+    size = strategy_space_size(g)
+    assert size == 2 ** 7
+    with pytest.raises(OperationError) as e:
+        solver(g, cap=size - 1)
+    assert e.value.code == "StrategySpaceTooLarge"
+    assert e.value.detail == str(size)
+    assert solver(g, cap=size)
 
 
 def test_unique_spe_of_strict_perfect_information_game():

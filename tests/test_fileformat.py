@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from gamecat import (Atom, ParseError, ValidationError, build_game, encode,
                      parse_game_text, parse_morphism_text, parse_term,
-                     print_game, print_morphism)
+                     print_game, print_morphism, pushforward)
+from gamecat.terms import FinSet, Tup
 from conftest import FIXTURES
 from examplegames import A, trio_a
+from genrandom import random_game
 
 
 def all_game_fixtures():
@@ -146,6 +148,33 @@ infoset i0 { 0 }
     assert e.value.code == "MoverMissing"
 
 
+RATIONAL_GAME = """game q
+node 0
+node 1
+edge 0 1 a
+infoset i0 { 0 }
+player P1 infoset i0
+utility P1 end 1 VALUE
+"""
+
+
+@pytest.mark.parametrize("token, value", [
+    ("3", Fraction(3)), ("+3", Fraction(3)), ("-4/6", Fraction(-2, 3)),
+    ("007/010", Fraction(7, 10)), ("-0", Fraction(0)),
+])
+def test_rationals_parse_exactly(token, value):
+    _, g = parse_game_text(RATIONAL_GAME.replace("VALUE", token))
+    assert g.utilities[(A("P1"), A(1))] == value
+
+
+@pytest.mark.parametrize("token", ["1/0", "0/00", "1/-2", "3-", "--1", "1/2/3", "+", "/2", ""])
+def test_bad_rationals_name_the_token_and_line(token):
+    with pytest.raises(ParseError) as e:
+        parse_game_text(RATIONAL_GAME.replace("VALUE", token))
+    assert e.value.detail == f"bad rational {token!r} at line 7"
+    assert e.value.line == 7
+
+
 HASH_GAME = """game h
 node r
 node "a#b"
@@ -204,6 +233,31 @@ def test_any_atom_names_survive_print_and_parse(nodes, acts0, acts1, players):
                    {(i, e): Fraction(k) for i in (p0, p1) for k, e in enumerate(ends)})
     printed = print_game("g", g)
     assert parse_game_text(printed) == ("g", g)
+    assert print_game("g", parse_game_text(printed)[1]) == printed
+
+
+_node_names = st.recursive(
+    _names.map(Atom),
+    lambda inner: st.lists(inner, max_size=3).map(Tup) | st.lists(inner, max_size=3).map(FinSet),
+    max_leaves=6)
+
+
+def _distinct(strategy, n):
+    return st.lists(strategy, min_size=n, max_size=n, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_random_game_shapes_with_any_names_survive_print_and_parse(rng, data):
+    g = random_game(rng, max_nodes=9)
+    nodes, actions, players = (sorted(s) for s in (g.tree.nodes, g.clt.actions, g.players))
+    node_bij = dict(zip(nodes, data.draw(_distinct(_node_names, len(nodes)))))
+    action_bij = dict(zip(actions, data.draw(_distinct(_names.map(Atom), len(actions)))))
+    player_bij = dict(zip(players, data.draw(_distinct(_names.map(Atom), len(players)))))
+    h, _ = pushforward(g, node_bij, {x: {a: action_bij[a] for a in g.clt.feasible[x]}
+                                     for x in g.tree.decision_nodes}, player_bij)
+    printed = print_game("g", h)
+    assert parse_game_text(printed) == ("g", h)
     assert print_game("g", parse_game_text(printed)[1]) == printed
 
 

@@ -1,12 +1,15 @@
 import random
+import time
 
 import pytest
 
 from gamecat import (Atom, OperationError, ValidationError, identity_morphism,
-                     is_selten_subgame, one_player_zero_game, selten_subclt,
-                     selten_subgame, subgame_roots)
+                     is_selten_subgame, one_player_zero_game, properties,
+                     selten_subclt, selten_subgame, subgame_roots)
+from gamecat.cli import main
 from examplegames import A, trio_a, nested, innerwrap, flatten, make_game
 from genrandom import random_game, relabel_iso
+from oracles import oracle_subgame_roots
 
 
 def test_subclt_at_inner_singleton_root():
@@ -107,3 +110,28 @@ def test_random_subgames_pass_the_characterization():
         for r in subgame_roots(g):
             res = selten_subgame(g, r)
             assert is_selten_subgame(res.subgame, g)
+
+
+def test_subgame_roots_match_the_oracle_on_1000_random_games():
+    rng = random.Random(71)
+    absent_minded = 0
+    for _ in range(1000):
+        g = random_game(rng, max_nodes=14, max_players=3)
+        absent_minded += not properties(g).no_absentmindedness
+        assert subgame_roots(g) == set(oracle_subgame_roots(g))
+    assert absent_minded > 300
+
+
+def test_subgames_of_a_10000_node_path_within_seconds(tmp_path, capsys):
+    n = 10_000
+    lines = ["game path", "node s", *(f"node {k}" for k in range(n)), "edge 0 s b",
+             *(f"edge {k} {k + 1} a" for k in range(n - 1)),
+             *(f"infoset i{k} {{ {k} }}\nplayer P1 infoset i{k}" for k in range(n - 1)),
+             f"utility P1 end {n - 1} 1", "utility P1 end s 0"]
+    path = tmp_path / "path.gm"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["--format", "machine", "subgames", str(path)]) == 0
+    assert time.perf_counter() - start < 10
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == n - 1 and all(line.startswith("subgame_root ") for line in out)
