@@ -8,14 +8,13 @@ tag actions by information set, then name nodes by their root path.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .game import Game
 from .morphism import GameMorphism, pushforward
 from .terms import FinSet, Tup
-from .tree import tree_leq
+from .tree import descendants
 
 
 @dataclass(frozen=True)
@@ -72,11 +71,35 @@ def _uses_action_sets(g: Game) -> bool:
 
 
 def _absentminded_witness(g: Game):
-    for cell in g.clt.sorted_infosets():
-        for x, y in itertools.permutations(sorted(cell), 2):
-            if tree_leq(g.tree, x, y):
-                return (cell, x, y)
-    return None
+    """(cell, x, y) for the first cell in encoding order with a member x
+    strictly before another member y: the least such x, then the least y
+    after it (the first such pair of the cell's members in term order).
+
+    One DFS keeps, for each cell, its members on the current path; the
+    innermost of them is the nearest member above a node of the cell, and
+    x has a member below it iff it is the nearest above one."""
+    t, info_of = g.tree, g.clt.info_of
+    on_path: dict = {}  # cell -> its members on the current path, outermost first
+    above: dict = {}    # cell -> members nearest above another member
+    stack = [(t.root, True)]
+    while stack:
+        x, entering = stack.pop()
+        if x in t.end_nodes:
+            continue
+        path = on_path.setdefault(info_of[x], [])
+        if not entering:
+            path.pop()
+            continue
+        if path:
+            above.setdefault(info_of[x], set()).add(path[-1])
+        path.append(x)
+        stack.append((x, False))
+        stack.extend((y, True) for y in t.children[x])
+    cell = next((c for c in g.clt.sorted_infosets() if c in above), None)
+    if cell is None:
+        return None
+    x = min(above[cell])
+    return cell, x, min(cell & descendants(t, x) - {x})
 
 
 def properties(g: Game) -> GameProperties:

@@ -49,11 +49,15 @@ def _load_game(path: str):
 
 
 def _load_morphism(path: str):
+    """The morphism file's name, source and target games and node map; a
+    game that is both source and target is loaded once."""
     name, src_ref, tgt_ref, node_map = parse_morphism_text(_read_text(path))
     base = os.path.dirname(os.path.abspath(path))
-    src_path = os.path.join(base, src_ref) if not os.path.isabs(src_ref) else src_ref
-    tgt_path = os.path.join(base, tgt_ref) if not os.path.isabs(tgt_ref) else tgt_ref
+    # join keeps an absolute reference as it is.
+    src_path, tgt_path = os.path.join(base, src_ref), os.path.join(base, tgt_ref)
     _, src = _load_game(src_path)
+    if os.path.realpath(tgt_path) == os.path.realpath(src_path):
+        return name, src, src, node_map
     _, tgt = _load_game(tgt_path)
     return name, src, tgt, node_map
 

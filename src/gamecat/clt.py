@@ -45,18 +45,21 @@ class CLT:
 def _not_constant(cells, value):
     """The first (least member, other member) pair of one cell on which the
     mapping value differs, scanning cells in the given order and members in
-    term order; None when value is constant on every cell."""
+    term order; None when value is constant on every cell. A cell is
+    sorted only when value splits it."""
     for cell in cells:
-        first, *rest = sorted(cell)
-        for x in rest:
-            if value[x] != value[first]:
-                return first, x
+        if len(cell) > 1:
+            it = iter(cell)
+            v = value[next(it)]
+            if any(value[x] != v for x in it):
+                first, *rest = sorted(cell)
+                return first, next(x for x in rest if value[x] != value[first])
     return None
 
 
 def validate_clt(tree: OutTree, infosets, label) -> CLT:
     label = dict(label)
-    if set(label) != set(tree.edges):
+    if label.keys() != tree.edges:
         raise ValidationError("LabelBad", witness=min(set(label) ^ set(tree.edges)),
                               detail="labeling must cover exactly the edge set")
 
@@ -80,7 +83,7 @@ def validate_clt(tree: OutTree, infosets, label) -> CLT:
 
     nxt: dict = {}
     feasible: dict = {x: set() for x in w}
-    for x, y in sorted(tree.edges):
+    for x, y in tree.sorted_edges:
         a = label[(x, y)]
         if (x, a) in nxt:
             raise ValidationError("NonDeterministic", witness=(x, a))

@@ -56,7 +56,7 @@ def _check_cap(g: Game, cap: int):
 class _Index:
     """A game's cells in encoding order with their actions in term order,
     each decision node's children by action index, and each player's payoff
-    by end node."""
+    rank by end node (ranks order ends as the utilities do)."""
 
     def __init__(self, g: Game):
         self.g = g
@@ -65,7 +65,7 @@ class _Index:
         nxt = g.clt.next
         self.succ = {x: tuple(nxt[(x, a)] for a in pool)
                      for cell, pool in zip(self.cells, self.pools) for x in cell}
-        self.pay = {i: {e: g.utilities[(i, e)] for e in g.tree.ends} for i in g.players}
+        self.pay = g.ranks
 
     def strategy(self, p) -> GrandStrategy:
         """The grand strategy of a profile over all cells in order."""

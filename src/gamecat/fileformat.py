@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .game import Game, build_game
-from .terms import Atom, TermReader, encode
+from .terms import _END, _TOKENS, _read_tokens, encode
 
 # Everything before the first `#` that is outside a quoted atom.
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
@@ -22,58 +22,59 @@ _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?![-+/0-9])|[-+/0-9]*")
 
 
-def _strip_comment(line: str) -> str:
-    if "#" not in line:
-        return line.strip()
-    m = _BEFORE_COMMENT.match(line)
-    return (m.group(0) if m else line).strip()
+def _word_at(toks, k: int) -> str:
+    """The bare word at token k when a blank, `{` or the line end follows
+    it, as a keyword must stand; else ""."""
+    word = toks[k][1]
+    if word:
+        b, _, o = toks[k + 1]
+        if b or o == "" or o == "{":
+            return word
+    return ""
 
 
-def _keyword(r: TermReader, word: str) -> bool:
-    """Consume word at the cursor when a blank, `{` or the line end follows."""
-    r.skip_ws()
-    end = r.pos + len(word)
-    if r.text.startswith(word, r.pos) and r.text[end:end + 1] in ("", " ", "\t", "{"):
-        r.pos = end
-        return True
-    return False
+def _members(toks, k: int, atoms: dict, shared: dict):
+    """A `{ term term ... }` member list at token k, and the index after it."""
+    if toks[k][2] != "{":
+        raise ParseError("expected '{'")
+    k += 1
+    members = []
+    while toks[k][2] != "}":
+        x, k = _read_tokens(toks, k, atoms, shared)
+        members.append(x)
+    return frozenset(members), k + 1
 
 
-def _reader_words(line: str, atoms: dict):
-    """Split a stripped line into the leading keyword and a TermReader for
-    the rest."""
-    head, _, rest = line.partition(" ")
-    return head, TermReader(rest.strip(), atoms=atoms)
-
-
-def _read_rational(r: TermReader, lineno: int) -> Fraction:
-    r.skip_ws()
-    m = _RATIONAL.match(r.text, r.pos)
-    r.pos = m.end()
+def _read_rational(toks) -> Fraction:
+    """The rational that the tokens spell, which must be all of them."""
+    text = "".join(["".join(t) for t in toks])
+    m = _RATIONAL.match(text, len(toks[0][0]))
     num, den = m.group(1), int(m.group(2) or 1)
     if num is None or den == 0:
-        raise ParseError(f"bad rational {m.group()!r}", line=lineno)
-    return Fraction(int(num), den)
+        raise ParseError(f"bad rational {m.group()!r}")
+    if m.end() < len(text):
+        raise ParseError("trailing input")
+    return Fraction(int(num), den) if den != 1 else Fraction(int(num))
 
 
-def _expect_end(r: TermReader, lineno: int):
-    if not r.at_end():
-        raise ParseError("trailing input", line=lineno)
-
-
-def _read_braced(r: TermReader, lineno: int, read_term) -> frozenset:
-    """A `{ term term ... }` member list, each member read by read_term."""
-    r.skip_ws()
-    if r.peek() != "{":
-        raise ParseError("expected '{'", line=lineno)
-    r.pos += 1
-    members = []
-    while True:
-        r.skip_ws()
-        if r.peek() == "}":
-            r.pos += 1
-            return frozenset(members)
-        members.append(read_term(r))
+def _lines(text: str):
+    """(line number, keyword, rest, tokens of the rest) for each line that
+    is not blank once its comment is stripped. The keyword ends at the
+    first space or tab; the rest is what follows, less leading whitespace.
+    The tokens end in one _END, as the line is stripped."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            m = _BEFORE_COMMENT.match(line)
+            line = m.group(0) if m else line
+        line = line.strip()
+        if line:
+            head, _, rest = line.partition(" ")
+            if "\t" in head:
+                head, _, rest = line.partition("\t")
+            rest = rest.lstrip()
+            toks = _TOKENS.findall(rest)
+            toks.append(_END)
+            yield lineno, head, rest, toks
 
 
 def parse_game_text(text: str):
@@ -85,66 +86,63 @@ def parse_game_text(text: str):
     cells: dict = {}       # infoset id (Term) -> frozenset of nodes
     cell_player: dict = {}  # infoset id -> player
     utilities: dict = {}
-    # One object per distinct term, so lookups hit by identity: the readers
-    # share one Atom per name, and compound terms are shared by value.
+    # One object per distinct term, so lookups hit by identity: one Atom
+    # per name, and compound terms shared by value.
     atoms: dict = {}
     shared: dict = {}
 
-    def term(r):
-        t = r.read_term()
-        return t if type(t) is Atom else shared.setdefault(t, t)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        head, r = _reader_words(line, atoms)
+    for lineno, head, rest, toks in _lines(text):
+        # A line is read to its end when only _END is left.
         try:
             if head == "game":
-                name = r.text.strip()
+                name = rest
                 if not name:
-                    raise ParseError("missing game name", line=lineno)
+                    raise ParseError("missing game name")
             elif head == "node":
-                nodes.add(term(r))
-                _expect_end(r, lineno)
+                x, k = _read_tokens(toks, 0, atoms, shared)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
+                nodes.add(x)
             elif head == "edge":
-                src = term(r)
-                tgt = term(r)
-                act = term(r)
-                _expect_end(r, lineno)
+                src, k = _read_tokens(toks, 0, atoms, shared)
+                tgt, k = _read_tokens(toks, k, atoms, shared)
+                act, k = _read_tokens(toks, k, atoms, shared)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
                 if (src, tgt) in edges:
-                    raise ParseError("duplicate edge", line=lineno)
+                    raise ParseError("duplicate edge")
                 edges[(src, tgt)] = act
                 edge_lines[(src, tgt)] = lineno
             elif head == "infoset":
-                ident = term(r)
-                members = _read_braced(r, lineno, term)
-                _expect_end(r, lineno)
+                ident, k = _read_tokens(toks, 0, atoms, shared)
+                members, k = _members(toks, k, atoms, shared)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
                 if ident in cells:
-                    raise ParseError("duplicate infoset id", line=lineno)
+                    raise ParseError("duplicate infoset id")
                 cells[ident] = members
             elif head == "player":
-                pid = term(r)
-                if not _keyword(r, "infoset"):
-                    raise ParseError("expected 'infoset'", line=lineno)
-                ident = term(r)
-                _expect_end(r, lineno)
+                pid, k = _read_tokens(toks, 0, atoms, shared)
+                if _word_at(toks, k) != "infoset":
+                    raise ParseError("expected 'infoset'")
+                ident, k = _read_tokens(toks, k + 1, atoms, shared)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
                 if ident in cell_player:
-                    raise ParseError("infoset assigned to two players", line=lineno)
+                    raise ParseError("infoset assigned to two players")
                 cell_player[ident] = pid
             elif head == "utility":
-                pid = term(r)
-                if _keyword(r, "end"):
-                    where = term(r)
-                elif _keyword(r, "run"):
-                    where = _read_braced(r, lineno, term)
+                pid, k = _read_tokens(toks, 0, atoms, shared)
+                word = _word_at(toks, k)
+                if word == "end":
+                    where, k = _read_tokens(toks, k + 1, atoms, shared)
+                elif word == "run":
+                    where, k = _members(toks, k + 1, atoms, shared)
                 else:
-                    raise ParseError("expected 'end' or 'run'", line=lineno)
-                value = _read_rational(r, lineno)
-                _expect_end(r, lineno)
-                utilities[(pid, where)] = value
+                    raise ParseError("expected 'end' or 'run'")
+                utilities[(pid, where)] = _read_rational(toks[k:])
             else:
-                raise ParseError(f"unknown declaration {head!r}", line=lineno)
+                raise ParseError(f"unknown declaration {head!r}")
         except ParseError as e:
             if e.line is None:
                 raise ParseError(e.detail, line=lineno) from None
@@ -180,7 +178,7 @@ def print_game(name: str, g: Game) -> str:
     lines = [f"game {name}"]
     for x in sorted(g.tree.nodes):
         lines.append(f"node {encode(x)}")
-    for (x, y) in sorted(g.tree.edges):
+    for (x, y) in g.tree.sorted_edges:
         lines.append(f"edge {encode(x)} {encode(y)} {encode(g.clt.label[(x, y)])}")
     cells = g.clt.sorted_infosets()
     ids = {cell: f"i{k}" for k, cell in enumerate(cells)}
@@ -202,25 +200,23 @@ def parse_morphism_text(text: str):
     target = None
     node_map: dict = {}
     atoms: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        head, r = _reader_words(line, atoms)
+    shared: dict = {}
+    for lineno, head, rest, toks in _lines(text):
         if head == "morphism":
-            name = r.text.strip()
+            name = rest
         elif head == "source":
-            source = r.text.strip()
+            source = rest
         elif head == "target":
-            target = r.text.strip()
+            target = rest
         elif head == "map":
-            src = r.read_term()
-            r.skip_ws()
-            if not r.text.startswith("->", r.pos):
+            # A term's error carries its column in the rest of the line, but
+            # no line number.
+            src, k = _read_tokens(toks, 0, atoms, shared)
+            if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
                 raise ParseError("expected '->'", line=lineno)
-            r.pos += 2
-            tgt = r.read_term()
-            _expect_end(r, lineno)
+            tgt, k = _read_tokens(toks, k + 2, atoms, shared)
+            if k + 1 < len(toks):
+                raise ParseError("trailing input", line=lineno)
             if src in node_map:
                 raise ParseError("duplicate map key", line=lineno)
             node_map[src] = tgt

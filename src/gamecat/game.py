@@ -9,6 +9,7 @@ tree biject with end nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .clt import CLT, _not_constant, validate_clt
@@ -43,6 +44,18 @@ class Game:
     def utility(self, i: Term, run: frozenset) -> Fraction:
         return self.utilities[(i, run_end(self.clt.tree, run))]
 
+    @cached_property
+    def ranks(self) -> dict:
+        """player -> end node -> the dense rank of the player's utility
+        there, 0 for the least: integers in the utilities' order, so
+        comparing ranks is comparing utilities."""
+        out = {}
+        for i in self.players:
+            pay = {e: self.utilities[(i, e)] for e in self.tree.ends}
+            rank = {v: k for k, v in enumerate(sorted(set(pay.values())))}
+            out[i] = {e: rank[v] for e, v in pay.items()}
+        return out
+
 
 def validate_game(clt: CLT, mover, utilities) -> Game:
     w = clt.tree.decision_nodes
@@ -69,15 +82,18 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
                 raise ValidationError("UtilityExtraneous", witness=(i, frozenset(end))) from None
         if i not in players or end not in tree.end_nodes:
             raise ValidationError("UtilityExtraneous", witness=(i, end))
-        table[(i, end)] = Fraction(value)
+        table[(i, end)] = value if type(value) is Fraction else Fraction(value)
 
-    gap = min({(i, end) for i in players for end in tree.ends} - table.keys(), default=None)
-    if gap is not None:
+    # Every key is a (player, end) pair, so the table is full unless short.
+    if len(table) < len(players) * len(tree.ends):
+        gap = min({(i, end) for i in players for end in tree.ends} - table.keys())
         raise ValidationError("UtilityMissing", witness=(gap[0], _run(tree, gap[1])))
 
-    player_nodes = {i: frozenset(x for x in w if mover[x] == i) for i in players}
+    player_nodes: dict = {i: [] for i in players}
+    for x, i in mover.items():
+        player_nodes[i].append(x)
     return Game(clt=clt, mover=mover, players=players, utilities=table,
-                player_nodes=player_nodes)
+                player_nodes={i: frozenset(xs) for i, xs in player_nodes.items()})
 
 
 def one_player_zero_game(clt: CLT, player: Term = Atom("P1")) -> Game:
@@ -91,14 +107,9 @@ def ordinal_profile(g: Game, i: Term) -> dict:
     """Dense ranks of player i's utility over runs: 0 is best, ties share."""
     if i not in g.players:
         raise OperationError("UnknownPlayer", witness=i)
-    return {_run(g.tree, e): k for e, k in _ranks(g, i).items()}
-
-
-def _ranks(g: Game, i: Term) -> dict:
-    """ordinal_profile keyed by end node."""
-    values = sorted({g.utilities[(i, e)] for e in g.tree.ends}, reverse=True)
-    rank = {v: k for k, v in enumerate(values)}
-    return {e: rank[g.utilities[(i, e)]] for e in g.tree.ends}
+    ranks = g.ranks[i]
+    top = max(ranks.values())
+    return {_run(g.tree, e): top - k for e, k in ranks.items()}
 
 
 def build_game(nodes, edges, infosets, mover, utilities) -> Game:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
-from .game import Game, _ranks, validate_game
+from .game import Game, validate_game
 from .terms import Atom, Term
 from .tree import _run, run_end, strict_predecessors, validate_out_tree
 
@@ -73,7 +73,7 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
     if extra:
         raise OperationError("BadNodeMap", witness=min(extra), detail="map key is not a source node")
 
-    for x, y in sorted(src.tree.edges):
+    for x, y in src.tree.sorted_edges:
         if (node_map[x], node_map[y]) not in tgt.tree.edges:
             raise ValidationError("EdgeNotPreserved", witness=(x, y))
 
@@ -138,11 +138,11 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
 
 
 def _utility_orders(src: Game, tgt: Game, node_map, iota):
-    """(i, i's utilities, iota(i)'s at the images), keyed by source end node."""
-    ends = src.tree.ends
+    """(i, i's utility ranks, iota(i)'s at the images), keyed by source end
+    node: ranks order the ends as the utilities do."""
     for i in sorted(src.players):
-        yield (i, {e: src.utilities[(i, e)] for e in ends},
-               {e: tgt.utilities[(iota[i], node_map[e])] for e in ends})
+        image = tgt.ranks[iota[i]]
+        yield i, src.ranks[i], {e: image[node_map[e]] for e in src.tree.ends}
 
 
 def _order_violation(zs, a, b):
@@ -376,8 +376,8 @@ def iso_search(g1: Game, g2: Game):
         return None
     if sorted(len(c) for c in g1.clt.infosets) != sorted(len(c) for c in g2.clt.infosets):
         return None
-    prof1 = sorted(sorted(_ranks(g1, i).values()) for i in g1.players)
-    prof2 = sorted(sorted(_ranks(g2, i).values()) for i in g2.players)
+    prof1 = sorted(sorted(g1.ranks[i].values()) for i in g1.players)
+    prof2 = sorted(sorted(g2.ranks[i].values()) for i in g2.players)
     if prof1 != prof2:
         return None
 

@@ -97,6 +97,12 @@ def term_cmp(a: Term, b: Term) -> int:
     return (a._key > b._key) - (a._key < b._key)
 
 
+def _sorted_pairs(pairs) -> tuple:
+    """Pairs of terms in term order, as sorted() gives, but compared by
+    their keys natively rather than through __eq__ and __lt__."""
+    return tuple(sorted(pairs, key=lambda p: (p[0]._key, p[1]._key)))
+
+
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_.+-]+")
 # What str.splitlines breaks on; quoted atoms write these as \uXXXX.
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
@@ -140,11 +146,111 @@ def encode(t: Term) -> str:
     return t._enc
 
 
+# One token after any blanks: a bare atom (group 2), or (group 3) a quoted
+# atom up to its closing quote or the end of the text, or one other
+# character. findall over a text gives its tokens as (blanks, bare, other)
+# triples; a triple with no token (_END, or the blanks that end the text)
+# is appended to mark the end.
+_TOKENS = re.compile(r'([ \t]*)(?:([A-Za-z0-9_.+-]+)|("(?:[^"\\]|\\.)*["\\]?|[^ \t]))', re.S)
+_END = ("", "", "")
+
+
+def _span(toks, k: int) -> int:
+    """The length of the text that toks[:k] were found in."""
+    return len("".join(["".join(t) for t in toks[:k]]))
+
+
+def _fail(msg: str, toks, k: int, off: int = 0):
+    """ParseError at offset off into token k, after its blanks."""
+    raise ParseError(msg, col=_span(toks, k) + len(toks[k][0]) + off + 1)
+
+
+def _read_tokens(toks, k: int, atoms: dict, shared: dict | None = None):
+    """The term that begins at token k of toks (_TOKENS.findall output) and
+    the index of the token after it.
+
+    Open brackets wait on an explicit stack, so nesting depth is bounded by
+    memory, not recursion. atoms maps each atom name read to one Atom; with
+    shared, a compound result is replaced by the equal term already in it.
+    ParseError columns count from where findall began."""
+    open_seqs = []  # (closer, constructor, items read so far)
+    while True:
+        _, w, o = toks[k]
+        k += 1
+        if w:
+            t = atoms.get(w) or atoms.setdefault(w, Atom(w))
+            if not open_seqs:
+                return t, k
+        elif o == "(" or o == "{":
+            closer, ctor = (")", Tup) if o == "(" else ("}", FinSet)
+            if toks[k][2] != closer:
+                open_seqs.append((closer, ctor, []))
+                continue
+            k += 1
+            t = ctor(())
+        elif o[:1] == '"':
+            name, bad = _unquote(o)
+            if bad is not None:
+                _fail(name, toks, k - 1, bad)
+            t = atoms.get(name) or atoms.setdefault(name, Atom(name))
+        else:
+            _fail(f"expected a term, found {o[0]!r}" if o else "expected a term", toks, k - 1)
+        # t is complete: add it to the innermost open bracket, closing
+        # every bracket that ends right after it.
+        while open_seqs:
+            closer, ctor, items = open_seqs[-1]
+            items.append(t)
+            o = toks[k][2]
+            k += 1
+            if o == ",":
+                break
+            if o != closer:
+                _fail(f"expected ',' or '{closer}'", toks, k - 1)
+            open_seqs.pop()
+            t = ctor(items)
+        if not open_seqs:
+            if shared is not None and type(t) is not Atom:
+                t = shared.setdefault(t, t)
+            return t, k
+
+
+def _unquote(tok: str):
+    """(name, None) for a quoted-atom token, or (error message, offset of
+    the error in tok). The token ends at the closing quote or at the end of
+    the text, so an error found in it is the one the whole text has."""
+    out = []
+    pos = 1
+    while True:
+        if pos >= len(tok):
+            return "unterminated quoted atom", pos
+        ch = tok[pos]
+        if ch == "\\":
+            if pos + 1 >= len(tok):
+                return "dangling escape in quoted atom", pos
+            if tok[pos + 1] == "u":
+                digits = tok[pos + 2:pos + 6]
+                if not _U_DIGITS.fullmatch(digits):
+                    return "bad \\u escape in quoted atom", pos
+                out.append(chr(int(digits, 16)))
+                pos += 6
+                continue
+            out.append(tok[pos + 1])
+            pos += 2
+            continue
+        if ch == '"':
+            if not out:
+                return "empty quoted atom", pos + 1
+            return "".join(out), None
+        out.append(ch)
+        pos += 1
+
+
 class TermReader:
-    """Cursor-based reader so the file formats can embed terms in lines.
+    """Cursor-based reader of terms embedded in a text.
 
     atoms maps each atom name read to one Atom, so readers that share the
-    dict return one object per name."""
+    dict return one object per name. Each read_term tokenizes from the
+    cursor to the end of the text."""
 
     def __init__(self, text: str, pos: int = 0, atoms: dict | None = None):
         self.text = text
@@ -159,93 +265,17 @@ class TermReader:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _fail(self, msg: str, pos: int):
-        self.pos = pos
-        raise ParseError(msg, col=pos + 1)
-
-    def _atom(self, name: str) -> Atom:
-        return self.atoms.get(name) or self.atoms.setdefault(name, Atom(name))
-
     def read_term(self) -> Term:
-        """Read one term at the cursor with an explicit stack of the open
-        brackets, so nesting depth is bounded by memory, not recursion."""
-        text, n = self.text, len(self.text)
-        pos = self.pos
-        open_seqs = []  # (closer, constructor, items read so far)
-        while True:
-            while pos < n and text[pos] in " \t":
-                pos += 1
-            ch = text[pos:pos + 1]
-            if ch == "(" or ch == "{":
-                closer, ctor = (")", Tup) if ch == "(" else ("}", FinSet)
-                pos += 1
-                while pos < n and text[pos] in " \t":
-                    pos += 1
-                if text[pos:pos + 1] != closer:
-                    open_seqs.append((closer, ctor, []))
-                    continue
-                pos += 1
-                t = ctor(())
-            elif ch == '"':
-                t, pos = self._read_quoted(pos)
-            else:
-                m = _BARE_ATOM.match(text, pos)
-                if not m:
-                    self._fail(f"expected a term, found {ch!r}" if ch else "expected a term", pos)
-                pos = m.end()
-                t = self._atom(m.group())
-            # t is complete: add it to the innermost open bracket, closing
-            # every bracket that ends right after it.
-            while open_seqs:
-                closer, ctor, items = open_seqs[-1]
-                items.append(t)
-                while pos < n and text[pos] in " \t":
-                    pos += 1
-                ch = text[pos:pos + 1]
-                if ch == ",":
-                    pos += 1
-                    break
-                if ch != closer:
-                    self._fail(f"expected ',' or '{closer}'", pos)
-                pos += 1
-                open_seqs.pop()
-                t = ctor(items)
-            if not open_seqs:
-                self.pos = pos
-                return t
-
-    def _read_quoted(self, pos: int):
-        """The quoted atom at pos, with escapes, and the position after it."""
-        text = self.text
-        pos += 1
-        out = []
-        while True:
-            if pos >= len(text):
-                self._fail("unterminated quoted atom", pos)
-            ch = text[pos]
-            if ch == "\\":
-                if pos + 1 >= len(text):
-                    self._fail("dangling escape in quoted atom", pos)
-                if text[pos + 1] == "u":
-                    digits = text[pos + 2:pos + 6]
-                    if not _U_DIGITS.fullmatch(digits):
-                        self._fail("bad \\u escape in quoted atom", pos)
-                    out.append(chr(int(digits, 16)))
-                    pos += 6
-                    continue
-                out.append(text[pos + 1])
-                pos += 2
-                continue
-            if ch == '"':
-                pos += 1
-                if not out:
-                    self._fail("empty quoted atom", pos)
-                return self._atom("".join(out)), pos
-            out.append(ch)
-            pos += 1
+        """Read one term at the cursor and move the cursor past it."""
+        toks = _TOKENS.findall(self.text, self.pos)
+        toks.append((self.text[self.pos + _span(toks, len(toks)):], "", ""))
+        try:
+            t, k = _read_tokens(toks, 0, self.atoms)
+        except ParseError as e:
+            self.pos += e.col - 1
+            raise ParseError(e.detail, col=self.pos + 1) from None
+        self.pos += _span(toks, k)
+        return t
 
 
 def parse_term(s: str) -> Term:

@@ -8,10 +8,11 @@ sets but held as their end nodes (`OutTree.ends`), which biject with them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import OperationError, ValidationError
-from .terms import Term, encode
+from .terms import Term, _sorted_pairs, encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,6 +25,7 @@ class OutTree:
     decision_nodes: frozenset = field(repr=False)
     end_nodes: frozenset = field(repr=False)
     ends: tuple = field(repr=False)     # end nodes by encoding: one per run, in run order
+    sorted_edges: tuple = field(repr=False)  # edges in term order of (src, tgt)
 
     def __eq__(self, other):
         if not isinstance(other, OutTree):
@@ -39,7 +41,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
     if not node_set:
         raise ValidationError("NoRoot", detail="empty node set")
 
-    ordered = sorted(edge_set)
+    ordered = _sorted_pairs(edge_set)
     for x, y in ordered:
         if x not in node_set or y not in node_set:
             raise ValidationError("DanglingEdge", witness=(x, y))
@@ -51,12 +53,11 @@ def validate_out_tree(nodes, edges) -> OutTree:
     if not edge_set:
         raise ValidationError("Trivial")
 
-    pred: dict = {}
-    for x, y in sorted(edge_set, key=lambda e: (e[1], e[0])):
-        if y in pred:
-            raise ValidationError("HasCycle", witness=y,
-                                  detail="node has two incoming edges")
-        pred[y] = x
+    pred = {y: x for x, y in ordered}
+    if len(pred) < len(ordered):
+        parents = Counter(y for _, y in ordered)
+        raise ValidationError("HasCycle", witness=min(y for y, n in parents.items() if n > 1),
+                              detail="node has two incoming edges")
 
     roots = sorted(node_set - set(pred))
     if not roots:
@@ -96,6 +97,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
         decision_nodes=decision,
         end_nodes=node_set - decision,
         ends=tuple(sorted(node_set - decision, key=encode)),
+        sorted_edges=ordered,
     )
 
 

@@ -2,11 +2,12 @@ import glob
 import itertools
 import os
 import random
+import time
 
 import pytest
 
 import gamecat.canon
-from gamecat import (Atom, ConversionResult, ValidationError, compose,
+from gamecat import (Atom, ConversionResult, ValidationError, build_game, compose,
                      identity_morphism, inverse, is_iso, one_player_zero_game,
                      parse_game_text, print_game, print_morphism, properties,
                      pushforward, strict_predecessors, term_key, to_action_set,
@@ -14,7 +15,7 @@ from gamecat import (Atom, ConversionResult, ValidationError, compose,
                      tree_leq)
 from gamecat.terms import FinSet, Tup
 from conftest import FIXTURES
-from examplegames import A, trio_a, trio_undist, relabel, split, refine
+from examplegames import A, make_game, trio_a, trio_undist, relabel, split, refine
 from genrandom import random_game
 
 
@@ -255,3 +256,52 @@ def test_converters_equal_the_staged_reference(monkeypatch):
             assert len(calls) == (0 if got[0] == "error" else 1)
             assert got == _outcome(reference, g)
     assert absentminded >= 20
+
+
+def _pairwise_absentminded_witness(g):
+    """The witness as first written: tree_leq on every ordered pair of each
+    cell, cells in encoding order."""
+    for cell in g.clt.sorted_infosets():
+        for x, y in itertools.permutations(sorted(cell), 2):
+            if tree_leq(g.tree, x, y):
+                return (cell, x, y)
+    return None
+
+
+def test_absentminded_witness_equals_the_pairwise_reference():
+    rng = random.Random(29)
+    games = [parse_game_text(open(p, encoding="utf-8").read())[1]
+             for p in sorted(glob.glob(os.path.join(FIXTURES, "*.gm")))]
+    games += [random_game(rng, max_nodes=rng.choice([6, 10, 16])) for _ in range(600)]
+    # A chain whose cell members sort against their depth order.
+    games.append(make_game({("d", "b"): "c", ("d", "d1"): "s", ("b", "c"): "c", ("b", "b1"): "s",
+                            ("c", "e"): "c", ("c", "c1"): "s"},
+                           [{"d", "b", "c"}], {"d": "P", "b": "P", "c": "P"},
+                           {("P", e): 0 for e in ("d1", "b1", "c1", "e")}))
+    found = 0
+    for g in games:
+        w = gamecat.canon._absentminded_witness(g)
+        assert w == _pairwise_absentminded_witness(g)
+        found += w is not None
+    assert found >= 50
+    assert w == (frozenset({A("b"), A("c"), A("d")}), A("b"), A("c"))
+
+
+def test_absentmindedness_of_one_cell_per_level_takes_linear_time():
+    depth = 11
+    levels = [[A("r")]]
+    edges = {}
+    for _ in range(depth):
+        levels.append([])
+        for x in levels[-2]:
+            for a in "LR":
+                y = A(x.name + a)
+                edges[(x, y)] = A(a)
+                levels[-1].append(y)
+    cells = levels[:-1]
+    g = build_game({x for level in levels for x in level}, edges, [frozenset(c) for c in cells],
+                   {x: A("P") for c in cells for x in c}, {(A("P"), e): 0 for e in levels[-1]})
+    start = time.perf_counter()
+    p = properties(g)
+    assert time.perf_counter() - start < 2
+    assert p.no_absentmindedness and not p.perfect_information

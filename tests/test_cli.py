@@ -2,7 +2,7 @@ import shutil
 
 import pytest
 
-from gamecat import is_iso, parse_game_text, validate_game_morphism
+from gamecat import encode, is_iso, parse_game_text, validate_game_morphism
 from gamecat.cli import main
 from conftest import fixture_path
 
@@ -244,3 +244,29 @@ def test_parser_is_reused_across_calls_in_one_process(capsys):
     # The default format is not left over from the earlier call.
     code, out = run(capsys, "nash", fixture_path("trio_a.gm"))
     assert code == 0 and out == first[1].replace("nash ", "nash: ")
+
+
+@pytest.mark.parametrize("action", ["check", "classify"])
+def test_identity_morphism_loads_its_game_once(tmp_path, capsys, monkeypatch, action):
+    import gamecat.cli
+    calls = []
+
+    def counting_parse(text):
+        calls.append(1)
+        return parse_game_text(text)
+
+    monkeypatch.setattr(gamecat.cli, "parse_game_text", counting_parse)
+    shutil.copy(fixture_path("trio_a.gm"), tmp_path / "g.gm")
+    shutil.copy(fixture_path("trio_a.gm"), tmp_path / "copy.gm")
+    _, g = parse_game_text((tmp_path / "g.gm").read_text(encoding="utf-8"))
+    maps = "".join(f"map {encode(x)} -> {encode(x)}\n" for x in sorted(g.tree.nodes))
+    outs = []
+    for name, target in [("id.gmm", "g.gm"), ("dot.gmm", "./g.gm"), ("copy.gmm", "copy.gm")]:
+        (tmp_path / name).write_text(f"morphism id\nsource g.gm\ntarget {target}\n{maps}",
+                                     encoding="utf-8")
+        calls.clear()
+        outs.append(run(capsys, "--format", "machine", "morphism", action, str(tmp_path / name)))
+        assert len(calls) == (2 if name == "copy.gmm" else 1)
+    # One load or two, the same bytes.
+    assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+    assert "verdict valid" in outs[0][1]

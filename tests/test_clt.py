@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from gamecat import (Atom, OperationError, ValidationError, next_node,
                      validate_clt, validate_out_tree)
+from gamecat.clt import _not_constant
 from examplegames import A, relabel, mixedalpha, make_clt
 
 
@@ -88,3 +91,26 @@ def test_clt_equality_is_structural():
     c3 = make_clt({(0, 1): "a", (0, 2): "c"}, [{0}])
     assert c1 == c2
     assert c1 != c3
+
+
+def test_not_constant_reports_the_split_of_the_sorted_cell():
+    # As first written: every cell sorted, each member compared with the least.
+    def reference(cells, value):
+        for cell in cells:
+            first, *rest = sorted(cell)
+            for x in rest:
+                if value[x] != value[first]:
+                    return first, x
+        return None
+
+    rng = random.Random(23)
+    pool = [A(n) for n in ["a", "b", "c", "é", "10", "9", "x y", "z", "q"]]
+    for _ in range(500):
+        members = rng.sample(pool, rng.randint(1, len(pool)))
+        cells, k = [], 0
+        while k < len(members):
+            size = rng.randint(1, 4)
+            cells.append(frozenset(members[k:k + size]))
+            k += size
+        value = {x: rng.choice("uvv") for x in members}
+        assert _not_constant(cells, value) == reference(cells, value)

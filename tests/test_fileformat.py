@@ -1,5 +1,7 @@
 import glob
 import os
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -282,3 +284,265 @@ def test_malformed_unicode_escapes_are_syntax_errors(bad):
     with pytest.raises(ParseError) as e:
         parse_term(bad)
     assert e.value.code == "SyntaxError"
+
+
+@pytest.mark.parametrize("blank", ["\t", "\t ", " \t"])
+def test_a_tab_ends_the_keyword_as_a_space_does(blank):
+    lines = HASH_GAME.splitlines()
+    for k, line in enumerate(lines):
+        text = "\n".join(lines[:k] + [line.replace(" ", blank, 1)] + lines[k + 1:])
+        assert parse_game_text(text) == parse_game_text(HASH_GAME), line
+
+
+def test_a_tab_ends_the_keyword_in_morphism_files():
+    text = "morphism m\nsource a.gm\ntarget b.gm\nmap x -> y\n"
+    tabbed = "morphism\tm\nsource\t a.gm\ntarget\tb.gm\nmap\tx -> y\n"
+    assert parse_morphism_text(tabbed) == parse_morphism_text(text) == (
+        "m", "a.gm", "b.gm", {A("x"): A("y")})
+
+
+# The line reader as it was before the token scan, kept as the reference for
+# games, errors and line numbers. It reads each line's terms with a cursor
+# (test_terms._RefReader, the recursive reference reader); its one change is
+# that the keyword ends at a tab as well as at a space.
+from test_terms import _RefReader  # noqa: E402
+
+_REF_BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
+_REF_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?![-+/0-9])|[-+/0-9]*")
+
+
+def _ref_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _REF_BEFORE_COMMENT.match(raw) if "#" in raw else None
+        line = (m.group(0) if m else raw).strip()
+        if line:
+            head, rest = re.match(r"([^ \t]*)(.*)", line, re.S).groups()
+            yield lineno, head, _RefReader(rest.strip())
+
+
+def _ref_at_end(r):
+    r.skip_ws()
+    return r.pos >= len(r.text)
+
+
+def _ref_keyword(r, word):
+    r.skip_ws()
+    end = r.pos + len(word)
+    if r.text.startswith(word, r.pos) and r.text[end:end + 1] in ("", " ", "\t", "{"):
+        r.pos = end
+        return True
+    return False
+
+
+def _ref_expect_end(r, lineno):
+    if not _ref_at_end(r):
+        raise ParseError("trailing input", line=lineno)
+
+
+def _ref_braced(r, lineno):
+    r.skip_ws()
+    if r.peek() != "{":
+        raise ParseError("expected '{'", line=lineno)
+    r.pos += 1
+    members = []
+    while True:
+        r.skip_ws()
+        if r.peek() == "}":
+            r.pos += 1
+            return frozenset(members)
+        members.append(r.read_term())
+
+
+def _ref_rational(r, lineno):
+    r.skip_ws()
+    m = _REF_RATIONAL.match(r.text, r.pos)
+    r.pos = m.end()
+    num, den = m.group(1), int(m.group(2) or 1)
+    if num is None or den == 0:
+        raise ParseError(f"bad rational {m.group()!r}", line=lineno)
+    return Fraction(int(num), den)
+
+
+def ref_parse_game_text(text):
+    name, nodes, edges, edge_lines = None, set(), {}, {}
+    cells, cell_player, utilities = {}, {}, {}
+    for lineno, head, r in _ref_lines(text):
+        try:
+            if head == "game":
+                name = r.text.strip()
+                if not name:
+                    raise ParseError("missing game name", line=lineno)
+            elif head == "node":
+                nodes.add(r.read_term())
+                _ref_expect_end(r, lineno)
+            elif head == "edge":
+                src, tgt, act = r.read_term(), r.read_term(), r.read_term()
+                _ref_expect_end(r, lineno)
+                if (src, tgt) in edges:
+                    raise ParseError("duplicate edge", line=lineno)
+                edges[(src, tgt)] = act
+                edge_lines[(src, tgt)] = lineno
+            elif head == "infoset":
+                ident = r.read_term()
+                members = _ref_braced(r, lineno)
+                _ref_expect_end(r, lineno)
+                if ident in cells:
+                    raise ParseError("duplicate infoset id", line=lineno)
+                cells[ident] = members
+            elif head == "player":
+                pid = r.read_term()
+                if not _ref_keyword(r, "infoset"):
+                    raise ParseError("expected 'infoset'", line=lineno)
+                ident = r.read_term()
+                _ref_expect_end(r, lineno)
+                if ident in cell_player:
+                    raise ParseError("infoset assigned to two players", line=lineno)
+                cell_player[ident] = pid
+            elif head == "utility":
+                pid = r.read_term()
+                if _ref_keyword(r, "end"):
+                    where = r.read_term()
+                elif _ref_keyword(r, "run"):
+                    where = _ref_braced(r, lineno)
+                else:
+                    raise ParseError("expected 'end' or 'run'", line=lineno)
+                value = _ref_rational(r, lineno)
+                _ref_expect_end(r, lineno)
+                utilities[(pid, where)] = value
+            else:
+                raise ParseError(f"unknown declaration {head!r}", line=lineno)
+        except ParseError as e:
+            if e.line is None:
+                raise ParseError(e.detail, line=lineno) from None
+            raise
+    if name is None:
+        raise ParseError("missing 'game' declaration", line=1)
+    unassigned = [i for i in cells if i not in cell_player]
+    if unassigned:
+        raise ValidationError("MoverMissing", witness=min(unassigned),
+                              detail="infoset has no player line")
+    stray = [i for i in cell_player if i not in cells]
+    if stray:
+        raise ParseError(f"player line for unknown infoset {encode(min(stray))}")
+    mover = {x: cell_player[ident] for ident, cell in cells.items() for x in cell}
+    try:
+        game = build_game(nodes, edges, cells.values(), mover, utilities)
+    except ValidationError as e:
+        if e.code == "NonDeterministic" and isinstance(e.witness, tuple):
+            x, a = e.witness
+            where = sorted(line for (s, t), line in edge_lines.items()
+                           if s == x and edges[(s, t)] == a)
+            if where:
+                raise ValidationError(e.code, e.witness, detail=f"line {where[-1]}") from None
+        raise
+    return name, game
+
+
+def ref_parse_morphism_text(text):
+    name = source = target = None
+    node_map = {}
+    for lineno, head, r in _ref_lines(text):
+        if head == "morphism":
+            name = r.text.strip()
+        elif head == "source":
+            source = r.text.strip()
+        elif head == "target":
+            target = r.text.strip()
+        elif head == "map":
+            src = r.read_term()
+            r.skip_ws()
+            if not r.text.startswith("->", r.pos):
+                raise ParseError("expected '->'", line=lineno)
+            r.pos += 2
+            tgt = r.read_term()
+            _ref_expect_end(r, lineno)
+            if src in node_map:
+                raise ParseError("duplicate map key", line=lineno)
+            node_map[src] = tgt
+        else:
+            raise ParseError(f"unknown declaration {head!r}", line=lineno)
+    if name is None:
+        raise ParseError("missing 'morphism' declaration", line=1)
+    if source is None or target is None:
+        raise ParseError("missing 'source' or 'target' declaration", line=1)
+    return name, source, target, node_map
+
+
+def _parsed(parse, text):
+    try:
+        result = parse(text)
+    except (ParseError, ValidationError) as e:
+        return type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "col", None)
+    if len(result) == 2:
+        return "game", result, print_game(*result)
+    return "morphism", result, print_morphism(*result)
+
+
+_MUTATIONS = ["(", ")", "{", "}", ",", '"', "\\", "\t", " ", "  ", "/", "->", "-", ">", "#",
+              " ", " ", "x", "1/0", "0/00", "--1", "3-", "1/2/3", "infoset", "end",
+              "run", "\\u12", "\\u0041", "\\ud800", "é", '""', '"a b"', "{ ", " }", "(a,", ",)"]
+
+
+def _mutants(rng, text, n):
+    """n copies of text, each with one or two lines changed: a piece put in,
+    a character dropped, a blank turned into a tab or dropped (gluing a
+    keyword to a term), a line repeated or dropped."""
+    for _ in range(n):
+        lines = text.split("\n")
+        for _ in range(rng.randint(1, 2)):
+            j = rng.randrange(len(lines))
+            line, pos, r = lines[j], rng.randint(0, len(lines[j])), rng.random()
+            if r < 0.45:
+                lines[j] = line[:pos] + rng.choice(_MUTATIONS) + line[pos:]
+            elif r < 0.6:
+                lines[j] = line[:pos] + line[pos + 1:]
+            elif r < 0.8:
+                blanks = [k for k, ch in enumerate(line) if ch == " "]
+                if blanks:
+                    k = rng.choice(blanks)
+                    lines[j] = line[:k] + rng.choice(["\t", ""]) + line[k + 1:]
+            elif r < 0.9:
+                lines.insert(j, line)
+            else:
+                del lines[j]
+        yield "\n".join(lines)
+
+
+def _renamed_texts(rng, n):
+    """Printed genrandom games whose node, action and player names are
+    quoted atoms, tuples and sets."""
+    pool = ["a b", 'x"y', "é", "q#r", "m\\n", "(", "{z}", "1/2", "end", "run", "-", "->"]
+
+    def name(k):
+        base = Atom(f"{rng.choice(pool)}{k}") if rng.random() < 0.6 else Atom(f"v{k}")
+        r = rng.random()
+        return Tup((base, Atom("t"))) if r < 0.2 else FinSet((base,)) if r < 0.35 else base
+
+    for k in range(n):
+        g = random_game(rng, max_nodes=9)
+        node_bij = {x: name(j) for j, x in enumerate(sorted(g.tree.nodes))}
+        acts = {a: Atom(f"act {j}") if j % 2 else a for j, a in enumerate(sorted(g.clt.actions))}
+        players = {i: Atom(f"P {j}") if j % 2 else i for j, i in enumerate(sorted(g.players))}
+        h, cert = pushforward(g, node_bij, {x: {a: acts[a] for a in g.clt.feasible[x]}
+                                            for x in g.tree.decision_nodes}, players)
+        yield print_game(f"g{k}", h), print_morphism(f"m{k}", "a.gm", "b.gm", cert.node_map)
+
+
+def test_token_scan_parses_as_the_cursor_reader():
+    rng = random.Random(11)
+    games = [open(p, encoding="utf-8").read() for p in all_game_fixtures()]
+    morphisms = [open(p, encoding="utf-8").read() for p in all_morphism_fixtures()]
+    for game, morphism in _renamed_texts(rng, 120):
+        games.append(game)
+        morphisms.append(morphism)
+    games += [RUN_KEYED_TUPLES, HASH_GAME, RATIONAL_GAME.replace("VALUE", "-4/6")]
+    kinds = {"game": 0, "ParseError": 0, "ValidationError": 0, "morphism": 0}
+    for texts, parse, ref in ((games, parse_game_text, ref_parse_game_text),
+                              (morphisms, parse_morphism_text, ref_parse_morphism_text)):
+        for text in list(texts):
+            for case in [text, *_mutants(rng, text, 12)]:
+                got = _parsed(parse, case)
+                assert got == _parsed(ref, case), case
+                kinds[got[0]] += 1
+    # Every outcome is exercised, errors of each kind included.
+    assert min(kinds.values()) >= 100, kinds

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gamecat import (Atom, OperationError, ValidationError, build_game,
-                     one_player_zero_game, ordinal_profile, parse_game_text,
-                     run_end, validate_game)
+from gamecat import (Atom, OperationError, ValidationError, build_game, is_iso,
+                     iso_search, nash, one_player_zero_game, ordinal_profile,
+                     parse_game_text, run_end, spe, validate_game,
+                     validate_game_morphism)
 from examplegames import A, trio_a, trio_b, collapse, make_clt, make_game
 from genrandom import random_game
+from oracles import as_strategy_set, oracle_nash, oracle_spe
 
 
 def run_of(g, *nodes):
@@ -128,3 +130,28 @@ def test_game_equality_is_structural():
                    {("P1", 1): 0, ("P1", 2): 2})
     assert g1 == g2
     assert g1 != g3
+
+
+def test_ranks_order_non_integer_and_tied_utilities():
+    edges = {(0, 1): "a", (0, 2): "b", (1, 3): "c", (1, 4): "d"}
+    tied = {("P1", 2): "1/3", ("P1", 3): "1/3", ("P1", 4): "-1/2",
+            ("P2", 2): "2/7", ("P2", 3): "5/2", ("P2", 4): "2/7"}
+    g = make_game(edges, [{0}, {1}], {0: "P1", 1: "P2"}, tied)
+    assert g.ranks == {A("P1"): {A(2): 1, A(3): 1, A(4): 0},
+                       A("P2"): {A(2): 0, A(3): 1, A(4): 0}}
+    assert ordinal_profile(g, A("P1")) == {run_of(g, 0, 2): 0, run_of(g, 0, 1, 3): 0,
+                                           run_of(g, 0, 1, 4): 1}
+    assert as_strategy_set(nash(g)) == oracle_nash(g)
+    assert as_strategy_set(spe(g)) == oracle_spe(g)
+    # Breaking P1's tie keeps a morphism onto the tied game, but not back.
+    split = make_game(edges, [{0}, {1}], {0: "P1", 1: "P2"}, {**tied, ("P1", 3): "17/50"})
+    identity = {x: x for x in g.tree.nodes}
+    assert not is_iso(validate_game_morphism(split, g, identity))
+    with pytest.raises(ValidationError) as e:
+        validate_game_morphism(g, split, identity)
+    assert (e.value.code, e.value.witness) == (
+        "UtilityNotPreserved", (A("P1"), run_of(g, 0, 2), run_of(g, 0, 1, 3)))
+    assert iso_search(g, split) is None
+    rescaled = make_game(edges, [{0}, {1}], {0: "P1", 1: "P2"},
+                         {k: Fraction(v) * 3 - Fraction(1, 5) for k, v in tied.items()})
+    assert is_iso(iso_search(g, rescaled))

@@ -87,3 +87,28 @@ def test_runs_are_ordered_by_end_encoding():
         for z in zs:
             e = run_end(g.tree, z)
             assert z == frozenset(strict_predecessors(g.tree, e)) | {e}
+
+
+def test_two_parents_witness_is_the_least_such_node():
+    # As first written: sort by (target, source) and report the first
+    # target met twice.
+    def reference(edges):
+        seen = set()
+        for _, y in sorted(edges, key=lambda e: (e[1], e[0])):
+            if y in seen:
+                return y
+            seen.add(y)
+
+    rng = random.Random(17)
+    for _ in range(300):
+        names = rng.sample(["a", "b", "c", "é", "10", "9", "x y", "z"], 6)
+        nodes = [A(n) for n in names]
+        edges = {(nodes[rng.randrange(k)], nodes[k]) for k in range(1, 6)}
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(2, 6)
+            edges.add((nodes[rng.randrange(k)], nodes[k]))
+        if len({y for _, y in edges}) == len(edges):
+            continue
+        with pytest.raises(ValidationError) as e:
+            validate_out_tree(set(nodes), edges)
+        assert (e.value.code, e.value.witness) == ("HasCycle", reference(edges))
