@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .game import Game
 from .morphism import GameMorphism, pushforward
-from .terms import FinSet, Tup
+from .terms import FinSet, Tup, encode
 from .tree import descendants
 
 
@@ -113,10 +113,14 @@ def properties(g: Game) -> GameProperties:
 
 
 def _infoset_tags(g: Game):
+    """decision node -> {action: (its cell, action)}. Each tagged action is
+    encoded once here, so encoding a node named by them is one join."""
     tags: dict = {}
     for cell in g.clt.infosets:
         tag = FinSet(tuple(cell))
         table = {a: Tup((tag, a)) for a in g.clt.feasible[next(iter(cell))]}
+        for tagged in table.values():
+            encode(tagged)
         tags.update(dict.fromkeys(cell, table))
     return tags
 

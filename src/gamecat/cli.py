@@ -21,7 +21,7 @@ from .fileformat import (parse_game_text, parse_morphism_text, print_game,
 from .morphism import (clt_mono_witness, compose, is_iso, is_mono,
                        iso_search, mono_witness, validate_game_morphism)
 from .subgame import selten_subgame, subgame_roots
-from .terms import encode, encode_set, parse_term
+from .terms import _sorted, encode, encode_set, parse_term
 
 
 class _Report:
@@ -71,8 +71,8 @@ def _cmd_validate(args, rep):
     rep.line("game", name)
     rep.line("nodes", len(g.tree.nodes))
     rep.line("root", encode(g.tree.root))
-    rep.line("actions", " ".join(encode(a) for a in sorted(g.clt.actions)))
-    rep.line("players", " ".join(encode(i) for i in sorted(g.players)))
+    rep.line("actions", " ".join(encode(a) for a in _sorted(g.clt.actions)))
+    rep.line("players", " ".join(encode(i) for i in _sorted(g.players)))
     for z in g.runs():
         rep.line("run", encode_set(z))
     return 0
@@ -112,7 +112,7 @@ def _cmd_spe(args, rep):
 
 def _cmd_subgames(args, rep):
     _, g = _load_game(args.game)
-    for r in sorted(subgame_roots(g)):
+    for r in _sorted(subgame_roots(g)):
         rep.line("subgame_root", encode(r))
     return 0
 
@@ -160,7 +160,7 @@ def _report_morphism_error(e: GameError, rep, src=None, tgt=None, node_map=None)
     if e.code == "ActionTransformNotConstant" and src is not None:
         x1, x2 = e.witness
         for x in (x1, x2):
-            for a in sorted(src.clt.feasible[x]):
+            for a in _sorted(src.clt.feasible[x]):
                 y = src.clt.next[(x, a)]
                 image = tgt.clt.label[(node_map[x], node_map[y])]
                 rep.line("alpha", encode(x), encode(a), "->", encode(image))
@@ -175,11 +175,11 @@ def _check_morphism(path, rep, classify=False):
         return 1
     rep.line("verdict", "valid")
     for cell, table in gm.clt_morphism.alpha.items():  # in encoding order
-        for a in sorted(table):
+        for a in _sorted(table):
             rep.line("alpha", encode_set(cell), encode(a), "->", encode(table[a]))
     for z, image in gm.zeta.items():
         rep.line("zeta", encode_set(z), "->", encode_set(image))
-    for i in sorted(gm.iota):
+    for i in _sorted(gm.iota):
         rep.line("iota", encode(i), "->", encode(gm.iota[i]))
     if classify:
         mono = is_mono(gm)
@@ -189,13 +189,13 @@ def _check_morphism(path, rep, classify=False):
         w = mono_witness(gm)
         if w is not None:
             g1, g2 = w
-            for x in sorted(g1.node_map):
+            for x in _sorted(g1.node_map):
                 rep.line("mono_witness", encode(x), "->",
                          encode(g1.node_map[x]), "|", encode(g2.node_map[x]))
         cw = clt_mono_witness(gm.clt_morphism)
         if cw is not None:
             t1, t2 = cw
-            for x in sorted(t1.node_map):
+            for x in _sorted(t1.node_map):
                 rep.line("clt_mono_witness", encode(x), "->",
                          encode(t1.node_map[x]), "|", encode(t2.node_map[x]))
     return 0
@@ -214,7 +214,7 @@ def _cmd_morphism(args, rep):
         m1 = validate_game_morphism(s1, t1, map1)
         m2 = validate_game_morphism(s2, t2, map2)
         m = compose(m2, m1)
-        for x in sorted(m.node_map):
+        for x in _sorted(m.node_map):
             rep.line("map", encode(x), "->", encode(m.node_map[x]))
         return 0
     raise ParseError(f"unknown morphism action {args.action!r}")
@@ -228,7 +228,7 @@ def _cmd_iso(args, rep):
         rep.line("verdict", "not-isomorphic")
         return 1
     rep.line("verdict", "isomorphic")
-    for x in sorted(m.node_map):
+    for x in _sorted(m.node_map):
         rep.line("map", encode(x), "->", encode(m.node_map[x]))
     if args.emit_morphism:
         with open(args.emit_morphism, "w", encoding="utf-8") as fh:

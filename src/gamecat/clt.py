@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import OperationError, ValidationError
-from .terms import Term, encode_set
+from .terms import Term, _sorted, encode_set
 from .tree import OutTree
 
 
@@ -52,7 +52,7 @@ def _not_constant(cells, value):
             it = iter(cell)
             v = value[next(it)]
             if any(value[x] != v for x in it):
-                first, *rest = sorted(cell)
+                first, *rest = _sorted(cell)
                 return first, next(x for x in rest if value[x] != value[first])
     return None
 

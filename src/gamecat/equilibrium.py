@@ -28,7 +28,7 @@ from .errors import OperationError
 from .game import Game
 from .morphism import GameMorphism, is_iso
 from .subgame import subgame_roots
-from .terms import encode_set
+from .terms import _sorted, encode_set
 from .tree import _run
 
 
@@ -61,7 +61,7 @@ class _Index:
     def __init__(self, g: Game):
         self.g = g
         self.cells = g.clt.sorted_infosets()
-        self.pools = [sorted(g.clt.feasible[next(iter(cell))]) for cell in self.cells]
+        self.pools = [_sorted(g.clt.feasible[next(iter(cell))]) for cell in self.cells]
         nxt = g.clt.next
         self.succ = {x: tuple(nxt[(x, a)] for a in pool)
                      for cell, pool in zip(self.cells, self.pools) for x in cell}

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .game import Game, build_game
-from .terms import _END, _TOKENS, _read_tokens, encode
+from .terms import _END, _TOKENS, _read_tokens, _sorted, encode
 
 # Everything before the first `#` that is outside a quoted atom.
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
@@ -176,19 +176,19 @@ def parse_game_text(text: str):
 
 def print_game(name: str, g: Game) -> str:
     lines = [f"game {name}"]
-    for x in sorted(g.tree.nodes):
+    for x in _sorted(g.tree.nodes):
         lines.append(f"node {encode(x)}")
     for (x, y) in g.tree.sorted_edges:
         lines.append(f"edge {encode(x)} {encode(y)} {encode(g.clt.label[(x, y)])}")
     cells = g.clt.sorted_infosets()
     ids = {cell: f"i{k}" for k, cell in enumerate(cells)}
     for cell in cells:
-        members = " ".join(encode(x) for x in sorted(cell))
+        members = " ".join([encode(x) for x in _sorted(cell)])
         lines.append(f"infoset {ids[cell]} {{ {members} }}")
     for cell in cells:
         pid = g.mover[next(iter(cell))]
         lines.append(f"player {encode(pid)} infoset {ids[cell]}")
-    for (i, end) in sorted(g.utilities):
+    for (i, end) in _sorted(g.utilities, pairs=True):
         lines.append(f"utility {encode(i)} end {encode(end)} {g.utilities[(i, end)]}")
     return "\n".join(lines) + "\n"
 
@@ -202,26 +202,27 @@ def parse_morphism_text(text: str):
     atoms: dict = {}
     shared: dict = {}
     for lineno, head, rest, toks in _lines(text):
-        if head == "morphism":
-            name = rest
-        elif head == "source":
-            source = rest
-        elif head == "target":
-            target = rest
-        elif head == "map":
-            # A term's error carries its column in the rest of the line, but
-            # no line number.
-            src, k = _read_tokens(toks, 0, atoms, shared)
-            if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
-                raise ParseError("expected '->'", line=lineno)
-            tgt, k = _read_tokens(toks, k + 2, atoms, shared)
-            if k + 1 < len(toks):
-                raise ParseError("trailing input", line=lineno)
-            if src in node_map:
-                raise ParseError("duplicate map key", line=lineno)
-            node_map[src] = tgt
-        else:
-            raise ParseError(f"unknown declaration {head!r}", line=lineno)
+        try:
+            if head == "morphism":
+                name = rest
+            elif head == "source":
+                source = rest
+            elif head == "target":
+                target = rest
+            elif head == "map":
+                src, k = _read_tokens(toks, 0, atoms, shared)
+                if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
+                    raise ParseError("expected '->'")
+                tgt, k = _read_tokens(toks, k + 2, atoms, shared)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
+                if src in node_map:
+                    raise ParseError("duplicate map key")
+                node_map[src] = tgt
+            else:
+                raise ParseError(f"unknown declaration {head!r}")
+        except ParseError as e:
+            raise ParseError(e.detail, line=lineno) from None
     if name is None:
         raise ParseError("missing 'morphism' declaration", line=1)
     if source is None or target is None:
@@ -231,6 +232,6 @@ def parse_morphism_text(text: str):
 
 def print_morphism(name: str, source: str, target: str, node_map: dict) -> str:
     lines = [f"morphism {name}", f"source {source}", f"target {target}"]
-    for x in sorted(node_map):
+    for x in _sorted(node_map):
         lines.append(f"map {encode(x)} -> {encode(node_map[x])}")
     return "\n".join(lines) + "\n"

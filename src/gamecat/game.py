@@ -8,6 +8,7 @@ tree biject with end nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -48,12 +49,16 @@ class Game:
     def ranks(self) -> dict:
         """player -> end node -> the dense rank of the player's utility
         there, 0 for the least: integers in the utilities' order, so
-        comparing ranks is comparing utilities."""
+        comparing ranks is comparing utilities. The ranks are taken of
+        integer keys, each utility times the common denominator of the
+        player's utilities, which order as the utilities do."""
         out = {}
         for i in self.players:
-            pay = {e: self.utilities[(i, e)] for e in self.tree.ends}
-            rank = {v: k for k, v in enumerate(sorted(set(pay.values())))}
-            out[i] = {e: rank[v] for e, v in pay.items()}
+            pay = [self.utilities[(i, e)] for e in self.tree.ends]
+            den = math.lcm(*{v.denominator for v in pay})
+            keys = [v.numerator * (den // v.denominator) for v in pay]
+            rank = {v: k for k, v in enumerate(sorted(set(keys)))}
+            out[i] = {e: rank[v] for e, v in zip(self.tree.ends, keys)}
         return out
 
 

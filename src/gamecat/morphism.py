@@ -15,7 +15,7 @@ from functools import cached_property
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .game import Game, validate_game
-from .terms import Atom, Term
+from .terms import Atom, Term, _sorted
 from .tree import _run, run_end, strict_predecessors, validate_out_tree
 
 
@@ -63,7 +63,7 @@ class GameMorphism:
 
 def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
     node_map = dict(node_map)
-    for x in sorted(src.tree.nodes):
+    for x in _sorted(src.tree.nodes):
         if x not in node_map:
             raise OperationError("BadNodeMap", witness=x, detail="node unmapped")
         if node_map[x] not in tgt.tree.nodes:
@@ -86,9 +86,9 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
             raise ValidationError("InfosetSplit", witness=cell)
 
     alpha_at: dict = {}
-    for x in sorted(src.tree.decision_nodes):
+    for x in _sorted(src.tree.decision_nodes):
         table = {}
-        for a in sorted(src.feasible[x]):
+        for a in _sorted(src.feasible[x]):
             y = src.next[(x, a)]
             table[a] = tgt.label[(node_map[x], node_map[y])]
         alpha_at[x] = table
@@ -113,13 +113,13 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
     cm = validate_clt_morphism(src.clt, tgt.clt, node_map)
     node_map = cm.node_map
 
-    for x in sorted(src.tree.end_nodes):
+    for x in _sorted(src.tree.end_nodes):
         if node_map[x] not in tgt.tree.end_nodes:
             raise ValidationError("NotEndPreserving", witness=x)
 
     iota: dict = {}
     chosen_at: dict = {}
-    for x in sorted(src.tree.decision_nodes):
+    for x in _sorted(src.tree.decision_nodes):
         i = src.mover[x]
         i2 = tgt.mover[node_map[x]]
         if i in iota and iota[i] != i2:
@@ -140,7 +140,7 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
 def _utility_orders(src: Game, tgt: Game, node_map, iota):
     """(i, i's utility ranks, iota(i)'s at the images), keyed by source end
     node: ranks order the ends as the utilities do."""
-    for i in sorted(src.players):
+    for i in _sorted(src.players):
         image = tgt.ranks[iota[i]]
         yield i, src.ranks[i], {e: image[node_map[e]] for e in src.tree.ends}
 
@@ -205,7 +205,7 @@ def clt_mono_witness(m: CltMorphism):
     when the node map is not injective; None otherwise."""
     collision = None
     by_image: dict = {}
-    for x in sorted(m.source.tree.nodes):
+    for x in _sorted(m.source.tree.nodes):
         v = m.node_map[x]
         if v in by_image:
             collision = (by_image[v], x)
@@ -319,7 +319,7 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     action_bijs = {x: dict(t) for x, t in action_bijs.items()}
     if set(action_bijs) != set(g.tree.decision_nodes):
         raise OperationError("NotBijective", detail="action maps must cover decision nodes")
-    for x in sorted(g.tree.decision_nodes):
+    for x in _sorted(g.tree.decision_nodes):
         t = action_bijs[x]
         if set(t) != set(g.clt.feasible[x]) or len(set(t.values())) != len(t):
             raise OperationError("NotBijective", witness=x, detail="action map at node")
@@ -383,9 +383,9 @@ def iso_search(g1: Game, g2: Game):
 
     # Only the root has depth 0, so signatures already fix root to root.
     by_sig: dict = {}
-    for v in sorted(t2.nodes):
+    for v in _sorted(t2.nodes):
         by_sig.setdefault(sig2[v], []).append(v)
-    order = sorted(t1.nodes)
+    order = _sorted(t1.nodes)
     candidates = [by_sig[sig1[x]] for x in order]
 
     def consistent(x, v):

@@ -10,6 +10,7 @@ deterministic.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 from .errors import ParseError
 
@@ -26,7 +27,7 @@ class _Term:
 
     def _cache(self, rank, items):
         _set(self, "_key", (rank, *[x._key for x in items]))
-        _set(self, "_hash", hash((rank, items)))
+        _set(self, "_hash", hash((rank, *[x._hash for x in items])))
         _set(self, "_enc", None)
 
     def __eq__(self, other):
@@ -77,7 +78,8 @@ class FinSet(_Term):
     __slots__ = ("items",)  # sorted and deduplicated, so equality ignores input order
 
     def __init__(self, items):
-        _set(self, "items", tuple(sorted(set(items))))
+        # dict.fromkeys keeps the input order, whose runs the sort reuses.
+        _set(self, "items", tuple(_sorted(dict.fromkeys(items))))
         self._cache(2, self.items)
 
     def __repr__(self):
@@ -97,10 +99,18 @@ def term_cmp(a: Term, b: Term) -> int:
     return (a._key > b._key) - (a._key < b._key)
 
 
-def _sorted_pairs(pairs) -> tuple:
-    """Pairs of terms in term order, as sorted() gives, but compared by
-    their keys natively rather than through __eq__ and __lt__."""
-    return tuple(sorted(pairs, key=lambda p: (p[0]._key, p[1]._key)))
+_KEY = attrgetter("_key")
+
+
+def _pair_key(p):
+    return p[0]._key, p[1]._key
+
+
+def _sorted(xs, pairs: bool = False) -> list:
+    """Terms, or with pairs (term, term) pairs, in term order: the list
+    sorted() gives, but compared natively by the terms' keys rather than
+    through __eq__ and __lt__. The one sort of terms in the library."""
+    return sorted(xs, key=_pair_key if pairs else _KEY)
 
 
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_.+-]+")
@@ -119,11 +129,19 @@ def _quote(name: str) -> str:
 def encode(t: Term) -> str:
     """Unique printable encoding; round-trips through parse_term.
 
-    One walk over t that reuses any encoding already stored on a subterm.
-    The result is stored on t and on every atom met, but not on compound
-    subterms, so a term nested d deep holds O(d) characters, not O(d^2)."""
+    A compound term whose items all carry an encoding is written with one
+    join; any other term with one walk over it that reuses any encoding
+    already stored on a subterm. The result is stored on t and on every
+    atom met, but not on compound subterms, so a term nested d deep holds
+    O(d) characters, not O(d^2)."""
     if t._enc is not None:
         return t._enc
+    if type(t) is not Atom:
+        encs = [x._enc for x in t.items]
+        if None not in encs:
+            joined = ",".join(encs)
+            _set(t, "_enc", f"({joined})" if type(t) is Tup else f"{{{joined}}}")
+            return t._enc
     out = []
     todo = [t]  # terms still to write, and the brackets and commas between them
     while todo:
@@ -290,4 +308,4 @@ def parse_term(s: str) -> Term:
 def encode_set(nodes) -> str:
     """Canonical encoding of a collection of terms as a set; each member's
     encoding is stored on the member."""
-    return "{" + ",".join([encode(x) for x in sorted(set(nodes))]) + "}"
+    return "{" + ",".join([encode(x) for x in _sorted(set(nodes))]) + "}"

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import OperationError, ValidationError
-from .terms import Term, _sorted_pairs, encode
+from .terms import Term, _sorted, encode
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +41,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
     if not node_set:
         raise ValidationError("NoRoot", detail="empty node set")
 
-    ordered = _sorted_pairs(edge_set)
+    ordered = tuple(_sorted(edge_set, pairs=True))
     for x, y in ordered:
         if x not in node_set or y not in node_set:
             raise ValidationError("DanglingEdge", witness=(x, y))
@@ -59,7 +59,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
         raise ValidationError("HasCycle", witness=min(y for y, n in parents.items() if n > 1),
                               detail="node has two incoming edges")
 
-    roots = sorted(node_set - set(pred))
+    roots = _sorted(node_set - set(pred))
     if not roots:
         raise ValidationError("NoRoot")
     if len(roots) > 1:

@@ -12,7 +12,7 @@ from gamecat import (Atom, ConversionResult, ValidationError, build_game, compos
                      parse_game_text, print_game, print_morphism, properties,
                      pushforward, strict_predecessors, term_key, to_action_set,
                      to_distinguished, to_distinguished_sequence, to_sequence,
-                     tree_leq)
+                     tree_leq, validate_game_morphism)
 from gamecat.terms import FinSet, Tup
 from conftest import FIXTURES
 from examplegames import A, make_game, trio_a, trio_undist, relabel, split, refine
@@ -305,3 +305,20 @@ def test_absentmindedness_of_one_cell_per_level_takes_linear_time():
     p = properties(g)
     assert time.perf_counter() - start < 2
     assert p.no_absentmindedness and not p.perfect_information
+
+
+def test_converters_scale_with_their_output_on_a_deep_path():
+    # path(2000): the sequence and action-set forms name each node by its
+    # root path, about two million items in all. Each takes a few seconds.
+    n = 2000
+    edges = {(k, k + 1): "a" for k in range(n - 1)}
+    edges[(0, "s")] = "b"
+    g = make_game(edges, [{k} for k in range(n - 1)], {k: "P1" for k in range(n - 1)},
+                  {("P1", n - 1): 1, ("P1", "s"): 0})
+    for convert, name in ((to_sequence, Tup), (to_action_set, FinSet)):
+        start = time.perf_counter()
+        result = convert(g)
+        assert time.perf_counter() - start < 8
+        assert all(type(x) is name for x in result.game.tree.nodes)
+        m = validate_game_morphism(g, result.game, result.certificate.node_map)
+        assert is_iso(m) and m == result.certificate

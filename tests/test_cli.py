@@ -68,6 +68,19 @@ def test_non_utf8_morphism_is_a_syntax_error(tmp_path, capsys):
     assert out == f"error: SyntaxError ({tgt} is not UTF-8: bad byte at offset 12)\n"
 
 
+def test_morphism_term_error_names_its_line(tmp_path, capsys):
+    shutil.copy(fixture_path("trio_a.gm"), tmp_path / "g.gm")
+    bad = tmp_path / "bad.gmm"
+    bad.write_text("morphism m\nsource g.gm\ntarget g.gm\nmap (a -> b\n")
+    code, out = run(capsys, "morphism", "check", str(bad))
+    assert code == 2
+    assert out == "error: SyntaxError (expected ',' or ')' at line 4)\n"
+    bad.write_text("morphism m\nsource g.gm\ntarget g.gm\nmap 0 -> 0\n\nmap a -> \"b\n")
+    code, out = run(capsys, "--format", "machine", "morphism", "check", str(bad))
+    assert code == 2
+    assert out == "error SyntaxError (unterminated quoted atom at line 6)\n"
+
+
 def test_props_output(capsys):
     code, out = run(capsys, "props", fixture_path("trio_a.gm"))
     assert code == 0

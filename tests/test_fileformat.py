@@ -442,25 +442,31 @@ def ref_parse_morphism_text(text):
     name = source = target = None
     node_map = {}
     for lineno, head, r in _ref_lines(text):
-        if head == "morphism":
-            name = r.text.strip()
-        elif head == "source":
-            source = r.text.strip()
-        elif head == "target":
-            target = r.text.strip()
-        elif head == "map":
-            src = r.read_term()
-            r.skip_ws()
-            if not r.text.startswith("->", r.pos):
-                raise ParseError("expected '->'", line=lineno)
-            r.pos += 2
-            tgt = r.read_term()
-            _ref_expect_end(r, lineno)
-            if src in node_map:
-                raise ParseError("duplicate map key", line=lineno)
-            node_map[src] = tgt
-        else:
-            raise ParseError(f"unknown declaration {head!r}", line=lineno)
+        try:
+            if head == "morphism":
+                name = r.text.strip()
+            elif head == "source":
+                source = r.text.strip()
+            elif head == "target":
+                target = r.text.strip()
+            elif head == "map":
+                src = r.read_term()
+                r.skip_ws()
+                if not r.text.startswith("->", r.pos):
+                    raise ParseError("expected '->'", line=lineno)
+                r.pos += 2
+                tgt = r.read_term()
+                _ref_expect_end(r, lineno)
+                if src in node_map:
+                    raise ParseError("duplicate map key", line=lineno)
+                node_map[src] = tgt
+            else:
+                raise ParseError(f"unknown declaration {head!r}", line=lineno)
+        except ParseError as e:
+            # A term's error is reported at its line, as in a game file.
+            if e.line is None:
+                raise ParseError(e.detail, line=lineno) from None
+            raise
     if name is None:
         raise ParseError("missing 'morphism' declaration", line=1)
     if source is None or target is None:

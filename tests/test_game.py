@@ -155,3 +155,35 @@ def test_ranks_order_non_integer_and_tied_utilities():
     rescaled = make_game(edges, [{0}, {1}], {0: "P1", 1: "P2"},
                          {k: Fraction(v) * 3 - Fraction(1, 5) for k, v in tied.items()})
     assert is_iso(iso_search(g, rescaled))
+
+
+def _ref_ranks(g):
+    """Dense ranks of the sorted Fraction utilities, 0 for the least."""
+    out = {}
+    for i in g.players:
+        values = sorted({g.utilities[(i, e)] for e in g.tree.ends})
+        out[i] = {e: values.index(g.utilities[(i, e)]) for e in g.tree.ends}
+    return out
+
+
+def test_integer_ranks_equal_the_ranks_of_sorted_fractions():
+    rng = random.Random(23)
+    pool = [Fraction(0), Fraction(-3), Fraction(7), Fraction(1, 3), Fraction(2, 6),
+            Fraction(333333, 1000000), Fraction(333334, 1000000), Fraction(-1, 3),
+            Fraction(-333333, 1000000), Fraction(10**30 + 1, 10**30), Fraction(1),
+            Fraction(10**30 - 1, 10**30), Fraction(-7, 2), Fraction(1, 10**18 + 9),
+            Fraction(1, 10**18 + 7), Fraction(-5, 4)]
+    for k in range(400):
+        g = random_game(rng, max_nodes=12)
+        if k % 4 == 0:  # integers only, the common case
+            values = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
+        else:
+            values = rng.sample(pool, rng.randint(1, len(pool)))
+        h = validate_game(g.clt, g.mover, {key: rng.choice(values) for key in g.utilities})
+        assert h.ranks == _ref_ranks(h)
+    # The near-equal pairs get distinct ranks in their own order.
+    edges = {(0, k): f"a{k}" for k in range(1, 5)}
+    g = make_game(edges, [{0}], {0: "P1"},
+                  {("P1", 1): "1/3", ("P1", 2): "333333/1000000",
+                   ("P1", 3): "333334/1000000", ("P1", 4): "2/6"})
+    assert g.ranks == {A("P1"): {A(1): 1, A(2): 0, A(3): 2, A(4): 1}} == _ref_ranks(g)

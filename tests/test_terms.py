@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gamecat import (Atom, FinSet, ParseError, Tup, encode, encode_set,
                      parse_term, term_cmp, term_key)
-from gamecat.terms import TermReader
+from gamecat.terms import TermReader, _sorted
 
 
 def test_atom_order_is_bytewise():
@@ -369,3 +369,80 @@ def test_encoding_is_stored_on_the_term_and_its_atoms_only():
     assert inner._enc is None
     assert encode_set([inner, a, inner]) == '{a,(a,"b c")}'
     assert inner._enc == '(a,"b c")'
+
+
+# Quoted names, non-BMP names (U+FFFF sorts before U+10000 by code point,
+# after it in UTF-16), digits that sort as text, and bare names.
+_SORT_NAMES = ["a", "b", "a b", 'x"y', "q\nr", "\\", "é", "z", "\uffff", "\U00010000",
+               "\U0001f600", "10", "2", "-", "."]
+
+
+def _nested_term(rng, depth):
+    """A random term nested up to depth levels of tuples and sets."""
+    r = rng.random()
+    if depth == 0 or r < 0.35:
+        return Atom(rng.choice(_SORT_NAMES))
+    items = [_nested_term(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    return Tup(items) if r < 0.7 else FinSet(items)
+
+
+def test_key_sort_equals_sorted_through_lt():
+    rng = random.Random(17)
+    for _ in range(300):
+        xs = [_nested_term(rng, rng.randint(0, 4)) for _ in range(rng.randint(0, 12))]
+        # Equal terms built apart, so the sort's stability shows.
+        xs += [parse_term(encode(x)) for x in rng.sample(xs, len(xs) // 3)]
+        rng.shuffle(xs)
+        assert [id(x) for x in _sorted(xs)] == [id(x) for x in sorted(xs)]
+        pairs = [(rng.choice(xs), rng.choice(xs)) for _ in range(len(xs))]
+        assert [tuple(map(id, p)) for p in _sorted(pairs, pairs=True)] == \
+            [tuple(map(id, p)) for p in sorted(pairs)]
+        # Sets and their encodings as when sorted through __lt__.
+        ref = tuple(sorted(set(xs)))
+        assert FinSet(xs).items == ref and FinSet(reversed(xs)).items == ref
+        assert encode_set(xs) == "{" + ",".join(_ref_encode(x) for x in ref) + "}"
+
+
+def _ref_walk(t):
+    """The iterative walk encode was before its one-join case: every term
+    is written from its items, and nothing is read from or stored on the
+    terms."""
+    out = []
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            out.append(x)
+        elif type(x) is Atom:
+            out.append(_ref_encode(x))
+        else:
+            todo.append(")" if type(x) is Tup else "}")
+            for y in reversed(x.items):
+                todo += (y, ",")
+            if x.items:
+                todo.pop()
+            todo.append("(" if type(x) is Tup else "{")
+    return "".join(out)
+
+
+def test_encode_agrees_with_the_walk_on_partly_encoded_shared_terms():
+    rng = random.Random(29)
+    for _ in range(200):
+        # Subterms shared by object between places and between terms.
+        pool = [_nested_term(rng, 2) for _ in range(6)]
+        for _ in range(12):
+            items = rng.sample(pool, rng.randint(0, 3))
+            pool.append(Tup(items) if rng.random() < 0.5 else FinSet(items))
+        t = pool[-1]
+        subterms = _subterms(t)
+        for x in rng.sample(subterms, rng.randint(0, len(subterms))):
+            assert encode(x) == _ref_walk(x)
+        encoded = {id(x) for x in subterms if x._enc is not None}
+        assert encode(t) == _ref_walk(t) == _ref_encode(t)
+        for x in subterms:
+            if x._enc is not None:
+                assert x._enc == _ref_walk(x)
+            # Storing is on t, the atoms and what was encoded before only.
+            stored = x is t or isinstance(x, Atom) or id(x) in encoded
+            assert (x._enc is not None) == stored, x
+
