@@ -33,14 +33,14 @@ def _word_at(toks, k: int) -> str:
     return ""
 
 
-def _members(toks, k: int, atoms: dict, shared: dict):
+def _members(toks, k: int):
     """A `{ term term ... }` member list at token k, and the index after it."""
     if toks[k][2] != "{":
         raise ParseError("expected '{'")
     k += 1
     members = []
     while toks[k][2] != "}":
-        x, k = _read_tokens(toks, k, atoms, shared)
+        x, k = _read_tokens(toks, k)
         members.append(x)
     return frozenset(members), k + 1
 
@@ -86,10 +86,6 @@ def parse_game_text(text: str):
     cells: dict = {}       # infoset id (Term) -> frozenset of nodes
     cell_player: dict = {}  # infoset id -> player
     utilities: dict = {}
-    # One object per distinct term, so lookups hit by identity: one Atom
-    # per name, and compound terms shared by value.
-    atoms: dict = {}
-    shared: dict = {}
 
     for lineno, head, rest, toks in _lines(text):
         # A line is read to its end when only _END is left.
@@ -99,14 +95,14 @@ def parse_game_text(text: str):
                 if not name:
                     raise ParseError("missing game name")
             elif head == "node":
-                x, k = _read_tokens(toks, 0, atoms, shared)
+                x, k = _read_tokens(toks, 0)
                 if k + 1 < len(toks):
                     raise ParseError("trailing input")
                 nodes.add(x)
             elif head == "edge":
-                src, k = _read_tokens(toks, 0, atoms, shared)
-                tgt, k = _read_tokens(toks, k, atoms, shared)
-                act, k = _read_tokens(toks, k, atoms, shared)
+                src, k = _read_tokens(toks, 0)
+                tgt, k = _read_tokens(toks, k)
+                act, k = _read_tokens(toks, k)
                 if k + 1 < len(toks):
                     raise ParseError("trailing input")
                 if (src, tgt) in edges:
@@ -114,30 +110,30 @@ def parse_game_text(text: str):
                 edges[(src, tgt)] = act
                 edge_lines[(src, tgt)] = lineno
             elif head == "infoset":
-                ident, k = _read_tokens(toks, 0, atoms, shared)
-                members, k = _members(toks, k, atoms, shared)
+                ident, k = _read_tokens(toks, 0)
+                members, k = _members(toks, k)
                 if k + 1 < len(toks):
                     raise ParseError("trailing input")
                 if ident in cells:
                     raise ParseError("duplicate infoset id")
                 cells[ident] = members
             elif head == "player":
-                pid, k = _read_tokens(toks, 0, atoms, shared)
+                pid, k = _read_tokens(toks, 0)
                 if _word_at(toks, k) != "infoset":
                     raise ParseError("expected 'infoset'")
-                ident, k = _read_tokens(toks, k + 1, atoms, shared)
+                ident, k = _read_tokens(toks, k + 1)
                 if k + 1 < len(toks):
                     raise ParseError("trailing input")
                 if ident in cell_player:
                     raise ParseError("infoset assigned to two players")
                 cell_player[ident] = pid
             elif head == "utility":
-                pid, k = _read_tokens(toks, 0, atoms, shared)
+                pid, k = _read_tokens(toks, 0)
                 word = _word_at(toks, k)
                 if word == "end":
-                    where, k = _read_tokens(toks, k + 1, atoms, shared)
+                    where, k = _read_tokens(toks, k + 1)
                 elif word == "run":
-                    where, k = _members(toks, k + 1, atoms, shared)
+                    where, k = _members(toks, k + 1)
                 else:
                     raise ParseError("expected 'end' or 'run'")
                 utilities[(pid, where)] = _read_rational(toks[k:])
@@ -199,8 +195,6 @@ def parse_morphism_text(text: str):
     source = None
     target = None
     node_map: dict = {}
-    atoms: dict = {}
-    shared: dict = {}
     for lineno, head, rest, toks in _lines(text):
         try:
             if head == "morphism":
@@ -210,10 +204,10 @@ def parse_morphism_text(text: str):
             elif head == "target":
                 target = rest
             elif head == "map":
-                src, k = _read_tokens(toks, 0, atoms, shared)
+                src, k = _read_tokens(toks, 0)
                 if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
                     raise ParseError("expected '->'")
-                tgt, k = _read_tokens(toks, k + 2, atoms, shared)
+                tgt, k = _read_tokens(toks, k + 2)
                 if k + 1 < len(toks):
                     raise ParseError("trailing input")
                 if src in node_map:

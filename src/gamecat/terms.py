@@ -4,7 +4,7 @@ Terms name nodes and actions everywhere in the library. The three
 constructors are enough to express pair-valued actions, sequence-valued
 nodes, and set-valued nodes, so every converter stays inside one universe.
 A strict total order (atoms < tuples < sets) makes printing and enumeration
-deterministic.
+deterministic. Terms are interned: equal terms are one object.
 """
 
 from __future__ import annotations
@@ -15,32 +15,53 @@ from operator import attrgetter
 from .errors import ParseError
 
 _set = object.__setattr__
+_ATOMS: dict = {}  # the intern tables: every term built, by name or by items
+_TUPS: dict = {}
+_SETS: dict = {}
+# Terms this deep or deeper have no native key: comparing nested key tuples
+# recurses in C once per level, up to the interpreter's recursion limit.
+_DEEP = 400
+_KEY = attrgetter("_key")
+_DEPTH = attrgetter("_depth")
 
 
 class _Term:
-    """Equality, order and hash from values cached at construction: the key
-    (0, name), or the rank (1 tuple, 2 set) then the items' keys, compares
-    names by code point (UTF-8 byte order); the hash uses the items' hashes.
-    _enc holds the encoding once encode has computed it for this term."""
+    """Built through its constructor's intern table, so equal terms are one
+    object: equality is identity and the hash is object's. The order
+    compares _key, (0, name) or the rank (1 tuple, 2 set) then the items'
+    keys, so names by code point (UTF-8 byte order); a term _DEEP or more
+    levels deep (_depth) has no _key and is ordered by _cmp. _enc holds the
+    encoding once encode has computed it."""
 
-    __slots__ = ("_key", "_hash", "_enc")
+    __slots__ = ("_key", "_depth", "_enc")
 
-    def _cache(self, rank, items):
-        _set(self, "_key", (rank, *[x._key for x in items]))
-        _set(self, "_hash", hash((rank, *[x._hash for x in items])))
-        _set(self, "_enc", None)
-
+    # Equality is identity, written out: with __lt__ defined, every
+    # comparison operator looks its method up, and object's __eq__ answers
+    # NotImplemented for two distinct terms, so == would try both sides and
+    # != four methods. The hash stays object's C function.
     def __eq__(self, other):
-        return isinstance(other, _Term) and self._hash == other._hash and self._key == other._key
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    __hash__ = object.__hash__
 
     def __lt__(self, other):
-        return self._key < other._key if isinstance(other, _Term) else NotImplemented
+        try:
+            return self._key < other._key
+        except AttributeError:  # too deep for a native key, or not a term
+            if not isinstance(other, _Term):
+                return NotImplemented
+            return self is not other and _cmp(self, other) < 0
 
-    def __hash__(self):
-        return self._hash
+    def __deepcopy__(self, memo=None):
+        return self
 
-    def __reduce__(self):  # copies and pickles rebuild the cache by constructor
-        return type(self), (self.name if isinstance(self, Atom) else self.items,)
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):  # iterative both ways, and back to this object
+        return parse_term, (encode(self),)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -50,25 +71,49 @@ class _Term:
 
 class Atom(_Term):
     __slots__ = ("name",)
+    _rank = 0
 
-    def __init__(self, name: str):
-        if not name:
-            raise ValueError("atom name must be nonempty")
-        _set(self, "name", name)
-        _set(self, "_key", (0, name))
-        _set(self, "_hash", hash(self._key))
-        _set(self, "_enc", None)
+    def __new__(cls, name: str):
+        t = _ATOMS.get(name)
+        if t is None:
+            if not isinstance(name, str):
+                raise TypeError(f"atom name must be a str, not {type(name).__name__}")
+            if not name:
+                raise ValueError("atom name must be nonempty")
+            t = object.__new__(cls)
+            _set(t, "name", name)
+            _set(t, "_key", (0, name))
+            _set(t, "_depth", 0)
+            _set(t, "_enc", None)
+            t = _ATOMS.setdefault(name, t)
+        return t
 
     def __repr__(self):
         return f"Atom({self.name!r})"
 
 
+def _compound(cls, table: dict, items: tuple):
+    """The cls term with these items, which are terms: the one in table, or
+    a new one put there."""
+    t = table.get(items)
+    if t is None:
+        t = object.__new__(cls)
+        depth = 1 + max(map(_DEPTH, items), default=0)
+        _set(t, "items", items)
+        _set(t, "_depth", depth)
+        _set(t, "_enc", None)
+        if depth < _DEEP:
+            _set(t, "_key", (cls._rank, *map(_KEY, items)))
+        t = table.setdefault(items, t)
+    return t
+
+
 class Tup(_Term):
     __slots__ = ("items",)
+    _rank = 1
 
-    def __init__(self, items):
-        _set(self, "items", tuple(items))
-        self._cache(1, self.items)
+    def __new__(cls, items):
+        return _compound(cls, _TUPS, tuple(items))
 
     def __repr__(self):
         return f"Tup({list(self.items)!r})"
@@ -76,11 +121,11 @@ class Tup(_Term):
 
 class FinSet(_Term):
     __slots__ = ("items",)  # sorted and deduplicated, so equality ignores input order
+    _rank = 2
 
-    def __init__(self, items):
+    def __new__(cls, items):
         # dict.fromkeys keeps the input order, whose runs the sort reuses.
-        _set(self, "items", tuple(_sorted(dict.fromkeys(items))))
-        self._cache(2, self.items)
+        return _compound(cls, _SETS, tuple(_sorted(dict.fromkeys(items))))
 
     def __repr__(self):
         return f"FinSet({list(self.items)!r})"
@@ -90,16 +135,33 @@ Term = Atom | Tup | FinSet
 
 
 def term_key(t: Term) -> tuple:
-    """The structural key that orders terms: atoms < tuples < sets."""
+    """The structural key that orders terms: atoms < tuples < sets. A term
+    _DEEP or more levels deep has none (ValueError); < orders any terms."""
+    if t._depth >= _DEEP:
+        raise ValueError(f"a term nested {t._depth} deep has no native key")
     return t._key
 
 
 def term_cmp(a: Term, b: Term) -> int:
     """Strict total order: -1, 0, or 1. Atom < Tup < FinSet across kinds."""
-    return (a._key > b._key) - (a._key < b._key)
+    return 0 if a is b else -1 if a < b else 1
 
 
-_KEY = attrgetter("_key")
+def _cmp(a: Term, b: Term) -> int:
+    """-1 or 1 for distinct terms a and b, in key order, without recursion:
+    by rank, by name, then by the first pair of items that are not one
+    object, which decides since equal terms are one object; with none, the
+    shorter goes first."""
+    while a._rank == b._rank:
+        if not a._rank:
+            return -1 if a.name < b.name else 1
+        for x, y in zip(a.items, b.items):
+            if x is not y:
+                break
+        else:
+            return -1 if len(a.items) < len(b.items) else 1
+        a, b = x, y
+    return -1 if a._rank < b._rank else 1
 
 
 def _pair_key(p):
@@ -109,8 +171,12 @@ def _pair_key(p):
 def _sorted(xs, pairs: bool = False) -> list:
     """Terms, or with pairs (term, term) pairs, in term order: the list
     sorted() gives, but compared natively by the terms' keys rather than
-    through __eq__ and __lt__. The one sort of terms in the library."""
-    return sorted(xs, key=_pair_key if pairs else _KEY)
+    through __lt__, unless a term is too deep to have one (then xs is read
+    twice, so it is a collection). The one sort of terms in the library."""
+    try:
+        return sorted(xs, key=_pair_key if pairs else _KEY)
+    except AttributeError:  # a term too deep for a native key
+        return sorted(xs)
 
 
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_.+-]+")
@@ -183,20 +249,19 @@ def _fail(msg: str, toks, k: int, off: int = 0):
     raise ParseError(msg, col=_span(toks, k) + len(toks[k][0]) + off + 1)
 
 
-def _read_tokens(toks, k: int, atoms: dict, shared: dict | None = None):
+def _read_tokens(toks, k: int):
     """The term that begins at token k of toks (_TOKENS.findall output) and
     the index of the token after it.
 
     Open brackets wait on an explicit stack, so nesting depth is bounded by
-    memory, not recursion. atoms maps each atom name read to one Atom; with
-    shared, a compound result is replaced by the equal term already in it.
-    ParseError columns count from where findall began."""
+    memory, not recursion. ParseError columns count from where findall
+    began."""
     open_seqs = []  # (closer, constructor, items read so far)
     while True:
         _, w, o = toks[k]
         k += 1
         if w:
-            t = atoms.get(w) or atoms.setdefault(w, Atom(w))
+            t = _ATOMS.get(w) or Atom(w)  # most names are met before: no call
             if not open_seqs:
                 return t, k
         elif o == "(" or o == "{":
@@ -210,7 +275,7 @@ def _read_tokens(toks, k: int, atoms: dict, shared: dict | None = None):
             name, bad = _unquote(o)
             if bad is not None:
                 _fail(name, toks, k - 1, bad)
-            t = atoms.get(name) or atoms.setdefault(name, Atom(name))
+            t = Atom(name)
         else:
             _fail(f"expected a term, found {o[0]!r}" if o else "expected a term", toks, k - 1)
         # t is complete: add it to the innermost open bracket, closing
@@ -227,8 +292,6 @@ def _read_tokens(toks, k: int, atoms: dict, shared: dict | None = None):
             open_seqs.pop()
             t = ctor(items)
         if not open_seqs:
-            if shared is not None and type(t) is not Atom:
-                t = shared.setdefault(t, t)
             return t, k
 
 
@@ -264,16 +327,12 @@ def _unquote(tok: str):
 
 
 class TermReader:
-    """Cursor-based reader of terms embedded in a text.
+    """Cursor-based reader of terms embedded in a text. Each read_term
+    tokenizes from the cursor to the end of the text."""
 
-    atoms maps each atom name read to one Atom, so readers that share the
-    dict return one object per name. Each read_term tokenizes from the
-    cursor to the end of the text."""
-
-    def __init__(self, text: str, pos: int = 0, atoms: dict | None = None):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
         self.pos = pos
-        self.atoms = {} if atoms is None else atoms
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -288,7 +347,7 @@ class TermReader:
         toks = _TOKENS.findall(self.text, self.pos)
         toks.append((self.text[self.pos + _span(toks, len(toks)):], "", ""))
         try:
-            t, k = _read_tokens(toks, 0, self.atoms)
+            t, k = _read_tokens(toks, 0)
         except ParseError as e:
             self.pos += e.col - 1
             raise ParseError(e.detail, col=self.pos + 1) from None

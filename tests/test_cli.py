@@ -1,10 +1,14 @@
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import gamecat
 from gamecat import encode, is_iso, parse_game_text, validate_game_morphism
 from gamecat.cli import main
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run(capsys, *argv):
@@ -283,3 +287,60 @@ def test_identity_morphism_loads_its_game_once(tmp_path, capsys, monkeypatch, ac
     # One load or two, the same bytes.
     assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
     assert "verdict valid" in outs[0][1]
+
+
+def test_validate_accepts_end_nodes_nested_2000_deep(tmp_path, capsys):
+    x, y = ["(" * 2000 + name + ")" * 2000 for name in "ab"]
+    game = tmp_path / "deep.gm"
+    game.write_text(f"game deep\nnode r\nnode {x}\nnode {y}\nedge r {x} L\n"
+                    f"edge r {y} R\ninfoset i {{ r }}\nplayer P infoset i\n"
+                    f"utility P end {x} 1\nutility P end {y} 0\n", encoding="utf-8")
+    code, out = run(capsys, "--format", "machine", "validate", str(game))
+    assert code == 0
+    assert out.splitlines()[1:] == ["nodes 3", "root r", "actions L R", "players P",
+                                    f"run {{r,{x}}}", f"run {{r,{y}}}"]
+
+
+# Runs every command that prints terms or term sets on every fixture, in
+# one process, and prints what each printed and wrote.
+_HASH_ORDER_SCRIPT = """
+import contextlib, io, os, sys
+from gamecat.cli import main
+
+def call(*argv, wrote=()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    print(argv, code, out.getvalue())
+    for path in wrote if code == 0 else ():
+        with open(path, encoding="utf-8") as fh:
+            print(path, fh.read())
+
+for name in sorted(os.listdir(".")):
+    stem, ext = os.path.splitext(name)
+    if ext == ".gmm":
+        call("morphism", "classify", name)
+    elif ext == ".gm" and "." not in stem:
+        for command in ("validate", "props", "subgames", "nash", "spe"):
+            call(command, name)
+        for to in ("distinguished", "sequence", "action-set", "distinguished-sequence"):
+            call("convert", name, "--to", to, wrote=(f"{stem}.{to}.gm", f"{stem}.{to}.gmm"))
+        call("iso", name, name)
+"""
+
+
+def test_output_does_not_depend_on_hash_order(tmp_path):
+    # Terms hash by identity, so set order follows memory addresses and
+    # string hashes: two processes under different hash seeds print alike.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamecat.__file__)))
+    procs = []
+    for seed in ("0", "12345"):
+        work = tmp_path / seed
+        shutil.copytree(FIXTURES, work)
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _HASH_ORDER_SCRIPT], cwd=work, text=True,
+            env=dict(env, PYTHONHASHSEED=seed), stdout=subprocess.PIPE))
+    outs = [p.communicate(timeout=300)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    games = [name for name in os.listdir(FIXTURES) if name.endswith(".gm")]
+    assert outs[0] == outs[1] and outs[0].count("('convert'") == 4 * len(games)

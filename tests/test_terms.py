@@ -2,6 +2,8 @@ import copy
 import pickle
 import random
 import re
+import sys
+import threading
 import time
 from functools import cmp_to_key
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gamecat import (Atom, FinSet, ParseError, Tup, encode, encode_set,
                      parse_term, term_cmp, term_key)
-from gamecat.terms import TermReader, _sorted
+from gamecat.terms import _ATOMS, TermReader, _cmp, _sorted
 
 
 def test_atom_order_is_bytewise():
@@ -134,7 +136,7 @@ def test_sorted_agrees_with_the_reference(xs):
 @given(_terms)
 def test_equal_terms_built_apart_hash_equal(t):
     copy = parse_term(encode(t))
-    assert copy is not t
+    assert copy is t
     assert copy == t and hash(copy) == hash(t) and term_cmp(copy, t) == 0
 
 
@@ -170,10 +172,120 @@ def test_deeply_nested_term_hashes_in_linear_time():
     assert time.perf_counter() - start < 10
 
 
+def _chain(name, depth):
+    """The atom name inside depth one-item tuples."""
+    t = Atom(name)
+    for _ in range(depth):
+        t = Tup((t,))
+    return t
+
+
+def test_copies_and_pickles_of_a_deep_term_are_the_term():
+    t = FinSet((_chain("a", 2000), _chain("b", 1999)))
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin is t
+
+
+def test_order_works_at_any_depth():
+    start = time.perf_counter()
+    a, b = _chain("a", 100_000), _chain("b", 100_000)
+    shallow = Tup((Atom("a"),))  # a tuple whose first item is an atom
+    assert a < b and not b < a and not a < a
+    assert (term_cmp(a, b), term_cmp(b, a), term_cmp(a, a)) == (-1, 1, 0)
+    assert shallow < a and not a < shallow and term_cmp(a, shallow) == 1
+    assert min(b, a) is a and min(a, b) is a
+    ordered = [Atom("z"), shallow, a, b]
+    for xs in ([b, a, shallow, Atom("z")], [a, Atom("z"), b, shallow]):
+        assert _sorted(xs) == sorted(xs) == ordered
+    assert FinSet((b, shallow, a, b)).items == (shallow, a, b)
+    pairs = [(b, a), (a, b), (a, shallow)]
+    assert _sorted(pairs, pairs=True) == sorted(pairs) == [(a, shallow), (a, b), (b, a)]
+    with pytest.raises(ValueError):
+        term_key(a)
+    assert time.perf_counter() - start < 10
+    # Either side of the depth where terms stop having a native key.
+    for depth in (398, 399, 400, 401):
+        x, y = _chain("a", depth), _chain("b", depth)
+        u, v = _chain("a", depth + 1), Tup((x, Atom("a")))
+        assert _sorted([y, v, x, u]) == sorted([y, v, x, u]) == [x, y, u, v]
+        assert FinSet((v, u, y, x)).items == (x, y, u, v)
+        assert (term_cmp(x, y), term_cmp(u, v), term_cmp(v, v)) == (-1, -1, 0)
+
+
+_order_atoms = st.one_of(
+    st.sampled_from(["a", "ab", "b", "a b", 'x"y', "\\", "\uffff", "\U00010000", "é", "10", "2"]),
+    st.text(min_size=1, max_size=3),
+).map(Atom)
+
+_order_terms = st.recursive(
+    _order_atoms,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4).map(Tup),
+        st.lists(kids, max_size=4).map(FinSet),
+    ),
+    max_leaves=16,
+)
+
+
+@given(_order_terms, _order_terms, st.integers(0, 3))
+def test_loop_comparator_gives_the_key_order(a, b, k):
+    pairs = [(a, b)]
+    for t in (a, b):  # a prefix of a compound term against the term
+        if not isinstance(t, Atom):
+            pairs.append((type(t)(t.items[:k]), t))
+    for x, y in pairs:
+        if x is not y:
+            assert _cmp(x, y) == (-1 if x._key < y._key else 1) == -_cmp(y, x)
+
+
+def test_threads_building_the_same_terms_get_one_object_each():
+    barrier = threading.Barrier(4)
+    names = [f"thread{id(barrier)}.{k}" for k in range(300)]  # new to the tables
+    built = [None] * 4
+
+    def build(i):
+        barrier.wait(timeout=10)
+        out = []
+        for n in names:
+            a = Atom(n)
+            out += [a, Tup((a, Atom("x"))), FinSet((Tup((a,)), a))]
+        built[i] = out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and None not in built
+    for objs in zip(*built):
+        assert all(x is objs[0] for x in objs)
+
+
+def test_equality_is_identity_and_the_hash_is_objects():
+    a, t = Atom("a"), Tup((Atom("a"),))
+    assert a == Atom("a") and not a != Atom("a") and a != t and not a == t
+    assert a != "a" and not a == "a" and t != (a,) and not t == (a,)
+    assert hash(t) == object.__hash__(t) and type(t).__hash__ is object.__hash__
+
+
+def test_atom_name_must_be_a_nonempty_str():
+    for bad in (5, b"a", None, ("a",)):
+        with pytest.raises(TypeError):
+            Atom(bad)
+        assert bad not in _ATOMS
+    with pytest.raises(ValueError):
+        Atom("")
+
+
 @given(_terms)
 def test_copies_and_pickles_equal_the_original(t):
     for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-        assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+        assert twin is t and hash(twin) == hash(t) and repr(twin) == repr(t)
 
 
 class _RefReader:
@@ -300,12 +412,12 @@ def test_reader_keeps_the_cursor_for_embedded_terms():
     assert (e.value.detail, e.value.col) == ("expected ',' or ')'", 7)
 
 
-def test_readers_sharing_an_atom_table_return_one_object_per_name():
-    atoms = {}
-    t1 = TermReader('(a, "b", a)', atoms=atoms).read_term()
-    t2 = TermReader('{b, "a"}', atoms=atoms).read_term()
-    assert t1.items[0] is t1.items[2] is t2.items[0] is atoms["a"]
-    assert t1.items[1] is t2.items[1] is atoms["b"]
+def test_readers_return_one_object_per_name():
+    t1 = TermReader('(a, "b", a)').read_term()
+    t2 = TermReader('{b, "a"}').read_term()
+    a, b = parse_term('"a"'), parse_term("b")
+    assert t1.items[0] is t1.items[2] is t2.items[0] is a is Atom("a")
+    assert t1.items[1] is t2.items[1] is b is Atom("b")
 
 
 def test_deeply_nested_term_parses_and_encodes_in_linear_time():
