@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .game import Game, build_game
-from .terms import _END, _TOKENS, _read_tokens, _sorted, encode
+from .terms import _ATOMS, _BARE_ATOM, _END, _TOKENS, Atom, _read_tokens, _sorted, encode
 
 # Everything before the first `#` that is outside a quoted atom.
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
@@ -20,6 +20,17 @@ _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
 # A rational: [+-]digits, optionally /digits, ending where the run of sign,
 # slash and digit characters ends; any other such run is a bad token.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?![-+/0-9])|[-+/0-9]*")
+
+# A declaration line whose terms are all bare atoms, read by one match whose
+# last group is named for its keyword; other lines, bad ones too, are tokenised.
+_W = _BARE_ATOM.pattern
+_GM_LINE = re.compile(  # groups: node 1, edge 2-4, infoset 5-6, player 7-8, utility 9-13
+    rf"node[ \t]+(?P<node>{_W})"
+    rf"|edge[ \t]+({_W})[ \t]+({_W})[ \t]+(?P<edge>{_W})"
+    rf"|infoset[ \t]+({_W})[ \t]*\{{[ \t]*(?P<infoset>(?:{_W}(?:[ \t]+{_W})*)?)[ \t]*\}}"
+    rf"|player[ \t]+({_W})[ \t]+infoset[ \t]+(?P<player>{_W})"
+    rf"|utility[ \t]+({_W})[ \t]+end[ \t]+({_W})[ \t]+(?P<utility>([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?)")
+_GMM_LINE = re.compile(rf"map[ \t]+({_W})[ \t]+->[ \t]*(?P<map>{_W})")
 
 
 def _word_at(toks, k: int) -> str:
@@ -57,24 +68,27 @@ def _read_rational(toks) -> Fraction:
     return Fraction(int(num), den) if den != 1 else Fraction(int(num))
 
 
-def _lines(text: str):
-    """(line number, keyword, rest, tokens of the rest) for each line that
-    is not blank once its comment is stripped. The keyword ends at the
-    first space or tab; the rest is what follows, less leading whitespace.
-    The tokens end in one _END, as the line is stripped."""
+def _lines(text: str, bare):
+    """(line number, keyword, rest, match, tokens) for each line that is not
+    blank once its comment is stripped: for a line that bare matches whole,
+    its keyword and match; else the keyword up to the first space or tab,
+    the rest less leading whitespace, and its tokens, ending in one _END."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             m = _BEFORE_COMMENT.match(line)
             line = m.group(0) if m else line
         line = line.strip()
         if line:
+            if m := bare.fullmatch(line):
+                yield lineno, m.lastgroup, None, m, None
+                continue
             head, _, rest = line.partition(" ")
             if "\t" in head:
                 head, _, rest = line.partition("\t")
             rest = rest.lstrip()
             toks = _TOKENS.findall(rest)
             toks.append(_END)
-            yield lineno, head, rest, toks
+            yield lineno, head, rest, None, toks
 
 
 def parse_game_text(text: str):
@@ -87,62 +101,82 @@ def parse_game_text(text: str):
     cell_player: dict = {}  # infoset id -> player
     utilities: dict = {}
 
-    for lineno, head, rest, toks in _lines(text):
-        # A line is read to its end when only _END is left.
+    for lineno, head, rest, m, toks in _lines(text, _GM_LINE):
+        # A tokenised line is read to its end when only _END is left.
         try:
             if head == "game":
                 name = rest
                 if not name:
                     raise ParseError("missing game name")
             elif head == "node":
-                x, k = _read_tokens(toks, 0)
-                if k + 1 < len(toks):
-                    raise ParseError("trailing input")
+                if m:
+                    x = _ATOMS.get(m[1]) or Atom(m[1])
+                else:
+                    x, k = _read_tokens(toks, 0)
+                    if k + 1 < len(toks):
+                        raise ParseError("trailing input")
                 nodes.add(x)
             elif head == "edge":
-                src, k = _read_tokens(toks, 0)
-                tgt, k = _read_tokens(toks, k)
-                act, k = _read_tokens(toks, k)
-                if k + 1 < len(toks):
-                    raise ParseError("trailing input")
+                if m:
+                    src = _ATOMS.get(m[2]) or Atom(m[2])
+                    tgt = _ATOMS.get(m[3]) or Atom(m[3])
+                    act = _ATOMS.get(m[4]) or Atom(m[4])
+                else:
+                    src, k = _read_tokens(toks, 0)
+                    tgt, k = _read_tokens(toks, k)
+                    act, k = _read_tokens(toks, k)
+                    if k + 1 < len(toks):
+                        raise ParseError("trailing input")
                 if (src, tgt) in edges:
                     raise ParseError("duplicate edge")
                 edges[(src, tgt)] = act
                 edge_lines[(src, tgt)] = lineno
             elif head == "infoset":
-                ident, k = _read_tokens(toks, 0)
-                members, k = _members(toks, k)
-                if k + 1 < len(toks):
-                    raise ParseError("trailing input")
+                if m:
+                    ident = _ATOMS.get(m[5]) or Atom(m[5])
+                    members = frozenset([_ATOMS.get(w) or Atom(w) for w in m[6].split()])
+                else:
+                    ident, k = _read_tokens(toks, 0)
+                    members, k = _members(toks, k)
+                    if k + 1 < len(toks):
+                        raise ParseError("trailing input")
                 if ident in cells:
                     raise ParseError("duplicate infoset id")
                 cells[ident] = members
             elif head == "player":
-                pid, k = _read_tokens(toks, 0)
-                if _word_at(toks, k) != "infoset":
-                    raise ParseError("expected 'infoset'")
-                ident, k = _read_tokens(toks, k + 1)
-                if k + 1 < len(toks):
-                    raise ParseError("trailing input")
+                if m:
+                    pid = _ATOMS.get(m[7]) or Atom(m[7])
+                    ident = _ATOMS.get(m[8]) or Atom(m[8])
+                else:
+                    pid, k = _read_tokens(toks, 0)
+                    if _word_at(toks, k) != "infoset":
+                        raise ParseError("expected 'infoset'")
+                    ident, k = _read_tokens(toks, k + 1)
+                    if k + 1 < len(toks):
+                        raise ParseError("trailing input")
                 if ident in cell_player:
                     raise ParseError("infoset assigned to two players")
                 cell_player[ident] = pid
             elif head == "utility":
-                pid, k = _read_tokens(toks, 0)
-                word = _word_at(toks, k)
-                if word == "end":
-                    where, k = _read_tokens(toks, k + 1)
-                elif word == "run":
-                    where, k = _members(toks, k + 1)
+                if m:
+                    pid = _ATOMS.get(m[9]) or Atom(m[9])
+                    where = _ATOMS.get(m[10]) or Atom(m[10])
+                    value = Fraction(int(m[12]), int(m[13])) if m[13] else Fraction(int(m[12]))
                 else:
-                    raise ParseError("expected 'end' or 'run'")
-                utilities[(pid, where)] = _read_rational(toks[k:])
+                    pid, k = _read_tokens(toks, 0)
+                    word = _word_at(toks, k)
+                    if word == "end":
+                        where, k = _read_tokens(toks, k + 1)
+                    elif word == "run":
+                        where, k = _members(toks, k + 1)
+                    else:
+                        raise ParseError("expected 'end' or 'run'")
+                    value = _read_rational(toks[k:])
+                utilities[(pid, where)] = value
             else:
                 raise ParseError(f"unknown declaration {head!r}")
         except ParseError as e:
-            if e.line is None:
-                raise ParseError(e.detail, line=lineno) from None
-            raise
+            raise ParseError(e.detail, line=lineno) from None
     if name is None:
         raise ParseError("missing 'game' declaration", line=1)
     unassigned = [i for i in cells if i not in cell_player]
@@ -152,10 +186,7 @@ def parse_game_text(text: str):
     stray = [i for i in cell_player if i not in cells]
     if stray:
         raise ParseError(f"player line for unknown infoset {encode(min(stray))}")
-    mover = {}
-    for ident, cell in cells.items():
-        for x in cell:
-            mover[x] = cell_player[ident]
+    mover = {x: cell_player[ident] for ident, cell in cells.items() for x in cell}
     try:
         game = build_game(nodes, edges, cells.values(), mover, utilities)
     except ValidationError as e:
@@ -191,11 +222,9 @@ def print_game(name: str, g: Game) -> str:
 
 def parse_morphism_text(text: str):
     """Returns (name, source_path, target_path, node_map dict)."""
-    name = None
-    source = None
-    target = None
+    name = source = target = None
     node_map: dict = {}
-    for lineno, head, rest, toks in _lines(text):
+    for lineno, head, rest, m, toks in _lines(text, _GMM_LINE):
         try:
             if head == "morphism":
                 name = rest
@@ -204,12 +233,15 @@ def parse_morphism_text(text: str):
             elif head == "target":
                 target = rest
             elif head == "map":
-                src, k = _read_tokens(toks, 0)
-                if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
-                    raise ParseError("expected '->'")
-                tgt, k = _read_tokens(toks, k + 2)
-                if k + 1 < len(toks):
-                    raise ParseError("trailing input")
+                if m:
+                    src, tgt = [_ATOMS.get(w) or Atom(w) for w in m.group(1, 2)]
+                else:
+                    src, k = _read_tokens(toks, 0)
+                    if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
+                        raise ParseError("expected '->'")
+                    tgt, k = _read_tokens(toks, k + 2)
+                    if k + 1 < len(toks):
+                        raise ParseError("trailing input")
                 if src in node_map:
                     raise ParseError("duplicate map key")
                 node_map[src] = tgt

@@ -68,6 +68,20 @@ class _Term:
 
     __delattr__ = __setattr__
 
+    def __repr__(self):
+        """Tup([...]) or FinSet([...]), by a walk with an explicit stack."""
+        out, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if type(x) is str or type(x) is Atom:
+                out.append(x if type(x) is str else repr(x))
+            else:
+                todo.append("])")
+                for k, y in enumerate(reversed(x.items)):
+                    todo += (", ", y) if k else (y,)
+                todo.append(f"{type(x).__name__}([")
+        return "".join(out)
+
 
 class Atom(_Term):
     __slots__ = ("name",)
@@ -115,9 +129,6 @@ class Tup(_Term):
     def __new__(cls, items):
         return _compound(cls, _TUPS, tuple(items))
 
-    def __repr__(self):
-        return f"Tup({list(self.items)!r})"
-
 
 class FinSet(_Term):
     __slots__ = ("items",)  # sorted and deduplicated, so equality ignores input order
@@ -126,9 +137,6 @@ class FinSet(_Term):
     def __new__(cls, items):
         # dict.fromkeys keeps the input order, whose runs the sort reuses.
         return _compound(cls, _SETS, tuple(_sorted(dict.fromkeys(items))))
-
-    def __repr__(self):
-        return f"FinSet({list(self.items)!r})"
 
 
 Term = Atom | Tup | FinSet

@@ -552,3 +552,98 @@ def test_token_scan_parses_as_the_cursor_reader():
                 kinds[got[0]] += 1
     # Every outcome is exercised, errors of each kind included.
     assert min(kinds.values()) >= 100, kinds
+
+
+def _bare_texts(rng, n):
+    """Printed genrandom games, whose names are all bare atoms, with the
+    .gmm file of each game's identity map."""
+    for k in range(n):
+        g = random_game(rng, max_nodes=9)
+        yield (print_game(f"g{k}", g),
+               print_morphism(f"id{k}", "g.gm", "g.gm", {x: x for x in g.tree.nodes}))
+
+
+def _boundary_variants(line):
+    """Rewrites of one printed line at the edges of what one match reads:
+    blanks and keywords glued or widened, other whitespace between fields,
+    comments, rationals, member lists and arrows."""
+    words = line.split(" ")
+    head, last = words[0], words[-1]
+    out = [line + " # c", line + "\t#c", line + "#"]
+    for k in [j for j, ch in enumerate(line) if ch == " "][-2:]:
+        out += [line[:k] + ch + line[k + 1:]
+                for ch in ("\t", " \t ", "", "\v", "\x1c", "\x1f", "\u00a0", "\u3000")]
+    if head == "map":
+        out += [line.replace(" -> ", arrow)
+                for arrow in ("->", " ->", "-> ", " - > ", " -> -> ", " => ", " -->", " >- ")]
+    elif head == "utility":
+        stem = line[:-len(last)]
+        out += [stem + v for v in ("3/0", "1/00", "+5", "-0", "1/2/3", "007/010", "0/7",
+                                   "3/", "/2", "--1", "1/-2", "+", "3-", "1 2", "x")]
+        out += [line.replace(" end ", sep) for sep in (" endX ", " end", " run ", " END ")]
+    elif head == "infoset":
+        ident = words[1]
+        t0, t1 = words[3], words[-2]
+        out += [f"infoset {ident} {{{t0}{t1}}}", f"infoset {ident} {{{t0},{t1}}}",
+                f"infoset {ident} {{}}", f"infoset {ident} {{ }}", f"infoset {ident} {{ {t0} {t0} }}",
+                f"infoset {ident}{{{t0}}}", f"infoset {ident} {{ {t0}", f"infoset {ident} {t0} }}",
+                f"infoset {ident} {{ {t0} }} }}", f"infoset{ident} {{ {t0} }}", f"infoset {{ {t0} }}"]
+    elif head == "player":
+        out += [line.replace(" infoset ", sep)
+                for sep in (" infosetX ", " infoset", " infoset{", " infoset  ", " infosets ")]
+    elif head in ("node", "edge"):
+        out += [line + " " + last, line + "x", " ".join(words[:-1])]
+    return out
+
+
+def test_one_match_reader_agrees_with_the_cursor_reader_at_its_edges():
+    rng = random.Random(12)
+    kinds = {"game": 0, "ParseError": 0, "ValidationError": 0, "morphism": 0}
+    for game, morphism in _bare_texts(rng, 40):
+        for text, parse, ref in ((game, parse_game_text, ref_parse_game_text),
+                                 (morphism, parse_morphism_text, ref_parse_morphism_text)):
+            lines = text.split("\n")
+            by_head = {}
+            for j, line in enumerate(lines):
+                by_head.setdefault(line.split(" ")[0], []).append(j)
+            cases = [text]
+            for head, js in by_head.items():
+                j = rng.choice(js)
+                cases += ["\n".join(lines[:j] + [v] + lines[j + 1:])
+                          for v in _boundary_variants(lines[j])]
+                # A repeated line: a duplicate edge, infoset or player is
+                # an error; a repeated node, utility or map line is read again.
+                cases.append("\n".join(lines[:j + 1] + lines[j:]))
+            for case in cases:
+                got = _parsed(parse, case)
+                assert got == _parsed(ref, case), case
+                kinds[got[0]] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_bare_atom_lines_are_read_by_one_match():
+    from gamecat.fileformat import _GM_LINE, _GMM_LINE
+    games = [open(p, encoding="utf-8").read() for p in all_game_fixtures()]
+    games = [text for text in games if '"' not in text and "(" not in text]
+    morphisms = [print_morphism("id", "g.gm", "g.gm", {x: x for x in parse_game_text(t)[1].tree.nodes})
+                 for t in games]
+    for game, morphism in _bare_texts(random.Random(13), 200):
+        games.append(game)
+        morphisms.append(morphism)
+    lines = [(_GM_LINE, line) for text in games for line in text.splitlines()
+             if not line.startswith("game ")]
+    lines += [(_GMM_LINE, line) for text in morphisms for line in text.splitlines()
+              if line.startswith("map ")]
+    assert len(lines) > 5000
+    for pattern, line in lines:
+        assert pattern.fullmatch(line), line
+    # One quoted, tuple or set name is enough to send a line to the tokens.
+    for pattern, line in lines[::7]:
+        words = line.split(" ")
+        names = [k for k, w in enumerate(words)
+                 if k and w not in ("infoset", "end", "{", "}", "->")
+                 and not (words[0] == "utility" and k == len(words) - 1)]
+        for k in names:
+            for name in (f'"{words[k]}"', f"({words[k]})", f"{{{words[k]}}}", f'"{words[k]} x"'):
+                changed = " ".join(words[:k] + [name] + words[k + 1:])
+                assert not pattern.fullmatch(changed), changed

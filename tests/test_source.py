@@ -35,3 +35,16 @@ def test_term_order_is_defined_only_in_terms():
         if name != "terms.py" and re.search(r"\b_key\b", text):
             found.append(f"{name}: _key")
     assert found == []
+
+
+def test_file_reader_has_no_public_helpers():
+    # perfbench's tracer wraps every public module-level function in a span,
+    # so a public per-line helper would add a span and a wrapper call to each
+    # line read: the reader's helpers stay private.
+    path = os.path.join(os.path.dirname(gamecat.__file__), "fileformat.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert public == ["parse_game_text", "print_game", "parse_morphism_text", "print_morphism"]

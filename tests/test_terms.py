@@ -180,6 +180,25 @@ def _chain(name, depth):
     return t
 
 
+def test_repr_of_a_shallow_term_is_its_constructor_call():
+    assert repr(Tup([Atom("a"), FinSet([])])) == "Tup([Atom('a'), FinSet([])])"
+    assert repr(FinSet([Atom("b c"), Tup([])])) == "FinSet([Atom('b c'), Tup([])])"
+
+
+@given(_terms)
+def test_repr_agrees_with_the_recursive_reference(t):
+    if isinstance(t, Atom):
+        assert repr(t) == f"Atom({t.name!r})"
+    else:
+        assert repr(t) == f"{type(t).__name__}({list(t.items)!r})"
+
+
+@pytest.mark.parametrize("depth", [2000, 100_000])
+def test_repr_works_at_any_depth(depth):
+    t = FinSet((_chain("a", depth), Atom("b")))
+    assert repr(t) == "FinSet([Atom('b'), " + "Tup([" * depth + "Atom('a')" + "])" * depth + "])"
+
+
 def test_copies_and_pickles_of_a_deep_term_are_the_term():
     t = FinSet((_chain("a", 2000), _chain("b", 1999)))
     for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
