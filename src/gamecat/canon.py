@@ -14,7 +14,6 @@ from .errors import ValidationError
 from .game import Game
 from .morphism import GameMorphism, pushforward
 from .terms import FinSet, Tup, encode
-from .tree import descendants
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,12 @@ class ConversionResult:
 
 
 def _distinguished(g: Game) -> bool:
-    w = g.tree.decision_nodes
-    for a in g.clt.actions:
-        cell = frozenset(x for x in w if a in g.clt.feasible[x])
-        if cell not in g.clt.infosets:
-            return False
-    return True
+    """Each action's decision nodes form one cell: grouped in one pass."""
+    nodes_of: dict = {}
+    for x, f in g.clt.feasible.items():
+        for a in f:
+            nodes_of.setdefault(a, []).append(x)
+    return all(frozenset(xs) in g.clt.infosets for xs in nodes_of.values())
 
 
 def _uses_sequences(g: Game) -> bool:
@@ -75,31 +74,16 @@ def _absentminded_witness(g: Game):
     strictly before another member y: the least such x, then the least y
     after it (the first such pair of the cell's members in term order).
 
-    One DFS keeps, for each cell, its members on the current path; the
-    innermost of them is the nearest member above a node of the cell, and
-    x has a member below it iff it is the nearest above one."""
-    t, info_of = g.tree, g.clt.info_of
-    on_path: dict = {}  # cell -> its members on the current path, outermost first
-    above: dict = {}    # cell -> members nearest above another member
-    stack = [(t.root, True)]
-    while stack:
-        x, entering = stack.pop()
-        if x in t.end_nodes:
-            continue
-        path = on_path.setdefault(info_of[x], [])
-        if not entering:
-            path.pop()
-            continue
-        if path:
-            above.setdefault(info_of[x], set()).add(path[-1])
-        path.append(x)
-        stack.append((x, False))
-        stack.extend((y, True) for y in t.children[x])
-    cell = next((c for c in g.clt.sorted_infosets() if c in above), None)
-    if cell is None:
-        return None
-    x = min(above[cell])
-    return cell, x, min(cell & descendants(t, x) - {x})
+    Subtrees are intervals of the tree's preorder, so x has a member below
+    it exactly when the member next after x in preorder lies in x's interval."""
+    pos, last = g.tree.pos, g.tree.last
+    for cell in g.clt.sorted_infosets():
+        ps = sorted(cell, key=pos.__getitem__)
+        above = [x for x, y in zip(ps, ps[1:]) if pos[y] <= last[x]]
+        if above:
+            x = min(above)
+            return cell, x, min(y for y in cell if pos[x] < pos[y] <= last[x])
+    return None
 
 
 def properties(g: Game) -> GameProperties:
@@ -128,15 +112,16 @@ def _infoset_tags(g: Game):
 def _renamed(g: Game, action_bijs, name=None) -> ConversionResult:
     """The one pushforward along action_bijs. With name, each node becomes
     name(the action images on its root path), found in one top-down pass."""
-    t = g.tree
-    path = {t.root: ()}
-    stack = [t.root] if name else []
-    while stack:
-        x = stack.pop()
-        for y in t.children[x]:
-            path[y] = path[x] + (action_bijs[x][g.clt.label[(x, y)]],)
-            stack.append(y)
-    node_bij = {x: name(path[x]) if name else x for x in t.nodes}
+    t, label = g.tree, g.clt.label
+    if name:
+        # In preorder each node's parent comes first.
+        path = {t.root: ()}
+        for y in t.order[1:]:
+            x = t.pred[y]
+            path[y] = path[x] + (action_bijs[x][label[(x, y)]],)
+        node_bij = {x: name(p) for x, p in path.items()}
+    else:
+        node_bij = {x: x for x in t.nodes}
     g2, cert = pushforward(g, node_bij, action_bijs, {i: i for i in g.players})
     return ConversionResult(game=g2, certificate=cert)
 

@@ -148,7 +148,7 @@ def _cmd_convert(args, rep):
         fh.write(print_morphism(
             f"{name}.to.{args.to}",
             os.path.basename(args.game), os.path.basename(out_game),
-            result.certificate.node_map))
+            result.certificate.node_map, g.tree.sorted_nodes))
     rep.line("game_file", out_game)
     rep.line("morphism_file", out_morph)
     return 0
@@ -189,13 +189,13 @@ def _check_morphism(path, rep, classify=False):
         w = mono_witness(gm)
         if w is not None:
             g1, g2 = w
-            for x in _sorted(g1.node_map):
+            for x in g1.source.tree.sorted_nodes:
                 rep.line("mono_witness", encode(x), "->",
                          encode(g1.node_map[x]), "|", encode(g2.node_map[x]))
         cw = clt_mono_witness(gm.clt_morphism)
         if cw is not None:
             t1, t2 = cw
-            for x in _sorted(t1.node_map):
+            for x in t1.source.tree.sorted_nodes:
                 rep.line("clt_mono_witness", encode(x), "->",
                          encode(t1.node_map[x]), "|", encode(t2.node_map[x]))
     return 0
@@ -214,7 +214,7 @@ def _cmd_morphism(args, rep):
         m1 = validate_game_morphism(s1, t1, map1)
         m2 = validate_game_morphism(s2, t2, map2)
         m = compose(m2, m1)
-        for x in _sorted(m.node_map):
+        for x in m.source.tree.sorted_nodes:
             rep.line("map", encode(x), "->", encode(m.node_map[x]))
         return 0
     raise ParseError(f"unknown morphism action {args.action!r}")
@@ -228,13 +228,13 @@ def _cmd_iso(args, rep):
         rep.line("verdict", "not-isomorphic")
         return 1
     rep.line("verdict", "isomorphic")
-    for x in _sorted(m.node_map):
+    for x in g1.tree.sorted_nodes:
         rep.line("map", encode(x), "->", encode(m.node_map[x]))
     if args.emit_morphism:
         with open(args.emit_morphism, "w", encoding="utf-8") as fh:
             fh.write(print_morphism(f"{name1}.iso.{name2}",
                                     os.path.abspath(args.game1),
-                                    os.path.abspath(args.game2), m.node_map))
+                                    os.path.abspath(args.game2), m.node_map, g1.tree.sorted_nodes))
         rep.line("morphism_file", args.emit_morphism)
     return 0
 

@@ -190,33 +190,28 @@ def spe(g: Game, cap: int = 1_000_000):
     root, kept when Nash from r. At the tree's root they are the SPE."""
     _check_cap(g, cap)
     idx = _Index(g)
-    roots = subgame_roots(g)
-    children, nearest, preorder = {r: [] for r in roots}, {}, []
-    stack = [(g.tree.root, None)]
-    while stack:
-        x, above = stack.pop()
+    roots, tree = subgame_roots(g), g.tree
+    # The root is a subgame root; in preorder each node's parent comes first.
+    nearest, children = {tree.root: tree.root}, {r: [] for r in roots}
+    for x in tree.order[1:]:
+        above = nearest[tree.pred[x]]
         if x in roots:
-            if above is not None:
-                children[above].append(x)
-            preorder.append(x)
-            above = x
-        nearest[x] = above
-        stack.extend((y, above) for y in g.tree.children[x])
+            children[above].append(x)
+        nearest[x] = x if x in roots else above
     own = {r: [] for r in roots}
     for k, cell in enumerate(idx.cells):
         own[nearest[next(iter(cell))]].append(k)
     # order[r] lists the cells below r: r's own, then each child's order.
     order, found = {}, {}
-    for r in reversed(preorder):
+    for r in reversed([x for x in tree.order if x in roots]):
         kids = children[r]
         order[r] = own[r] + [k for c in kids for k in order.pop(c)]
         choices = itertools.product(*(range(len(idx.pools[k])) for k in own[r]))
         joined = (sum(parts, ()) for parts in
                   itertools.product(choices, *(found.pop(c) for c in kids)))
         found[r] = idx.nash_among(r, order[r], joined)
-    top = g.tree.root
-    back = sorted(range(len(idx.cells)), key=order[top].__getitem__)
-    return [idx.strategy(p) for p in sorted(tuple(p[j] for j in back) for p in found[top])]
+    back = sorted(range(len(idx.cells)), key=order[tree.root].__getitem__)
+    return [idx.strategy(p) for p in sorted(tuple(p[j] for j in back) for p in found[tree.root])]
 
 
 def push_strategy(iso: GameMorphism, s: GrandStrategy) -> GrandStrategy:

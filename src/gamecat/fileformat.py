@@ -56,16 +56,24 @@ def _members(toks, k: int):
     return frozenset(members), k + 1
 
 
+def _fraction(num: str, den) -> Fraction:
+    """num/den from digit strings, den None for 1; past int()'s digit limit a ParseError."""
+    try:
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except ValueError:
+        raise ParseError("rational has too many digits to read") from None
+
+
 def _read_rational(toks) -> Fraction:
     """The rational that the tokens spell, which must be all of them."""
     text = "".join(["".join(t) for t in toks])
     m = _RATIONAL.match(text, len(toks[0][0]))
-    num, den = m.group(1), int(m.group(2) or 1)
-    if num is None or den == 0:
+    num, den = m.group(1), m.group(2)
+    if num is None or den is not None and not den.strip("0"):
         raise ParseError(f"bad rational {m.group()!r}")
     if m.end() < len(text):
         raise ParseError("trailing input")
-    return Fraction(int(num), den) if den != 1 else Fraction(int(num))
+    return _fraction(num, den)
 
 
 def _lines(text: str, bare):
@@ -161,7 +169,7 @@ def parse_game_text(text: str):
                 if m:
                     pid = _ATOMS.get(m[9]) or Atom(m[9])
                     where = _ATOMS.get(m[10]) or Atom(m[10])
-                    value = Fraction(int(m[12]), int(m[13])) if m[13] else Fraction(int(m[12]))
+                    value = _fraction(m[12], m[13])
                 else:
                     pid, k = _read_tokens(toks, 0)
                     word = _word_at(toks, k)
@@ -203,7 +211,7 @@ def parse_game_text(text: str):
 
 def print_game(name: str, g: Game) -> str:
     lines = [f"game {name}"]
-    for x in _sorted(g.tree.nodes):
+    for x in g.tree.sorted_nodes:
         lines.append(f"node {encode(x)}")
     for (x, y) in g.tree.sorted_edges:
         lines.append(f"edge {encode(x)} {encode(y)} {encode(g.clt.label[(x, y)])}")
@@ -256,8 +264,9 @@ def parse_morphism_text(text: str):
     return name, source, target, node_map
 
 
-def print_morphism(name: str, source: str, target: str, node_map: dict) -> str:
+def print_morphism(name: str, source: str, target: str, node_map: dict, keys=None) -> str:
+    """keys, when given, are node_map's keys in term order."""
     lines = [f"morphism {name}", f"source {source}", f"target {target}"]
-    for x in _sorted(node_map):
+    for x in _sorted(node_map) if keys is None else keys:
         lines.append(f"map {encode(x)} -> {encode(node_map[x])}")
     return "\n".join(lines) + "\n"

@@ -61,9 +61,14 @@ class GameMorphism:
         return {_run(src, e): _run(tgt, tau[e]) for e in src.ends}
 
 
+def _decision_nodes(t) -> list:
+    """The decision nodes in term order."""
+    return [x for x in t.sorted_nodes if x in t.decision_nodes]
+
+
 def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
     node_map = dict(node_map)
-    for x in _sorted(src.tree.nodes):
+    for x in src.tree.sorted_nodes:
         if x not in node_map:
             raise OperationError("BadNodeMap", witness=x, detail="node unmapped")
         if node_map[x] not in tgt.tree.nodes:
@@ -86,7 +91,7 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
             raise ValidationError("InfosetSplit", witness=cell)
 
     alpha_at: dict = {}
-    for x in _sorted(src.tree.decision_nodes):
+    for x in _decision_nodes(src.tree):
         table = {}
         for a in _sorted(src.feasible[x]):
             y = src.next[(x, a)]
@@ -113,13 +118,13 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
     cm = validate_clt_morphism(src.clt, tgt.clt, node_map)
     node_map = cm.node_map
 
-    for x in _sorted(src.tree.end_nodes):
-        if node_map[x] not in tgt.tree.end_nodes:
+    for x in src.tree.sorted_nodes:
+        if x in src.tree.end_nodes and node_map[x] not in tgt.tree.end_nodes:
             raise ValidationError("NotEndPreserving", witness=x)
 
     iota: dict = {}
     chosen_at: dict = {}
-    for x in _sorted(src.tree.decision_nodes):
+    for x in _decision_nodes(src.tree):
         i = src.mover[x]
         i2 = tgt.mover[node_map[x]]
         if i in iota and iota[i] != i2:
@@ -174,17 +179,13 @@ def identity_morphism(g: Game) -> GameMorphism:
 
 def compose(m2, m1):
     """The composite applying m1 first, then m2."""
-    if isinstance(m1, GameMorphism) and isinstance(m2, GameMorphism):
-        if m1.target != m2.source:
-            raise OperationError("SourceTargetMismatch")
-        node_map = {x: m2.node_map[v] for x, v in m1.node_map.items()}
-        return validate_game_morphism(m1.source, m2.target, node_map)
-    if isinstance(m1, CltMorphism) and isinstance(m2, CltMorphism):
-        if m1.target != m2.source:
-            raise OperationError("SourceTargetMismatch")
-        node_map = {x: m2.node_map[v] for x, v in m1.node_map.items()}
-        return validate_clt_morphism(m1.source, m2.target, node_map)
-    raise OperationError("SourceTargetMismatch", detail="mixed morphism kinds")
+    validate = {GameMorphism: validate_game_morphism, CltMorphism: validate_clt_morphism}
+    if type(m1) is not type(m2) or type(m1) not in validate:
+        raise OperationError("SourceTargetMismatch", detail="mixed morphism kinds")
+    if m1.target != m2.source:
+        raise OperationError("SourceTargetMismatch")
+    node_map = {x: m2.node_map[v] for x, v in m1.node_map.items()}
+    return validate[type(m1)](m1.source, m2.target, node_map)
 
 
 def forget(gm: GameMorphism) -> CltMorphism:
@@ -205,7 +206,7 @@ def clt_mono_witness(m: CltMorphism):
     when the node map is not injective; None otherwise."""
     collision = None
     by_image: dict = {}
-    for x in _sorted(m.source.tree.nodes):
+    for x in m.source.tree.sorted_nodes:
         v = m.node_map[x]
         if v in by_image:
             collision = (by_image[v], x)
@@ -319,7 +320,7 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     action_bijs = {x: dict(t) for x, t in action_bijs.items()}
     if set(action_bijs) != set(g.tree.decision_nodes):
         raise OperationError("NotBijective", detail="action maps must cover decision nodes")
-    for x in _sorted(g.tree.decision_nodes):
+    for x in _decision_nodes(g.tree):
         t = action_bijs[x]
         if set(t) != set(g.clt.feasible[x]) or len(set(t.values())) != len(t):
             raise OperationError("NotBijective", witness=x, detail="action map at node")
@@ -343,18 +344,10 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
 
 def _signatures(t):
     """Each node's (depth, child count, subtree size, sorted child subtree
-    sizes), from one top-down and one bottom-up pass."""
-    order = [t.root]
-    depth = {t.root: 0}
-    for x in order:
-        for k in t.children[x]:
-            depth[k] = depth[x] + 1
-            order.append(k)
-    size: dict = {}
-    for x in reversed(order):
-        size[x] = 1 + sum(size[k] for k in t.children[x])
-    return {x: (depth[x], len(t.children[x]), size[x],
-                tuple(sorted(size[k] for k in t.children[x]))) for x in order}
+    sizes), read off the tree's index."""
+    size = {x: t.last[x] - t.pos[x] + 1 for x in t.order}
+    return {x: (t.depth[x], len(kids), size[x], tuple(sorted(size[k] for k in kids)))
+            for x, kids in t.children.items()}
 
 
 def iso_search(g1: Game, g2: Game):
@@ -383,9 +376,9 @@ def iso_search(g1: Game, g2: Game):
 
     # Only the root has depth 0, so signatures already fix root to root.
     by_sig: dict = {}
-    for v in _sorted(t2.nodes):
+    for v in t2.sorted_nodes:
         by_sig.setdefault(sig2[v], []).append(v)
-    order = _sorted(t1.nodes)
+    order = t1.sorted_nodes
     candidates = [by_sig[sig1[x]] for x in order]
 
     def consistent(x, v):

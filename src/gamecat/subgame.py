@@ -25,17 +25,12 @@ class SeltenResult:
     inclusion: GameMorphism
 
 
-def _straddling(cells, below):
-    """The first cell with members both in and outside below; None when no
-    cell straddles, which is exactly when restricting to below gives a CLT."""
-    return next((cell for cell in cells if cell & below and cell - below), None)
-
-
 def selten_subclt(c: CLT, r: Term) -> CLT:
     if r not in c.tree.decision_nodes:
         raise OperationError("NotDecisionNode", witness=r)
     below = descendants(c.tree, r)
-    cell = _straddling(c.sorted_infosets(), below)
+    # Restricting to below gives a CLT exactly when no cell straddles it.
+    cell = next((cell for cell in c.sorted_infosets() if cell & below and cell - below), None)
     if cell is not None:
         raise ValidationError("NotExists", witness=cell)
     edges = {e: a for e, a in c.label.items() if e[0] in below and e[1] in below}
@@ -61,36 +56,24 @@ def selten_subgame(g: Game, r: Term) -> SeltenResult:
 def subgame_roots(g: Game):
     """The decision nodes that no information set straddles, in one pass.
 
-    Nodes are numbered in depth-first preorder, so each subtree is the
-    interval from its node's number to its last descendant's. A cell lies
-    inside a subtree exactly when its least and greatest member numbers do,
-    so a node is a root exactly when every cell met in its subtree spans
-    numbers within the interval; the bounds fold up from the leaves."""
+    Each subtree is an interval of the tree's preorder. A cell lies inside
+    a subtree exactly when its least and greatest member positions do, so
+    a node is a root exactly when every cell met in its subtree spans
+    positions within the interval; the bounds fold up from the leaves."""
     tree, info_of = g.tree, g.clt.info_of
-    order, stack = [], [tree.root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        stack.extend(tree.children[x])
-    num = {x: k for k, x in enumerate(order)}
+    pos, last = tree.pos, tree.last
     span = {}
     for cell in g.clt.infosets:
-        members = [num[x] for x in cell]
+        members = [pos[x] for x in cell]
         span[cell] = (min(members), max(members))
-    bounds = {}  # node -> (least and greatest number of a cell met below, last number below)
+    bounds = {}  # decision node -> least and greatest position of a cell met below
     roots = set()
-    for x in reversed(order):
-        kids = tree.children[x]
-        if not kids:
-            bounds[x] = (len(order), -1, num[x])
-            continue
-        (lo, hi), last = span[info_of[x]], num[x]
-        for y in kids:
-            y_lo, y_hi, y_last = bounds[y]
-            lo, hi, last = min(lo, y_lo), max(hi, y_hi), max(last, y_last)
-        bounds[x] = (lo, hi, last)
-        if lo >= num[x] and hi <= last:
-            roots.add(x)
+    for x in reversed(tree.order):
+        if x in info_of:
+            los, his = zip(span[info_of[x]], *(bounds[y] for y in tree.children[x] if y in bounds))
+            bounds[x] = lo, hi = min(los), max(his)
+            if lo >= pos[x] and hi <= last[x]:
+                roots.add(x)
     return roots
 
 

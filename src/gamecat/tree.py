@@ -1,15 +1,23 @@
-"""Finite nontrivial out-trees and their derived order structure.
+"""Finite nontrivial out-trees and their order structure, indexed once.
 
 An out-tree is a rooted oriented tree: exactly one node (the root) has no
 incoming edge, every other node has exactly one. Decision nodes are those
 with outgoing edges; runs are root-to-end paths, identified with their node
 sets but held as their end nodes (`OutTree.ends`), which biject with them.
+
+Validation's walk from the root is kept as an index, the nodes in a
+preorder (`order`); each node's position in it (`pos`), the position of the
+last node of its subtree (`last`) and its depth are derived on first read.
+The subtree below x is `order[pos[x]:last[x] + 1]`, so `tree_leq` is an
+O(1) interval test and `descendants` an O(output) slice. Only a preorder
+with contiguous subtree intervals is promised, in no sibling order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import OperationError, ValidationError
 from .terms import Term, _sorted, encode
@@ -26,6 +34,7 @@ class OutTree:
     end_nodes: frozenset = field(repr=False)
     ends: tuple = field(repr=False)     # end nodes by encoding: one per run, in run order
     sorted_edges: tuple = field(repr=False)  # edges in term order of (src, tgt)
+    order: tuple = field(repr=False)    # the nodes in a preorder
 
     def __eq__(self, other):
         if not isinstance(other, OutTree):
@@ -33,6 +42,37 @@ class OutTree:
         return self.nodes == other.nodes and self.edges == other.edges
 
     __hash__ = None
+
+    @cached_property
+    def sorted_nodes(self) -> tuple:
+        """The nodes in term order, sorted on first read."""
+        return tuple(_sorted(self.nodes))
+
+    @cached_property
+    def pos(self) -> dict:
+        """node -> its position in order."""
+        return {x: k for k, x in enumerate(self.order)}
+
+    @cached_property
+    def last(self) -> dict:
+        """node -> the position of the last node of its subtree. In any
+        preorder a subtree ends just before the first later node whose
+        parent is outside it; path holds the open subtrees' roots."""
+        last, path = {}, []
+        for k, y in enumerate(self.order):
+            while path and path[-1] is not self.pred.get(y):
+                last[path.pop()] = k - 1
+            path.append(y)
+        last.update(dict.fromkeys(path, len(self.order) - 1))
+        return last
+
+    @cached_property
+    def depth(self) -> dict:
+        """node -> the number of edges from the root to it."""
+        depth = {self.root: 0}
+        for y in self.order[1:]:  # a parent comes before its children
+            depth[y] = depth[self.pred[y]] + 1
+        return depth
 
 
 def validate_out_tree(nodes, edges) -> OutTree:
@@ -71,14 +111,15 @@ def validate_out_tree(nodes, edges) -> OutTree:
         children[x].append(y)
 
     # Parents are unique, so this walk meets each reachable node once.
-    order = [root]
-    for x in order:
-        order.extend(children[x])
-    reached = set(order)
-    if reached != node_set:
+    order, stack = [], [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack += children[x]
+    if len(order) != len(node_set):
         # Every unreached node has a parent (roots were unique), so following
         # parents inside the unreached part must loop.
-        seen = set()
+        reached, seen = set(order), set()
         first = x = min(node_set - reached)
         while x not in seen:
             seen.add(x)
@@ -93,11 +134,12 @@ def validate_out_tree(nodes, edges) -> OutTree:
         edges=edge_set,
         root=root,
         pred=pred,
-        children={x: tuple(children[x]) for x in node_set},
+        children={x: tuple(kids) for x, kids in children.items()},
         decision_nodes=decision,
         end_nodes=node_set - decision,
         ends=tuple(sorted(node_set - decision, key=encode)),
         sorted_edges=ordered,
+        order=tuple(order),
     )
 
 
@@ -122,13 +164,7 @@ def tree_leq(t: OutTree, x: Term, y: Term) -> bool:
     """True iff x lies on the root-to-y path at or before y."""
     _check_node(t, x)
     _check_node(t, y)
-    z = y
-    while True:
-        if z == x:
-            return True
-        if z == t.root:
-            return False
-        z = t.pred[z]
+    return t.pos[x] <= t.pos[y] <= t.last[x]
 
 
 def _run(t: OutTree, e: Term) -> frozenset:
@@ -142,9 +178,12 @@ def runs(t: OutTree):
 
 
 def run_end(t: OutTree, run: frozenset) -> Term:
-    """The end node of a run; NotARun unless run is the node set of one."""
+    """The end node of a run; NotARun unless run is the node set of one:
+    the depth(e) + 1 nodes whose subtree intervals hold its end e."""
+    pos, last = t.pos, t.last
     tail = [e for e in run if e in t.end_nodes]
-    if len(tail) != 1 or _run(t, tail[0]) != run:
+    if len(tail) != 1 or len(run) != t.depth[tail[0]] + 1 or not all(
+            x in pos and pos[x] <= pos[tail[0]] <= last[x] for x in run):
         raise OperationError("NotARun", witness=run)
     return tail[0]
 
@@ -152,11 +191,4 @@ def run_end(t: OutTree, run: frozenset) -> Term:
 def descendants(t: OutTree, x: Term) -> frozenset:
     """x and everything below it."""
     _check_node(t, x)
-    out = {x}
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        for z in t.children[y]:
-            out.add(z)
-            stack.append(z)
-    return frozenset(out)
+    return frozenset(t.order[t.pos[x]:t.last[x] + 1])

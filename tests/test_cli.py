@@ -344,3 +344,51 @@ def test_output_does_not_depend_on_hash_order(tmp_path):
     assert [p.returncode for p in procs] == [0, 0]
     games = [name for name in os.listdir(FIXTURES) if name.endswith(".gm")]
     assert outs[0] == outs[1] and outs[0].count("('convert'") == 4 * len(games)
+
+
+def _binary_text(d):
+    """binary(d): the full binary perfect-information tree of depth d, two
+    players alternating by depth."""
+    nodes, frontier, lines = ["r"], ["r"], ["game binary"]
+    for _ in range(d):
+        frontier = [x + bit for x in frontier for bit in "01"]
+        nodes += frontier
+    for k, x in enumerate(nodes):
+        lines.append(f"node {x}")
+        if len(x) <= d:
+            lines += [f"edge {x} {x}0 L", f"edge {x} {x}1 R", f"infoset i{k} {{ {x} }}",
+                      f"player P{(len(x) - 1) % 2 + 1} infoset i{k}"]
+        else:
+            lines += [f"utility P{i} end {x} {(k * i) % 5}" for i in (1, 2)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("to", ["distinguished", "sequence", "action-set",
+                                "distinguished-sequence"])
+def test_convert_sorts_each_node_set_at_most_once(tmp_path, capsys, monkeypatch, to):
+    # Trees keep their nodes in term order, sorted on first read, and
+    # decision or end nodes in term order are read off them.
+    import gamecat.terms
+    path = tmp_path / "b.gm"
+    path.write_text(_binary_text(7), encoding="utf-8")
+    original, calls = gamecat.terms._sorted, []
+
+    def counting_sorted(xs, pairs=False):
+        xs = list(xs)
+        if not pairs:
+            calls.append(frozenset(xs))
+        return original(xs, pairs)
+
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("gamecat") and \
+                getattr(module, "_sorted", None) is original:
+            monkeypatch.setattr(module, "_sorted", counting_sorted)
+    assert run(capsys, "convert", str(path), "--to", to)[0] == 0
+    monkeypatch.undo()
+    trees = [parse_game_text(p.read_text(encoding="utf-8"))[1].tree
+             for p in (path, tmp_path / f"b.{to}.gm")]
+    assert len(trees[0].nodes) == 255 and len(calls) > 0
+    for t in trees:
+        # The distinguished form keeps the node names: two trees, one set.
+        assert calls.count(t.nodes) == sum(u.nodes == t.nodes for u in trees)
+        assert t.decision_nodes not in calls and t.end_nodes not in calls

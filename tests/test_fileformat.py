@@ -647,3 +647,25 @@ def test_bare_atom_lines_are_read_by_one_match():
             for name in (f'"{words[k]}"', f"({words[k]})", f"{{{words[k]}}}", f'"{words[k]} x"'):
                 changed = " ".join(words[:k] + [name] + words[k + 1:])
                 assert not pattern.fullmatch(changed), changed
+
+
+@pytest.mark.parametrize("end", ["e", '"e x"'], ids=["bare-atom line", "quoted-atom line"])
+def test_utility_with_more_digits_than_int_reads_is_a_coded_parse_error(end, tmp_path, capsys):
+    # A bare-atom utility line is read by one match, a quoted one is
+    # tokenised: both name the line, and the CLI exits 2 with no traceback.
+    from gamecat.cli import main
+    big = "1" * 5000
+    text = (f"game g\nnode r\nnode {end}\nnode f\nedge r {end} a\nedge r f b\n"
+            f"infoset i {{ r }}\nplayer P infoset i\nutility P end f 0\n")
+    for value in (big, f"-{big}", f"1/{big}"):
+        with pytest.raises(ParseError) as e:
+            parse_game_text(text + f"utility P end {end} {value}\n")
+        assert e.value.line == 10 and "too many digits" in e.value.detail
+    path = tmp_path / "big.gm"
+    path.write_text(text + f"utility P end {end} {big}\n", encoding="utf-8")
+    assert main(["--format", "machine", "validate", str(path)]) == 2
+    assert capsys.readouterr().out == \
+        "error SyntaxError (rational has too many digits to read at line 10)\n"
+    # The limit is not raised: a utility of 4,300 digits still reads.
+    _, g = parse_game_text(text + f"utility P end {end} {'9' * 4300}\n")
+    assert max(g.utilities.values()) == int("9" * 4300)

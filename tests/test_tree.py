@@ -1,9 +1,14 @@
+import dataclasses
+import glob
+import os
 import random
 
 import pytest
 
-from gamecat import (Atom, ValidationError, descendants, run_end, runs,
-                     strict_predecessors, tree_leq, validate_out_tree)
+from gamecat import (Atom, OperationError, ValidationError, descendants,
+                     parse_game_text, run_end, runs, strict_predecessors,
+                     tree_leq, validate_out_tree)
+from conftest import FIXTURES
 from genrandom import random_game
 
 
@@ -112,3 +117,74 @@ def test_two_parents_witness_is_the_least_such_node():
         with pytest.raises(ValidationError) as e:
             validate_out_tree(set(nodes), edges)
         assert (e.value.code, e.value.witness) == ("HasCycle", reference(edges))
+
+
+def index_inputs():
+    """The fixture games and 240 random games."""
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.gm"))):
+        with open(path, encoding="utf-8") as fh:
+            yield parse_game_text(fh.read())[1]
+    rng = random.Random(131)
+    for _ in range(240):
+        yield random_game(rng, max_nodes=rng.choice([6, 10, 16]))
+
+
+def _leq_by_climb(t, x, y):
+    """x on the root-to-y path, found by climbing parents from y."""
+    while y != x and y != t.root:
+        y = t.pred[y]
+    return y == x
+
+
+def _below_by_walk(t, x):
+    """x and everything below it, by a stack walk over children."""
+    out, stack = [], [x]
+    while stack:
+        y = stack.pop()
+        out.append(y)
+        stack.extend(t.children[y])
+    return out
+
+
+def _check_index(t):
+    assert sorted(t.order) == sorted(t.nodes) and len(t.order) == len(t.nodes)
+    assert all(t.order[t.pos[x]] is x for x in t.nodes)
+    for x in t.nodes:
+        below = _below_by_walk(t, x)
+        assert descendants(t, x) == frozenset(below)
+        assert t.last[x] - t.pos[x] + 1 == len(below)
+        assert t.depth[x] == len(strict_predecessors(t, x))
+        for y in t.nodes:
+            assert tree_leq(t, x, y) == _leq_by_climb(t, x, y)
+
+
+def test_tree_index_agrees_with_parent_climbs_and_stack_walks():
+    # Another preorder, children taken in the opposite order, must give the
+    # same answers: the index promises no sibling order.
+    count = 0
+    for g in index_inputs():
+        t = g.tree
+        _check_index(t)
+        other = []
+        stack = [t.root]
+        while stack:
+            x = stack.pop()
+            other.append(x)
+            stack.extend(reversed(t.children[x]))
+        _check_index(dataclasses.replace(t, order=tuple(other)))
+        count += 1
+    assert count >= 240 + 20
+
+
+def test_run_end_reads_the_index():
+    for g in index_inputs():
+        t = g.tree
+        for e in t.ends:
+            run = frozenset(strict_predecessors(t, e)) | {e}
+            assert run_end(t, run) == e
+            others = [run - {t.root}, run - {e} | {A("not a node")}]
+            others += [run | {x} for x in sorted(t.nodes - run)[:1]]
+            for bad in others:
+                with pytest.raises(OperationError) as err:
+                    run_end(t, bad)
+                assert err.value.code == "NotARun"
