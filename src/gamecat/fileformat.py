@@ -10,9 +10,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import OperationError, ParseError, ValidationError
 from .game import Game, build_game
 from .terms import _ATOMS, _BARE_ATOM, _END, _TOKENS, Atom, _read_tokens, _sorted, encode
+from .tree import _run
 
 # Everything before the first `#` that is outside a quoted atom.
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
@@ -223,8 +224,11 @@ def print_game(name: str, g: Game) -> str:
     for cell in cells:
         pid = g.mover[next(iter(cell))]
         lines.append(f"player {encode(pid)} infoset {ids[cell]}")
-    for (i, end) in _sorted(g.utilities, pairs=True):
-        lines.append(f"utility {encode(i)} end {encode(end)} {g.utilities[(i, end)]}")
+    try:
+        for (i, end) in _sorted(g.utilities, pairs=True):
+            lines.append(f"utility {encode(i)} end {encode(end)} {g.utilities[(i, end)]}")
+    except ValueError:  # str() of a value past the interpreter's digit limit
+        raise OperationError("UtilityTooLong", witness=(i, _run(g.tree, end))) from None
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .terms import Atom, Term
-from .tree import _run, run_end, runs
+from .tree import _run, _runs, run_end, runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +114,8 @@ def ordinal_profile(g: Game, i: Term) -> dict:
         raise OperationError("UnknownPlayer", witness=i)
     ranks = g.ranks[i]
     top = max(ranks.values())
-    return {_run(g.tree, e): top - k for e, k in ranks.items()}
+    runs = _runs(g.tree)
+    return {runs[e]: top - k for e, k in ranks.items()}
 
 
 def build_game(nodes, edges, infosets, mover, utilities) -> Game:

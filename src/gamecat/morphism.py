@@ -15,8 +15,9 @@ from functools import cached_property
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .game import Game, validate_game
-from .terms import Atom, Term, _sorted
-from .tree import _run, run_end, strict_predecessors, validate_out_tree
+from .terms import Atom, Term, _sorted, encode, encode_set
+from .tree import (OutTree, _children, _run, _runs, run_end, strict_predecessors,
+                   validate_out_tree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +58,10 @@ class GameMorphism:
     @cached_property
     def zeta(self) -> dict:
         """Run -> run: each run goes to the run through its end's image."""
-        src, tgt, tau = self.source.tree, self.target.tree, self.node_map
-        return {_run(src, e): _run(tgt, tau[e]) for e in src.ends}
+        ends, tau = self.source.tree.ends, self.node_map
+        src = _runs(self.source.tree)
+        tgt = _runs(self.target.tree, {tau[e] for e in ends})
+        return {src[e]: tgt[tau[e]] for e in ends}
 
 
 def _decision_nodes(t) -> list:
@@ -310,6 +313,13 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     Returns the rebuilt game and the certifying isomorphism from g to it.
     action_bijs maps each decision node to a bijection on its feasible set
     and must be constant across each information set.
+
+    Only the bijections are checked: a bijective renaming of a valid game
+    is a valid game, and an isomorphism in Gm onto it whose alpha is each
+    cell's action map and whose iota is the player map. So both are built
+    by transport, with no validator: every field maps through the
+    bijections, `order` stays a preorder with contiguous subtrees, and only
+    what the names order (sorted edges, children, ends, cells) is sorted.
     """
     node_bij = dict(node_bij)
     if set(node_bij) != set(g.tree.nodes) or len(set(node_bij.values())) != len(node_bij):
@@ -328,18 +338,29 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     if split is not None:
         raise OperationError("ActionBijsNotConstantOnInfoset", witness=split)
 
-    edges = {}
-    for (x, y), a in g.clt.label.items():
-        edges[(node_bij[x], node_bij[y])] = action_bijs[x][a]
-    infosets = [frozenset(node_bij[x] for x in cell) for cell in g.clt.infosets]
-    tree2 = validate_out_tree({node_bij[x] for x in g.tree.nodes}, set(edges))
-    clt2 = validate_clt(tree2, infosets, edges)
-    mover2 = {node_bij[x]: player_bij[i] for x, i in g.mover.items()}
-    utilities2 = {(player_bij[i], node_bij[end]): v
-                  for (i, end), v in g.utilities.items()}
-    g2 = validate_game(clt2, mover2, utilities2)
-    cert = validate_game_morphism(g, g2, node_bij)
-    return g2, cert
+    t, c, nb, pb = g.tree, g.clt, node_bij, player_bij
+    image = nb.__getitem__
+    label = {(nb[x], nb[y]): action_bijs[x][a] for (x, y), a in c.label.items()}
+    nodes, edges = frozenset(nb.values()), frozenset(label)
+    ordered = tuple(_sorted(edges, pairs=True))
+    decision = frozenset(map(image, t.decision_nodes))
+    tree = OutTree(nodes=nodes, edges=edges, root=nb[t.root], pred={y: x for x, y in ordered},
+                   children=_children(nodes, ordered), decision_nodes=decision,
+                   end_nodes=nodes - decision, ends=tuple(sorted(nodes - decision, key=encode)),
+                   sorted_edges=ordered, order=tuple(map(image, t.order)))
+    cells = tuple(sorted([frozenset(map(image, cell)) for cell in c.cells], key=encode_set))
+    clt = CLT(tree=tree, infosets=frozenset(cells), label=label,
+              actions=frozenset(label.values()),
+              feasible={nb[x]: frozenset(action_bijs[x].values()) for x in t.decision_nodes},
+              next={(nb[x], action_bijs[x][a]): nb[y] for (x, a), y in c.next.items()},
+              info_of={x: cell for cell in cells for x in cell}, cells=cells)
+    g2 = Game(clt=clt, mover={nb[x]: pb[i] for x, i in g.mover.items()},
+              players=frozenset(pb.values()),
+              utilities={(pb[i], nb[e]): v for (i, e), v in g.utilities.items()},
+              player_nodes={pb[i]: frozenset(map(image, xs)) for i, xs in g.player_nodes.items()})
+    alpha = {cell: action_bijs[next(iter(cell))] for cell in c.cells}
+    cm = CltMorphism(source=c, target=clt, node_map=nb, alpha=alpha)
+    return g2, GameMorphism(source=g, target=g2, clt_morphism=cm, iota=pb)
 
 
 def _signatures(t):

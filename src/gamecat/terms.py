@@ -374,5 +374,8 @@ def parse_term(s: str) -> Term:
 
 def encode_set(nodes) -> str:
     """Canonical encoding of a collection of terms as a set; each member's
-    encoding is stored on the member."""
+    encoding is stored on the member. One member needs no copy or sort."""
+    if len(nodes) == 1:
+        (x,) = nodes
+        return "{" + encode(x) + "}"
     return "{" + ",".join([encode(x) for x in _sorted(set(nodes))]) + "}"

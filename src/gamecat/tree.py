@@ -106,9 +106,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
         raise ValidationError("MultipleRoots", witness=tuple(roots))
     root = roots[0]
 
-    children: dict = {x: [] for x in node_set}
-    for x, y in ordered:
-        children[x].append(y)
+    children = _children(node_set, ordered)
 
     # Parents are unique, so this walk meets each reachable node once.
     order, stack = [], [root]
@@ -134,13 +132,21 @@ def validate_out_tree(nodes, edges) -> OutTree:
         edges=edge_set,
         root=root,
         pred=pred,
-        children={x: tuple(kids) for x, kids in children.items()},
+        children=children,
         decision_nodes=decision,
         end_nodes=node_set - decision,
         ends=tuple(sorted(node_set - decision, key=encode)),
         sorted_edges=ordered,
         order=tuple(order),
     )
+
+
+def _children(nodes, ordered) -> dict:
+    """node -> the tuple of its children, in the order of the edges ordered."""
+    children: dict = {x: [] for x in nodes}
+    for x, y in ordered:
+        children[x].append(y)
+    return {x: tuple(kids) for x, kids in children.items()}
 
 
 def _check_node(t: OutTree, x: Term):
@@ -172,9 +178,26 @@ def _run(t: OutTree, e: Term) -> frozenset:
     return frozenset([*strict_predecessors(t, e), e])
 
 
+def _runs(t: OutTree, ends=None) -> dict:
+    """end node -> the node set of its run, for each end in ends (default
+    all), from one walk of order that keeps the open root path: each node
+    is pushed and popped once, and each run is copied from the path in C."""
+    out, path, pred = {}, [], t.pred
+    ends = t.end_nodes if ends is None else ends
+    for y in t.order:
+        parent = pred.get(y)
+        while path and path[-1] is not parent:
+            path.pop()
+        path.append(y)
+        if y in ends:
+            out[y] = frozenset(path)
+    return out
+
+
 def runs(t: OutTree):
     """All root-to-end paths as node sets, ordered by end-node encoding."""
-    return [_run(t, e) for e in t.ends]
+    by_end = _runs(t)
+    return [by_end[e] for e in t.ends]
 
 
 def run_end(t: OutTree, run: frozenset) -> Term:

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import itertools
 import os
@@ -7,12 +8,12 @@ import time
 import pytest
 
 import gamecat.canon
-from gamecat import (Atom, ConversionResult, ValidationError, build_game, compose,
-                     identity_morphism, inverse, is_iso, one_player_zero_game,
-                     parse_game_text, print_game, print_morphism, properties,
-                     pushforward, strict_predecessors, term_key, to_action_set,
-                     to_distinguished, to_distinguished_sequence, to_sequence,
-                     tree_leq, validate_game_morphism)
+from gamecat import (Atom, ConversionResult, OperationError, ValidationError, build_game,
+                     compose, descendants, identity_morphism, inverse, is_iso,
+                     one_player_zero_game, parse_game_text, print_game, print_morphism,
+                     properties, pushforward, strict_predecessors, term_key, to_action_set,
+                     to_distinguished, to_distinguished_sequence, to_sequence, tree_leq,
+                     validate_clt, validate_game, validate_game_morphism, validate_out_tree)
 from gamecat.terms import FinSet, Tup
 from conftest import FIXTURES
 from examplegames import A, make_game, trio_a, trio_undist, relabel, split, refine
@@ -322,3 +323,136 @@ def test_converters_scale_with_their_output_on_a_deep_path():
         assert all(type(x) is name for x in result.game.tree.nodes)
         m = validate_game_morphism(g, result.game, result.certificate.node_map)
         assert is_iso(m) and m == result.certificate
+
+
+# Guard: converters and pushforward build their image and certificate by
+# transport. Each is rebuilt here from its raw parts by the validators.
+
+def _revalidated(g):
+    tree = validate_out_tree(set(g.tree.nodes), set(g.tree.edges))
+    clt = validate_clt(tree, [set(cell) for cell in g.clt.infosets], dict(g.clt.label))
+    return validate_game(clt, dict(g.mover), dict(g.utilities))
+
+
+def _is_preorder_with_contiguous_subtrees(t):
+    """order holds each node once, the root first, and each later node's
+    parent is on the path of open subtrees: a depth-first preorder."""
+    if len(t.order) != len(t.nodes) or set(t.order) != t.nodes or t.order[0] != t.root:
+        return False
+    path = [t.root]
+    for y in t.order[1:]:
+        while path and path[-1] != t.pred[y]:
+            path.pop()
+        if not path:
+            return False
+        path.append(y)
+    return True
+
+
+def _assert_transported(source, g, cert):
+    v = _revalidated(g)
+    for got, want in ((g.tree, v.tree), (g.clt, v.clt), (g, v)):
+        for f in dataclasses.fields(got):
+            if f.name != "order":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+    t = g.tree
+    assert _is_preorder_with_contiguous_subtrees(t)
+    for x in t.nodes:
+        assert descendants(t, x) == {y for y in t.nodes
+                                     if y == x or x in strict_predecessors(t, y)}
+    m = validate_game_morphism(source, v, cert.node_map)
+    assert cert.source is source and cert.target is g
+    assert cert.node_map == m.node_map and cert.iota == m.iota
+    assert cert.clt_morphism.alpha == m.clt_morphism.alpha
+    assert is_iso(cert) and is_iso(m)
+
+
+def test_converter_results_equal_their_revalidation():
+    converted = 0
+    for g in reference_inputs():
+        for convert, _ in CONVERTERS:
+            try:
+                res = convert(g)
+            except ValidationError as e:
+                assert e.code == "Absentminded"
+                continue
+            _assert_transported(g, res.game, res.certificate)
+            converted += 1
+    assert converted >= 4 * 240
+
+
+def _random_bijections(rng, g):
+    """Nodes renamed to quoted, tuple and set names in a shuffled order,
+    each cell's actions permuted, the players permuted."""
+    nodes = list(g.tree.sorted_nodes)
+    rng.shuffle(nodes)
+    styles = [lambda k: Atom(f"n {k}"), lambda k: Tup((Atom("n"), Atom(str(k)))),
+              lambda k: FinSet((Atom(str(k)), Tup(())))]
+    node_bij = {x: rng.choice(styles)(k) for k, x in enumerate(nodes)}
+    action_bijs = {}
+    for cell in g.clt.infosets:
+        acts = sorted(g.clt.feasible[next(iter(cell))])
+        images = rng.sample(acts, len(acts))
+        action_bijs.update(dict.fromkeys(cell, dict(zip(acts, images))))
+    players = sorted(g.players)
+    return node_bij, action_bijs, dict(zip(players, rng.sample(players, len(players))))
+
+
+def test_pushforward_on_random_bijections_equals_its_revalidation():
+    rng = random.Random(83)
+    for g in reference_inputs():
+        node_bij, action_bijs, player_bij = _random_bijections(rng, g)
+        g2, cert = pushforward(g, node_bij, action_bijs, player_bij)
+        _assert_transported(g, g2, cert)
+
+
+def _pushforward_error(g, node_bij, action_bijs, player_bij):
+    with pytest.raises(OperationError) as e:
+        pushforward(g, node_bij, action_bijs, player_bij)
+    return e.value.code, e.value.witness, e.value.detail
+
+
+def test_pushforward_errors_keep_their_codes_and_witnesses():
+    rng = random.Random(89)
+    seen = set()
+    for g in itertools.islice(reference_inputs(), 200):
+        node_bij, action_bijs, player_bij = _random_bijections(rng, g)
+        args = (node_bij, action_bijs, player_bij)
+        x, y = rng.sample(sorted(g.tree.nodes), 2)
+        for bad in ({**node_bij, x: node_bij[y]}, {k: v for k, v in node_bij.items() if k != x}):
+            assert _pushforward_error(g, bad, *args[1:]) == ("NotBijective", None, "node map")
+        if len(player_bij) > 1:
+            i, j = sorted(player_bij)[:2]
+            bad = {**player_bij, i: player_bij[j]}
+            assert _pushforward_error(g, *args[:2], bad) == ("NotBijective", None, "player map")
+        decision = sorted(g.tree.decision_nodes)
+        x = rng.choice(decision)
+        bad = {k: v for k, v in action_bijs.items() if k != x}
+        assert _pushforward_error(g, node_bij, bad, player_bij) == \
+            ("NotBijective", None, "action maps must cover decision nodes")
+        # Broken maps at several nodes: the least one in term order is named.
+        broken = rng.sample(decision, min(2, len(decision)))
+        bad = dict(action_bijs)
+        for x in broken:
+            a = min(bad[x])
+            bad[x] = {**bad[x], Atom("zz"): bad[x][a]} if rng.random() < 0.5 else \
+                {k: v for k, v in bad[x].items() if k != a}
+        assert _pushforward_error(g, node_bij, bad, player_bij) == \
+            ("NotBijective", min(broken), "action map at node")
+        # One member of a cell gets its own permutation: the first split cell
+        # in encoding order names its least member and the least other
+        # member whose map differs.
+        cells = [c for c in g.clt.sorted_infosets()
+                 if len(c) > 1 and len(g.clt.feasible[next(iter(c))]) > 1]
+        if cells:
+            cell = rng.choice(cells)
+            x = rng.choice(sorted(cell))
+            acts = sorted(action_bijs[x])
+            bad = {**action_bijs, x: dict(zip(acts, [action_bijs[x][a] for a in acts[1:] + acts[:1]]))}
+            first = min(cell)
+            other = min(y for y in cell if bad[y] != bad[first])
+            assert _pushforward_error(g, node_bij, bad, player_bij) == \
+                ("ActionBijsNotConstantOnInfoset", (first, other), "")
+            seen.add("split")
+        seen.add("players" if len(player_bij) > 1 else "one player")
+    assert seen == {"split", "players", "one player"}

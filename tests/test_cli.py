@@ -392,3 +392,28 @@ def test_convert_sorts_each_node_set_at_most_once(tmp_path, capsys, monkeypatch,
         # The distinguished form keeps the node names: two trees, one set.
         assert calls.count(t.nodes) == sum(u.nodes == t.nodes for u in trees)
         assert t.decision_nodes not in calls and t.end_nodes not in calls
+
+
+@pytest.mark.parametrize("to", ["distinguished", "sequence", "action-set",
+                                "distinguished-sequence"])
+def test_convert_validates_only_its_input(tmp_path, capsys, monkeypatch, to):
+    # The converted game and its certificate are built by transport: the
+    # only validation is the input's, and no morphism is validated.
+    names = ["validate_out_tree", "validate_clt", "validate_game", "validate_game_morphism"]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(gamecat, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("gamecat") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "b.gm"
+    path.write_text(_binary_text(7), encoding="utf-8")
+    assert run(capsys, "convert", str(path), "--to", to)[0] == 0
+    assert calls == {"validate_out_tree": 1, "validate_clt": 1, "validate_game": 1,
+                     "validate_game_morphism": 0}

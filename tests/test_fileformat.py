@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamecat import (Atom, ParseError, ValidationError, build_game, encode,
+from gamecat import (Atom, OperationError, ParseError, ValidationError, build_game, encode,
                      parse_game_text, parse_morphism_text, parse_term,
                      print_game, print_morphism, pushforward)
 from gamecat.terms import FinSet, Tup
@@ -669,3 +669,16 @@ def test_utility_with_more_digits_than_int_reads_is_a_coded_parse_error(end, tmp
     # The limit is not raised: a utility of 4,300 digits still reads.
     _, g = parse_game_text(text + f"utility P end {end} {'9' * 4300}\n")
     assert max(g.utilities.values()) == int("9" * 4300)
+
+
+@pytest.mark.parametrize("value", [10 ** 5000, Fraction(1, 10 ** 5000)], ids=["integer", "fraction"])
+def test_printing_a_utility_with_more_digits_than_str_writes_is_a_coded_error(value):
+    # Only a game built in the library can hold such a value: the reader
+    # rejects it. The error names the player and the run.
+    r, e, f, p = A("r"), A("e"), A("f"), A("P")
+    g = build_game({r, e, f}, {(r, e): A("a"), (r, f): A("b")}, [{r}], {r: p},
+                   {(p, e): value, (p, f): 0})
+    with pytest.raises(OperationError) as err:
+        print_game("g", g)
+    assert err.value.code == "UtilityTooLong"
+    assert err.value.witness == (p, frozenset({r, e}))

@@ -1,4 +1,6 @@
+import glob
 import itertools
+import os
 import random
 import sys
 import time
@@ -9,10 +11,11 @@ import pytest
 from gamecat import (Atom, GameMorphism, OperationError, ValidationError, action_at,
                      build_game, clt_mono_witness, compose, forget, identity_clt_morphism,
                      identity_morphism, inverse, is_iso, is_mono, iso_search,
-                     mono_witness, one_player_zero_game, pushforward, run_at, run_end,
-                     strict_predecessors, term_key, validate_clt_morphism,
-                     validate_game_morphism)
+                     mono_witness, one_player_zero_game, parse_game_text, pushforward,
+                     run_at, run_end, runs, strict_predecessors, term_key,
+                     validate_clt_morphism, validate_game_morphism)
 from gamecat.terms import FinSet, Tup
+from conftest import FIXTURES
 from examplegames import (A, trio_a, trio_b, relabel, split, mixedalpha, endclash, prefixed,
                      twomover, prefixinc, collapse, mergeplayers, flatten, refine, make_game)
 from genrandom import (extend_under_new_root, merge_two_ends, random_game,
@@ -532,16 +535,17 @@ def test_a_long_comb_validates_and_classifies_within_seconds():
 def run_node_sets(monkeypatch):
     """The end nodes whose run node set gamecat builds, one per build."""
     import gamecat.tree
-    build = gamecat.tree._run
+    build = gamecat.tree._runs
     calls = []
 
-    def counted(t, e):
-        calls.append(e)
-        return build(t, e)
+    def counted(t, *args):
+        built = build(t, *args)
+        calls.extend(built)
+        return built
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "gamecat" and getattr(module, "_run", None) is build:
-            monkeypatch.setattr(module, "_run", counted)
+        if name.split(".")[0] == "gamecat" and getattr(module, "_runs", None) is build:
+            monkeypatch.setattr(module, "_runs", counted)
     return calls
 
 
@@ -554,3 +558,23 @@ def test_run_node_sets_are_built_only_when_zeta_is_read(run_node_sets):
     zeta = m.zeta
     assert len(zeta) == 201 and len(run_node_sets) == 2 * 201
     assert m.zeta is zeta and len(run_node_sets) == 2 * 201
+
+
+def test_runs_and_zeta_equal_the_parent_chain_runs():
+    # runs() and zeta come from one preorder walk per tree; _run climbs
+    # the parent chain of one end.
+    from gamecat.tree import _run
+    rng = random.Random(67)
+    games = [parse_game_text(open(p, encoding="utf-8").read())[1]
+             for p in sorted(glob.glob(os.path.join(FIXTURES, "*.gm")))]
+    games += [random_game(rng, max_nodes=rng.choice([6, 10, 16])) for _ in range(240)]
+    games.append(comb_game(300))
+    for g in games:
+        t = g.tree
+        assert runs(t) == g.runs() == [_run(t, e) for e in t.ends]
+        ms = [identity_morphism(g), relabel_iso(rng, g)[1], extend_under_new_root(rng, g)[1]]
+        merged = merge_two_ends(rng, g)
+        ms += [merged[1]] if merged is not None else []
+        for m in ms:
+            tau, tgt = m.node_map, m.target.tree
+            assert list(m.zeta.items()) == [(_run(t, e), _run(tgt, tau[e])) for e in t.ends]
