@@ -114,12 +114,13 @@ def _renamed(g: Game, action_bijs, name=None) -> ConversionResult:
     name(the action images on its root path), found in one top-down pass."""
     t, label = g.tree, g.clt.label
     if name:
-        # In preorder each node's parent comes first.
-        path = {t.root: ()}
+        # In preorder each node's parent comes first. A set's items are in
+        # term order, so naming a child from its parent's items sorts one
+        # item out of place.
+        node_bij = {t.root: name(())}
         for y in t.order[1:]:
             x = t.pred[y]
-            path[y] = path[x] + (action_bijs[x][label[(x, y)]],)
-        node_bij = {x: name(p) for x, p in path.items()}
+            node_bij[y] = name((*node_bij[x].items, action_bijs[x][label[(x, y)]]))
     else:
         node_bij = {x: x for x in t.nodes}
     g2, cert = pushforward(g, node_bij, action_bijs, {i: i for i in g.players})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
 
 from .errors import OperationError, ParseError, ValidationError
 from .game import Game, build_game
@@ -79,18 +80,19 @@ def _read_rational(toks) -> Fraction:
 
 def _lines(text: str, bare):
     """(line number, keyword, rest, match, tokens) for each line that is not
-    blank once its comment is stripped: for a line that bare matches whole,
-    its keyword and match; else the keyword up to the first space or tab,
-    the rest less leading whitespace, and its tokens, ending in one _END."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    blank once its comment is stripped: for a line that bare matches whole
+    (all lines are stripped and matched in C), its keyword and match; else
+    the keyword up to the first space or tab, the rest less leading
+    whitespace, and its tokens, ending in one _END."""
+    lines = list(map(str.strip, text.splitlines()))
+    for lineno, line, m in zip(count(1), lines, map(bare.fullmatch, lines)):
+        if m:
+            yield lineno, m.lastgroup, None, m, None
+            continue
         if "#" in line:
-            m = _BEFORE_COMMENT.match(line)
-            line = m.group(0) if m else line
-        line = line.strip()
+            c = _BEFORE_COMMENT.match(line)
+            line = c.group(0).rstrip() if c else line
         if line:
-            if m := bare.fullmatch(line):
-                yield lineno, m.lastgroup, None, m, None
-                continue
             head, _, rest = line.partition(" ")
             if "\t" in head:
                 head, _, rest = line.partition("\t")
@@ -105,21 +107,20 @@ def parse_game_text(text: str):
     name = None
     nodes: set = set()
     edges: dict = {}
-    edge_lines: dict = {}  # (src, tgt) -> declaration line, for error reports
+    edge_lines: list = []  # each edge's declaration line, in edges' order, for error reports
     cells: dict = {}       # infoset id (Term) -> frozenset of nodes
     cell_player: dict = {}  # infoset id -> player
     utilities: dict = {}
+    atom = _ATOMS.get
+    values: dict = {}      # rational text -> its Fraction, read once per file
 
+    # Keywords are tested most frequent first.
     for lineno, head, rest, m, toks in _lines(text, _GM_LINE):
         # A tokenised line is read to its end when only _END is left.
         try:
-            if head == "game":
-                name = rest
-                if not name:
-                    raise ParseError("missing game name")
-            elif head == "node":
+            if head == "node":
                 if m:
-                    x = _ATOMS.get(m[1]) or Atom(m[1])
+                    x = atom(m[1]) or Atom(m[1])
                 else:
                     x, k = _read_tokens(toks, 0)
                     if k + 1 < len(toks):
@@ -127,50 +128,29 @@ def parse_game_text(text: str):
                 nodes.add(x)
             elif head == "edge":
                 if m:
-                    src = _ATOMS.get(m[2]) or Atom(m[2])
-                    tgt = _ATOMS.get(m[3]) or Atom(m[3])
-                    act = _ATOMS.get(m[4]) or Atom(m[4])
+                    s, t, a = m.group(2, 3, 4)
+                    src = atom(s) or Atom(s)
+                    tgt = atom(t) or Atom(t)
+                    act = atom(a) or Atom(a)
                 else:
                     src, k = _read_tokens(toks, 0)
                     tgt, k = _read_tokens(toks, k)
                     act, k = _read_tokens(toks, k)
                     if k + 1 < len(toks):
                         raise ParseError("trailing input")
-                if (src, tgt) in edges:
+                key = (src, tgt)
+                if key in edges:
                     raise ParseError("duplicate edge")
-                edges[(src, tgt)] = act
-                edge_lines[(src, tgt)] = lineno
-            elif head == "infoset":
-                if m:
-                    ident = _ATOMS.get(m[5]) or Atom(m[5])
-                    members = frozenset([_ATOMS.get(w) or Atom(w) for w in m[6].split()])
-                else:
-                    ident, k = _read_tokens(toks, 0)
-                    members, k = _members(toks, k)
-                    if k + 1 < len(toks):
-                        raise ParseError("trailing input")
-                if ident in cells:
-                    raise ParseError("duplicate infoset id")
-                cells[ident] = members
-            elif head == "player":
-                if m:
-                    pid = _ATOMS.get(m[7]) or Atom(m[7])
-                    ident = _ATOMS.get(m[8]) or Atom(m[8])
-                else:
-                    pid, k = _read_tokens(toks, 0)
-                    if _word_at(toks, k) != "infoset":
-                        raise ParseError("expected 'infoset'")
-                    ident, k = _read_tokens(toks, k + 1)
-                    if k + 1 < len(toks):
-                        raise ParseError("trailing input")
-                if ident in cell_player:
-                    raise ParseError("infoset assigned to two players")
-                cell_player[ident] = pid
+                edges[key] = act
+                edge_lines.append(lineno)
             elif head == "utility":
                 if m:
-                    pid = _ATOMS.get(m[9]) or Atom(m[9])
-                    where = _ATOMS.get(m[10]) or Atom(m[10])
-                    value = _fraction(m[12], m[13])
+                    p, e, r = m.group(9, 10, 11)
+                    pid = atom(p) or Atom(p)
+                    where = atom(e) or Atom(e)
+                    value = values.get(r)
+                    if value is None:
+                        value = values[r] = _fraction(*m.group(12, 13))
                 else:
                     pid, k = _read_tokens(toks, 0)
                     word = _word_at(toks, k)
@@ -182,6 +162,38 @@ def parse_game_text(text: str):
                         raise ParseError("expected 'end' or 'run'")
                     value = _read_rational(toks[k:])
                 utilities[(pid, where)] = value
+            elif head == "infoset":
+                if m:
+                    i, ws = m.group(5, 6)
+                    ident = atom(i) or Atom(i)
+                    members = frozenset([atom(w) or Atom(w) for w in ws.split()])
+                else:
+                    ident, k = _read_tokens(toks, 0)
+                    members, k = _members(toks, k)
+                    if k + 1 < len(toks):
+                        raise ParseError("trailing input")
+                if ident in cells:
+                    raise ParseError("duplicate infoset id")
+                cells[ident] = members
+            elif head == "player":
+                if m:
+                    p, i = m.group(7, 8)
+                    pid = atom(p) or Atom(p)
+                    ident = atom(i) or Atom(i)
+                else:
+                    pid, k = _read_tokens(toks, 0)
+                    if _word_at(toks, k) != "infoset":
+                        raise ParseError("expected 'infoset'")
+                    ident, k = _read_tokens(toks, k + 1)
+                    if k + 1 < len(toks):
+                        raise ParseError("trailing input")
+                if ident in cell_player:
+                    raise ParseError("infoset assigned to two players")
+                cell_player[ident] = pid
+            elif head == "game":
+                name = rest
+                if not name:
+                    raise ParseError("missing game name")
             else:
                 raise ParseError(f"unknown declaration {head!r}")
         except ParseError as e:
@@ -201,8 +213,8 @@ def parse_game_text(text: str):
     except ValidationError as e:
         if e.code == "NonDeterministic" and isinstance(e.witness, tuple):
             x, a = e.witness
-            where = sorted(line for (s, t), line in edge_lines.items()
-                           if s == x and edges[(s, t)] == a)
+            where = [line for ((s, _), b), line in zip(edges.items(), edge_lines)
+                     if s == x and b == a]
             if where:
                 raise ValidationError(e.code, e.witness,
                                       detail=f"line {where[-1]}") from None
@@ -224,9 +236,11 @@ def print_game(name: str, g: Game) -> str:
     for cell in cells:
         pid = g.mover[next(iter(cell))]
         lines.append(f"player {encode(pid)} infoset {ids[cell]}")
+    ends = [x for x in g.tree.sorted_nodes if x in g.tree.end_nodes]
     try:
-        for (i, end) in _sorted(g.utilities, pairs=True):
-            lines.append(f"utility {encode(i)} end {encode(end)} {g.utilities[(i, end)]}")
+        for i in _sorted(g.players):
+            for end in ends:
+                lines.append(f"utility {encode(i)} end {encode(end)} {g.utilities[(i, end)]}")
     except ValueError:  # str() of a value past the interpreter's digit limit
         raise OperationError("UtilityTooLong", witness=(i, _run(g.tree, end))) from None
     return "\n".join(lines) + "\n"

@@ -125,6 +125,6 @@ def build_game(nodes, edges, infosets, mover, utilities) -> Game:
     """
     from .tree import validate_out_tree
 
-    tree = validate_out_tree(nodes, set(edges))
+    tree = validate_out_tree(nodes, edges)
     clt = validate_clt(tree, infosets, edges)
     return validate_game(clt, mover, utilities)

@@ -15,8 +15,8 @@ from functools import cached_property
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .game import Game, validate_game
-from .terms import Atom, Term, _sorted, encode, encode_set
-from .tree import (OutTree, _children, _run, _runs, run_end, strict_predecessors,
+from .terms import Atom, Term, _sorted, encode_set
+from .tree import (_indexed, _run, _runs, run_end, strict_predecessors,
                    validate_out_tree)
 
 
@@ -319,7 +319,8 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     cell's action map and whose iota is the player map. So both are built
     by transport, with no validator: every field maps through the
     bijections, `order` stays a preorder with contiguous subtrees, and only
-    what the names order (sorted edges, children, ends, cells) is sorted.
+    what the names order is sorted: the nodes, once, as validation does
+    (children and sorted edges are read off them), the ends and the cells.
     """
     node_bij = dict(node_bij)
     if set(node_bij) != set(g.tree.nodes) or len(set(node_bij.values())) != len(node_bij):
@@ -341,13 +342,8 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     t, c, nb, pb = g.tree, g.clt, node_bij, player_bij
     image = nb.__getitem__
     label = {(nb[x], nb[y]): action_bijs[x][a] for (x, y), a in c.label.items()}
-    nodes, edges = frozenset(nb.values()), frozenset(label)
-    ordered = tuple(_sorted(edges, pairs=True))
-    decision = frozenset(map(image, t.decision_nodes))
-    tree = OutTree(nodes=nodes, edges=edges, root=nb[t.root], pred={y: x for x, y in ordered},
-                   children=_children(nodes, ordered), decision_nodes=decision,
-                   end_nodes=nodes - decision, ends=tuple(sorted(nodes - decision, key=encode)),
-                   sorted_edges=ordered, order=tuple(map(image, t.order)))
+    tree = _indexed(frozenset(nb.values()), frozenset(label), nb[t.root],
+                    {nb[y]: nb[x] for y, x in t.pred.items()}, map(image, t.order))
     cells = tuple(sorted([frozenset(map(image, cell)) for cell in c.cells], key=encode_set))
     clt = CLT(tree=tree, infosets=frozenset(cells), label=label,
               actions=frozenset(label.values()),

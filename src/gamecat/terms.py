@@ -172,17 +172,13 @@ def _cmp(a: Term, b: Term) -> int:
     return -1 if a._rank < b._rank else 1
 
 
-def _pair_key(p):
-    return p[0]._key, p[1]._key
-
-
-def _sorted(xs, pairs: bool = False) -> list:
-    """Terms, or with pairs (term, term) pairs, in term order: the list
-    sorted() gives, but compared natively by the terms' keys rather than
-    through __lt__, unless a term is too deep to have one (then xs is read
-    twice, so it is a collection). The one sort of terms in the library."""
+def _sorted(xs) -> list:
+    """Terms in term order: the list sorted() gives, but compared natively
+    by the terms' keys rather than through __lt__, unless a term is too
+    deep to have one (then xs is read twice, so it is a collection). The
+    one sort of terms in the library."""
     try:
-        return sorted(xs, key=_pair_key if pairs else _KEY)
+        return sorted(xs, key=_KEY)
     except AttributeError:  # a term too deep for a native key
         return sorted(xs)
 

@@ -5,10 +5,12 @@ incoming edge, every other node has exactly one. Decision nodes are those
 with outgoing edges; runs are root-to-end paths, identified with their node
 sets but held as their end nodes (`OutTree.ends`), which biject with them.
 
-Validation's walk from the root is kept as an index, the nodes in a
-preorder (`order`); each node's position in it (`pos`), the position of the
-last node of its subtree (`last`) and its depth are derived on first read.
-The subtree below x is `order[pos[x]:last[x] + 1]`, so `tree_leq` is an
+Validation sorts the nodes once, in term order (`sorted_nodes`), and reads
+the children of each node and the edges (`sorted_edges`) off them, both in
+term order. Its walk from the root is kept as an index, the nodes in a
+preorder (`order`); each node's position in it (`pos`), the position of
+the last node of its subtree (`last`) and its depth are derived on first
+read. The subtree below x is `order[pos[x]:last[x] + 1]`, so `tree_leq` is an
 O(1) interval test and `descendants` an O(output) slice. Only a preorder
 with contiguous subtree intervals is promised, in no sibling order.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import is_
 
 from .errors import OperationError, ValidationError
 from .terms import Term, _sorted, encode
@@ -33,6 +36,7 @@ class OutTree:
     decision_nodes: frozenset = field(repr=False)
     end_nodes: frozenset = field(repr=False)
     ends: tuple = field(repr=False)     # end nodes by encoding: one per run, in run order
+    sorted_nodes: tuple = field(repr=False)  # nodes in term order
     sorted_edges: tuple = field(repr=False)  # edges in term order of (src, tgt)
     order: tuple = field(repr=False)    # the nodes in a preorder
 
@@ -42,11 +46,6 @@ class OutTree:
         return self.nodes == other.nodes and self.edges == other.edges
 
     __hash__ = None
-
-    @cached_property
-    def sorted_nodes(self) -> tuple:
-        """The nodes in term order, sorted on first read."""
-        return tuple(_sorted(self.nodes))
 
     @cached_property
     def pos(self) -> dict:
@@ -81,43 +80,42 @@ def validate_out_tree(nodes, edges) -> OutTree:
     if not node_set:
         raise ValidationError("NoRoot", detail="empty node set")
 
-    ordered = tuple(_sorted(edge_set, pairs=True))
-    for x, y in ordered:
-        if x not in node_set or y not in node_set:
-            raise ValidationError("DanglingEdge", witness=(x, y))
-        if x == y:
-            raise ValidationError("HasCycle", witness=(x, y))
-        if (y, x) in edge_set:
-            raise ValidationError("NotAntisymmetric", witness=(x, y))
+    # With one parent per node, the edges are checked in C: an edge dangles
+    # unless both ends are nodes, and a self-loop or antisymmetric pair makes
+    # some node its parent's parent. On a failed check they are scanned, and
+    # only the offenders are sorted, for the least as the witness.
+    pred = {y: x for x, y in edge_set}
+    parents = pred.values()
+    if (len(pred) < len(edge_set) or not node_set.issuperset(pred)
+            or not node_set.issuperset(parents) or any(map(is_, map(pred.get, parents), pred))):
+        bad = [(x, y) for x, y in edge_set
+               if x not in node_set or y not in node_set or x == y or (y, x) in edge_set]
+        if bad:
+            x, y = min(bad)
+            code = ("DanglingEdge" if x not in node_set or y not in node_set
+                    else "HasCycle" if x == y else "NotAntisymmetric")
+            raise ValidationError(code, witness=(x, y))
 
     if not edge_set:
         raise ValidationError("Trivial")
 
-    pred = {y: x for x, y in ordered}
-    if len(pred) < len(ordered):
-        parents = Counter(y for _, y in ordered)
-        raise ValidationError("HasCycle", witness=min(y for y, n in parents.items() if n > 1),
+    if len(pred) < len(edge_set):
+        incoming = Counter(y for _, y in edge_set)
+        raise ValidationError("HasCycle", witness=min(y for y, n in incoming.items() if n > 1),
                               detail="node has two incoming edges")
 
-    roots = _sorted(node_set - set(pred))
+    roots = node_set - pred.keys()
     if not roots:
         raise ValidationError("NoRoot")
     if len(roots) > 1:
-        raise ValidationError("MultipleRoots", witness=tuple(roots))
-    root = roots[0]
+        raise ValidationError("MultipleRoots", witness=tuple(_sorted(roots)))
+    (root,) = roots
 
-    children = _children(node_set, ordered)
-
-    # Parents are unique, so this walk meets each reachable node once.
-    order, stack = [], [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        stack += children[x]
-    if len(order) != len(node_set):
+    tree = _indexed(node_set, edge_set, root, pred)
+    if len(tree.order) != len(node_set):
         # Every unreached node has a parent (roots were unique), so following
         # parents inside the unreached part must loop.
-        reached, seen = set(order), set()
+        reached, seen = set(tree.order), set()
         first = x = min(node_set - reached)
         while x not in seen:
             seen.add(x)
@@ -125,28 +123,32 @@ def validate_out_tree(nodes, edges) -> OutTree:
             if x in reached:
                 raise ValidationError("NotConnected", witness=first)
         raise ValidationError("HasCycle", witness=x)
-
-    decision = frozenset(x for x, _ in edge_set)
-    return OutTree(
-        nodes=node_set,
-        edges=edge_set,
-        root=root,
-        pred=pred,
-        children=children,
-        decision_nodes=decision,
-        end_nodes=node_set - decision,
-        ends=tuple(sorted(node_set - decision, key=encode)),
-        sorted_edges=ordered,
-        order=tuple(order),
-    )
+    return tree
 
 
-def _children(nodes, ordered) -> dict:
-    """node -> the tuple of its children, in the order of the edges ordered."""
-    children: dict = {x: [] for x in nodes}
-    for x, y in ordered:
-        children[x].append(y)
-    return {x: tuple(kids) for x, kids in children.items()}
+def _indexed(nodes, edges, root, pred, order=None) -> OutTree:
+    """The tree with these parts and its index: the nodes sorted once, in
+    term order, and each node's children and the (src, tgt) edges, in term
+    order, read off them; order, when not given, from a walk down from the
+    root, which meets each node reached once since parents are unique."""
+    sorted_nodes = tuple(_sorted(nodes))
+    children: dict = {x: [] for x in sorted_nodes}
+    for y in sorted_nodes:
+        if y in pred:
+            children[pred[y]].append(y)
+    children = {x: tuple(kids) for x, kids in children.items()}
+    if order is None:
+        order, stack = [], [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            stack += children[x]
+    decision = frozenset(pred.values())
+    return OutTree(nodes=nodes, edges=edges, root=root, pred=pred, children=children,
+                   decision_nodes=decision, end_nodes=nodes - decision,
+                   ends=tuple(sorted(nodes - decision, key=encode)), sorted_nodes=sorted_nodes,
+                   sorted_edges=tuple([(x, y) for x in sorted_nodes for y in children[x]]),
+                   order=tuple(order))
 
 
 def _check_node(t: OutTree, x: Term):

@@ -363,26 +363,32 @@ def _binary_text(d):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("to", ["distinguished", "sequence", "action-set",
-                                "distinguished-sequence"])
-def test_convert_sorts_each_node_set_at_most_once(tmp_path, capsys, monkeypatch, to):
-    # Trees keep their nodes in term order, sorted on first read, and
-    # decision or end nodes in term order are read off them.
+def _count_sorts(monkeypatch):
+    """The term sorts made from here on, in every gamecat module: the set
+    of each sort of terms, and None for each sort of pairs."""
     import gamecat.terms
-    path = tmp_path / "b.gm"
-    path.write_text(_binary_text(7), encoding="utf-8")
     original, calls = gamecat.terms._sorted, []
 
-    def counting_sorted(xs, pairs=False):
+    def counting_sorted(xs, **kwargs):
         xs = list(xs)
-        if not pairs:
-            calls.append(frozenset(xs))
-        return original(xs, pairs)
+        calls.append(None if xs and type(xs[0]) is tuple else frozenset(xs))
+        return original(xs, **kwargs)
 
     for module in list(sys.modules.values()):
         if module and module.__name__.startswith("gamecat") and \
                 getattr(module, "_sorted", None) is original:
             monkeypatch.setattr(module, "_sorted", counting_sorted)
+    return calls
+
+
+@pytest.mark.parametrize("to", ["distinguished", "sequence", "action-set",
+                                "distinguished-sequence"])
+def test_convert_sorts_each_node_set_at_most_once(tmp_path, capsys, monkeypatch, to):
+    # Trees keep their nodes in term order, sorted at validation or
+    # transport, and decision or end nodes in term order are read off them.
+    path = tmp_path / "b.gm"
+    path.write_text(_binary_text(7), encoding="utf-8")
+    calls = _count_sorts(monkeypatch)
     assert run(capsys, "convert", str(path), "--to", to)[0] == 0
     monkeypatch.undo()
     trees = [parse_game_text(p.read_text(encoding="utf-8"))[1].tree
@@ -392,6 +398,19 @@ def test_convert_sorts_each_node_set_at_most_once(tmp_path, capsys, monkeypatch,
         # The distinguished form keeps the node names: two trees, one set.
         assert calls.count(t.nodes) == sum(u.nodes == t.nodes for u in trees)
         assert t.decision_nodes not in calls and t.end_nodes not in calls
+    if to == "sequence":
+        # Children, edges and utility lines are read off the sorted nodes.
+        assert None not in calls
+
+
+def test_load_and_print_sort_the_nodes_once_and_no_pairs(monkeypatch):
+    text = _binary_text(7)
+    calls = _count_sorts(monkeypatch)
+    name, g = gamecat.parse_game_text(text)
+    printed = gamecat.print_game(name, g)
+    monkeypatch.undo()
+    assert len(g.tree.nodes) == 255 and printed == gamecat.print_game(name, g)
+    assert calls.count(g.tree.nodes) == 1 and None not in calls
 
 
 @pytest.mark.parametrize("to", ["distinguished", "sequence", "action-set",

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from gamecat import (Atom, OperationError, ValidationError, descendants,
-                     parse_game_text, run_end, runs, strict_predecessors,
+from gamecat import (Atom, FinSet, OperationError, Tup, ValidationError, descendants,
+                     parse_game_text, run_end, runs, strict_predecessors, to_sequence,
                      tree_leq, validate_out_tree)
 from conftest import FIXTURES
 from genrandom import random_game
@@ -117,6 +117,53 @@ def test_two_parents_witness_is_the_least_such_node():
         with pytest.raises(ValidationError) as e:
             validate_out_tree(set(nodes), edges)
         assert (e.value.code, e.value.witness) == ("HasCycle", reference(edges))
+
+
+def test_edge_witness_is_the_least_offending_edge():
+    # As first written: sort every edge, then report the first edge that is
+    # dangling, a self-loop or one of an antisymmetric pair, in that order.
+    def reference(nodes, edges):
+        for x, y in sorted(edges):
+            if x not in nodes or y not in nodes:
+                return "DanglingEdge", (x, y)
+            if x == y:
+                return "HasCycle", (x, y)
+            if (y, x) in edges:
+                return "NotAntisymmetric", (x, y)
+
+    rng = random.Random(29)
+    names = ["a", "b", "c", "é", "10", "9", "x y", "z"]
+    terms = [A(n) for n in names] + [Tup((A("a"),)), FinSet((A("b"), A("a")))]
+    offences = {"DanglingEdge": 0, "HasCycle": 0, "NotAntisymmetric": 0}
+    for _ in range(400):
+        nodes = rng.sample(terms, 7)
+        strays = [x for x in terms if x not in nodes]
+        edges = {(nodes[rng.randrange(k)], nodes[k]) for k in range(1, 7)}
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            x, y = rng.sample(nodes, 2)
+            if kind == 0:
+                edges.add((x, rng.choice(strays)) if rng.random() < 0.5 else (rng.choice(strays), y))
+            elif kind == 1:
+                edges.add((x, x))
+            else:
+                edges |= {(x, y), (y, x)}
+        code, witness = reference(set(nodes), edges)
+        offences[code] += 1
+        for order in (sorted(edges), sorted(edges, reverse=True), rng.sample(sorted(edges), len(edges))):
+            with pytest.raises(ValidationError) as e:
+                validate_out_tree(set(nodes), order)
+            assert (e.value.code, e.value.witness) == (code, witness), order
+    assert min(offences.values()) >= 40, offences
+
+
+def test_sorted_index_is_term_order():
+    # Validation and transport both read children and edges off the nodes.
+    for g in list(index_inputs())[::4]:
+        for t in (g.tree, to_sequence(g).game.tree):
+            assert t.sorted_nodes == tuple(sorted(t.nodes))
+            assert t.sorted_edges == tuple(sorted(t.edges))
+            assert t.children == {x: tuple(sorted(y for p, y in t.edges if p == x)) for x in t.nodes}
 
 
 def index_inputs():
