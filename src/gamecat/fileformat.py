@@ -112,7 +112,6 @@ def parse_game_text(text: str):
     cell_player: dict = {}  # infoset id -> player
     utilities: dict = {}
     atom = _ATOMS.get
-    values: dict = {}      # rational text -> its Fraction, read once per file
 
     # Keywords are tested most frequent first.
     for lineno, head, rest, m, toks in _lines(text, _GM_LINE):
@@ -145,12 +144,10 @@ def parse_game_text(text: str):
                 edge_lines.append(lineno)
             elif head == "utility":
                 if m:
-                    p, e, r = m.group(9, 10, 11)
+                    p, e, num, den = m.group(9, 10, 12, 13)
                     pid = atom(p) or Atom(p)
                     where = atom(e) or Atom(e)
-                    value = values.get(r)
-                    if value is None:
-                        value = values[r] = _fraction(*m.group(12, 13))
+                    value = _fraction(num, den)
                 else:
                     pid, k = _read_tokens(toks, 0)
                     word = _word_at(toks, k)

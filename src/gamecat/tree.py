@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import is_
 
 from .errors import OperationError, ValidationError
 from .terms import Term, _sorted, encode
@@ -36,9 +35,9 @@ class OutTree:
     decision_nodes: frozenset = field(repr=False)
     end_nodes: frozenset = field(repr=False)
     ends: tuple = field(repr=False)     # end nodes by encoding: one per run, in run order
-    sorted_nodes: tuple = field(repr=False)  # nodes in term order
     sorted_edges: tuple = field(repr=False)  # edges in term order of (src, tgt)
     order: tuple = field(repr=False)    # the nodes in a preorder
+    sorted_nodes: tuple = field(repr=False)  # nodes in term order
 
     def __eq__(self, other):
         if not isinstance(other, OutTree):
@@ -80,25 +79,20 @@ def validate_out_tree(nodes, edges) -> OutTree:
     if not node_set:
         raise ValidationError("NoRoot", detail="empty node set")
 
-    # With one parent per node, the edges are checked in C: an edge dangles
-    # unless both ends are nodes, and a self-loop or antisymmetric pair makes
-    # some node its parent's parent. On a failed check they are scanned, and
-    # only the offenders are sorted, for the least as the witness.
-    pred = {y: x for x, y in edge_set}
-    parents = pred.values()
-    if (len(pred) < len(edge_set) or not node_set.issuperset(pred)
-            or not node_set.issuperset(parents) or any(map(is_, map(pred.get, parents), pred))):
-        bad = [(x, y) for x, y in edge_set
-               if x not in node_set or y not in node_set or x == y or (y, x) in edge_set]
-        if bad:
-            x, y = min(bad)
-            code = ("DanglingEdge" if x not in node_set or y not in node_set
-                    else "HasCycle" if x == y else "NotAntisymmetric")
-            raise ValidationError(code, witness=(x, y))
+    # The witness is the least offending edge, with its code; only the
+    # offenders are sorted. A self-loop is its own reverse.
+    bad = [(x, y) for x, y in edge_set
+           if x not in node_set or y not in node_set or (y, x) in edge_set]
+    if bad:
+        x, y = min(bad)
+        code = ("DanglingEdge" if x not in node_set or y not in node_set
+                else "HasCycle" if x == y else "NotAntisymmetric")
+        raise ValidationError(code, witness=(x, y))
 
     if not edge_set:
         raise ValidationError("Trivial")
 
+    pred = {y: x for x, y in edge_set}
     if len(pred) < len(edge_set):
         incoming = Counter(y for _, y in edge_set)
         raise ValidationError("HasCycle", witness=min(y for y, n in incoming.items() if n > 1),

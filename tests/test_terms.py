@@ -217,6 +217,8 @@ def test_order_works_at_any_depth():
     for xs in ([b, a, shallow, Atom("z")], [a, Atom("z"), b, shallow]):
         assert _sorted(xs) == sorted(xs) == ordered
     assert FinSet((b, shallow, a, b)).items == (shallow, a, b)
+    pairs = [(b, a), (a, b), (a, shallow)]
+    assert sorted(pairs) == [(a, shallow), (a, b), (b, a)] and min(pairs) == (a, shallow)
     with pytest.raises(ValueError):
         term_key(a)
     assert time.perf_counter() - start < 10
@@ -523,6 +525,11 @@ def test_key_sort_equals_sorted_through_lt():
         xs += [parse_term(encode(x)) for x in rng.sample(xs, len(xs) // 3)]
         rng.shuffle(xs)
         assert [id(x) for x in _sorted(xs)] == [id(x) for x in sorted(xs)]
+        # Pairs sort with plain sorted() as the term order of their items.
+        rank = {x: k for k, x in enumerate(_sorted(set(xs)))}
+        pairs = [(rng.choice(xs), rng.choice(xs)) for _ in range(len(xs))]
+        assert [tuple(map(id, p)) for p in sorted(pairs)] == \
+            [tuple(map(id, p)) for p in sorted(pairs, key=lambda p: (rank[p[0]], rank[p[1]]))]
         # Sets and their encodings as when sorted through __lt__.
         ref = tuple(sorted(set(xs)))
         assert FinSet(xs).items == ref and FinSet(reversed(xs)).items == ref
