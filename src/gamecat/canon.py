@@ -32,41 +32,27 @@ class ConversionResult:
 
 
 def _distinguished(g: Game) -> bool:
-    """Each action's decision nodes form one cell: grouped in one pass."""
-    nodes_of: dict = {}
-    for x, f in g.clt.feasible.items():
-        for a in f:
-            nodes_of.setdefault(a, []).append(x)
-    return all(frozenset(xs) in g.clt.infosets for xs in nodes_of.values())
+    """Each action's decision nodes form one cell: feasible sets are constant
+    on cells, so no action is offered at two cells."""
+    offered = [a for pool in g.clt.cell_actions.values() for a in pool]
+    return len(offered) == len(set(offered))
 
 
 def _uses_sequences(g: Game) -> bool:
+    """Each node is the tuple of the actions on its root path."""
     t = g.tree
-    if not all(isinstance(x, Tup) for x in t.nodes):
-        return False
-    if t.root != Tup(()):
-        return False
-    for (x, y), a in g.clt.label.items():
-        if x.items != y.items[:-1] or y.items[-1] != a:
-            return False
-    return True
+    return (all(isinstance(x, Tup) for x in t.nodes) and t.root is Tup(())
+            and all(y.items == (*t.pred[y].items, a) for y, a in g.clt.act.items()))
 
 
 def _uses_action_sets(g: Game) -> bool:
-    if not _distinguished(g):
-        return False
+    """Distinguished actions, and each node is the set of the actions on its
+    root path: a child's set adds one action, its own, to its parent's."""
     t = g.tree
-    if not all(isinstance(x, FinSet) for x in t.nodes):
-        return False
-    if t.root != FinSet(()):
-        return False
-    for (x, y), a in g.clt.label.items():
-        xs, ys = set(x.items), set(y.items)
-        if not (xs < ys and len(ys - xs) == 1):
-            return False
-        if next(iter(ys - xs)) != a:
-            return False
-    return True
+    return (_distinguished(g) and all(isinstance(x, FinSet) for x in t.nodes)
+            and t.root is FinSet(())
+            and all(len(y.items) == len(t.pred[y].items) + 1
+                    and set(y.items) - set(t.pred[y].items) == {a} for y, a in g.clt.act.items()))
 
 
 def _absentminded_witness(g: Game):
@@ -77,7 +63,7 @@ def _absentminded_witness(g: Game):
     Subtrees are intervals of the tree's preorder, so x has a member below
     it exactly when the member next after x in preorder lies in x's interval."""
     pos, last = g.tree.pos, g.tree.last
-    for cell in g.clt.sorted_infosets():
+    for cell in g.clt.cells:
         ps = sorted(cell, key=pos.__getitem__)
         above = [x for x, y in zip(ps, ps[1:]) if pos[y] <= last[x]]
         if above:
@@ -92,7 +78,7 @@ def properties(g: Game) -> GameProperties:
         uses_sequences=_uses_sequences(g),
         uses_action_sets=_uses_action_sets(g),
         no_absentmindedness=_absentminded_witness(g) is None,
-        perfect_information=all(len(c) == 1 for c in g.clt.infosets),
+        perfect_information=all(len(c) == 1 for c in g.clt.cells),
     )
 
 
@@ -100,9 +86,9 @@ def _infoset_tags(g: Game):
     """decision node -> {action: (its cell, action)}. Each tagged action is
     encoded once here, so encoding a node named by them is one join."""
     tags: dict = {}
-    for cell in g.clt.infosets:
+    for cell, pool in g.clt.cell_actions.items():
         tag = FinSet(tuple(cell))
-        table = {a: Tup((tag, a)) for a in g.clt.feasible[next(iter(cell))]}
+        table = {a: Tup((tag, a)) for a in pool}
         for tagged in table.values():
             encode(tagged)
         tags.update(dict.fromkeys(cell, table))
@@ -112,7 +98,7 @@ def _infoset_tags(g: Game):
 def _renamed(g: Game, action_bijs, name=None) -> ConversionResult:
     """The one pushforward along action_bijs. With name, each node becomes
     name(the action images on its root path), found in one top-down pass."""
-    t, label = g.tree, g.clt.label
+    t, act = g.tree, g.clt.act
     if name:
         # In preorder each node's parent comes first. A set's items are in
         # term order, so naming a child from its parent's items sorts one
@@ -120,7 +106,7 @@ def _renamed(g: Game, action_bijs, name=None) -> ConversionResult:
         node_bij = {t.root: name(())}
         for y in t.order[1:]:
             x = t.pred[y]
-            node_bij[y] = name((*node_bij[x].items, action_bijs[x][label[(x, y)]]))
+            node_bij[y] = name((*node_bij[x].items, action_bijs[x][act[y]]))
     else:
         node_bij = {x: x for x in t.nodes}
     g2, cert = pushforward(g, node_bij, action_bijs, {i: i for i in g.players})
@@ -134,7 +120,8 @@ def to_distinguished(g: Game) -> ConversionResult:
 
 def to_sequence(g: Game) -> ConversionResult:
     """Rename each node to the tuple of edge labels on its root path."""
-    return _renamed(g, {x: {a: a for a in f} for x, f in g.clt.feasible.items()}, Tup)
+    same = {cell: {a: a for a in pool} for cell, pool in g.clt.cell_actions.items()}
+    return _renamed(g, {x: same[cell] for x, cell in g.clt.info_of.items()}, Tup)
 
 
 def to_distinguished_sequence(g: Game) -> ConversionResult:

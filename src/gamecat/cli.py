@@ -18,7 +18,7 @@ from .equilibrium import nash, outcome, spe, strategies
 from .errors import GameError, OperationError, ParseError, ValidationError
 from .fileformat import (parse_game_text, parse_morphism_text, print_game,
                          print_morphism)
-from .morphism import (clt_mono_witness, compose, is_iso, is_mono,
+from .morphism import (_alpha_at, clt_mono_witness, compose, is_iso, is_mono,
                        iso_search, mono_witness, validate_game_morphism)
 from .subgame import selten_subgame, subgame_roots
 from .terms import _sorted, encode, encode_set, parse_term
@@ -71,7 +71,7 @@ def _cmd_validate(args, rep):
     rep.line("game", name)
     rep.line("nodes", len(g.tree.nodes))
     rep.line("root", encode(g.tree.root))
-    rep.line("actions", " ".join(encode(a) for a in _sorted(g.clt.actions)))
+    rep.line("actions", " ".join(encode(a) for a in _sorted(set(g.clt.act.values()))))
     rep.line("players", " ".join(encode(i) for i in _sorted(g.players)))
     for z in g.runs():
         rep.line("run", encode_set(z))
@@ -160,9 +160,7 @@ def _report_morphism_error(e: GameError, rep, src=None, tgt=None, node_map=None)
     if e.code == "ActionTransformNotConstant" and src is not None:
         x1, x2 = e.witness
         for x in (x1, x2):
-            for a in _sorted(src.clt.feasible[x]):
-                y = src.clt.next[(x, a)]
-                image = tgt.clt.label[(node_map[x], node_map[y])]
+            for a, image in _alpha_at(src.clt, tgt.clt, node_map, x).items():
                 rep.line("alpha", encode(x), encode(a), "->", encode(image))
 
 

@@ -4,11 +4,19 @@ A CLT adds to an out-tree a partition of the decision nodes into information
 sets and a deterministic edge labeling. "Continuous" always means constant on
 partition cells, so the feasibility requirement is that two nodes in one
 information set offer the same actions.
+
+Each fact is stored once, at validation: the cells by encoding (`cells`) and
+each decision node's cell (`info_of`); each edge's action on its target
+(`act`), as a non-root node has one incoming edge; each cell's actions in
+term order (`cell_actions`), which validation proves are every member's; and
+each decision node's children by action index (`succ`). `infosets`, `label`,
+`actions` and `feasible` are views for callers outside the library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import OperationError, ValidationError
 from .terms import Term, _sorted, encode_set
@@ -18,28 +26,25 @@ from .tree import OutTree
 @dataclass(frozen=True, eq=False)
 class CLT:
     tree: OutTree
-    infosets: frozenset  # of frozenset cells
-    label: dict          # (src, tgt) edge -> action
-    actions: frozenset = field(repr=False)   # image of label
-    feasible: dict = field(repr=False)       # decision node -> frozenset of actions
-    next: dict = field(repr=False)           # (node, action) -> node
-    info_of: dict = field(repr=False)        # decision node -> its cell
-    cells: tuple = field(repr=False)         # infosets sorted by encoding
+    cells: tuple                            # the information sets, by encoding
+    info_of: dict = field(repr=False)       # decision node -> its cell
+    act: dict = field(repr=False)           # non-root node -> action on its incoming edge
+    cell_actions: dict = field(repr=False)  # cell -> its actions in term order
+    succ: dict = field(repr=False)          # decision node -> children, by action index
 
     def __eq__(self, other):
         if not isinstance(other, CLT):
             return NotImplemented
-        return (self.tree == other.tree and self.infosets == other.infosets
-                and self.label == other.label)
+        return self.tree == other.tree and self.cells == other.cells and self.act == other.act
 
     __hash__ = None
 
-    @property
-    def decision_nodes(self):
-        return self.tree.decision_nodes
-
-    def sorted_infosets(self) -> tuple:
-        return self.cells
+    # Views in the pair-keyed and set forms, built on first read.
+    infosets = cached_property(lambda self: frozenset(self.cells))
+    actions = cached_property(lambda self: frozenset(self.act.values()))
+    label = cached_property(lambda self: {(self.tree.pred[y], y): a for y, a in self.act.items()})
+    feasible = cached_property(lambda self: {x: frozenset(self.cell_actions[cell])
+                                             for x, cell in self.info_of.items()})
 
 
 def _not_constant(cells, value):
@@ -58,9 +63,12 @@ def _not_constant(cells, value):
 
 
 def validate_clt(tree: OutTree, infosets, label) -> CLT:
-    label = dict(label)
-    if label.keys() != tree.edges:
-        raise ValidationError("LabelBad", witness=min(set(label) ^ set(tree.edges)),
+    label, pred, children = dict(label), tree.pred, tree.children
+    # Parents are unique, so each edge is its target's entry in pred.
+    act = {y: a for (x, y), a in label.items() if y in pred and pred[y] is x}
+    if len(act) != len(label) or len(act) != len(pred):
+        edges = {(x, y) for y, x in pred.items()}
+        raise ValidationError("LabelBad", witness=min(label.keys() ^ edges),
                               detail="labeling must cover exactly the edge set")
 
     cells = tuple(sorted((frozenset(c) for c in infosets), key=encode_set))
@@ -81,35 +89,39 @@ def validate_clt(tree: OutTree, infosets, label) -> CLT:
         raise ValidationError("PartitionBad", witness=min(w - seen.keys()),
                               detail="decision node in no information set")
 
-    nxt: dict = {}
-    feasible: dict = {x: set() for x in w}
-    for x, y in tree.sorted_edges:
-        a = label[(x, y)]
-        if (x, a) in nxt:
-            raise ValidationError("NonDeterministic", witness=(x, a))
-        nxt[(x, a)] = y
-        feasible[x].add(a)
-    feasible = {x: frozenset(s) for x, s in feasible.items()}
+    # Each decision node's actions in child order. Each distinct list is
+    # sorted once and its sort held once, as the list itself when it is
+    # already in term order: then the node's children are its succ too.
+    acts = {x: tuple(map(act.__getitem__, children[x])) for x in w}
+    pools: dict = {}
+    for key in acts.values():
+        if key not in pools:
+            pool = tuple(_sorted(key))
+            pools[key] = key if pool == key else pool
+    if any(len(set(key)) < len(key) for key in pools):
+        # The witness is the first repeated (x, a) in the edges' term order.
+        x = next(x for x in tree.sorted_nodes if x in w and len(set(acts[x])) < len(acts[x]))
+        a = next(a for k, a in enumerate(acts[x]) if a in acts[x][:k])
+        raise ValidationError("NonDeterministic", witness=(x, a))
 
+    # Sorted action lists are equal exactly when the action sets are.
+    feasible = {x: pools[key] for x, key in acts.items()}
     split = _not_constant(cells, feasible)
     if split is not None:
         raise ValidationError("FeasibilityNotConstant", witness=split)
 
-    return CLT(
-        tree=tree,
-        infosets=frozenset(cells),
-        label=label,
-        actions=frozenset(label.values()),
-        feasible=feasible,
-        next=nxt,
-        info_of=seen,
-        cells=cells,
-    )
+    succ = {x: children[x] if feasible[x] == key
+            else tuple([children[x][key.index(a)] for a in feasible[x]])
+            for x, key in acts.items()}
+    cell_actions = {cell: feasible[next(iter(cell))] for cell in cells}
+    return CLT(tree=tree, cells=cells, info_of=seen, act=act,
+               cell_actions=cell_actions, succ=succ)
 
 
 def next_node(c: CLT, x: Term, a: Term) -> Term:
     if x not in c.tree.decision_nodes:
         raise OperationError("NotDecision", witness=x)
-    if a not in c.feasible[x]:
+    pool = c.cell_actions[c.info_of[x]]
+    if a not in pool:
         raise OperationError("NotFeasible", witness=(x, a))
-    return c.next[(x, a)]
+    return c.succ[x][pool.index(a)]

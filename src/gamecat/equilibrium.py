@@ -21,6 +21,7 @@ every subgame bottom up over the subgame roots (Selten 1965/1975).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -28,7 +29,7 @@ from .errors import OperationError
 from .game import Game
 from .morphism import GameMorphism, is_iso
 from .subgame import subgame_roots
-from .terms import _sorted, encode_set
+from .terms import encode_set
 from .tree import _run
 
 
@@ -41,10 +42,7 @@ class GrandStrategy:
 
 
 def strategy_space_size(g: Game) -> int:
-    n = 1
-    for cell in g.clt.infosets:
-        n *= len(g.clt.feasible[next(iter(cell))])
-    return n
+    return math.prod(map(len, g.clt.cell_actions.values()))
 
 
 def _check_cap(g: Game, cap: int):
@@ -53,56 +51,44 @@ def _check_cap(g: Game, cap: int):
         raise OperationError("StrategySpaceTooLarge", witness=None, detail=str(size))
 
 
-class _Index:
-    """A game's cells in encoding order with their actions in term order,
-    each decision node's children by action index, and each player's payoff
-    rank by end node (ranks order ends as the utilities do)."""
+def _strategy(g: Game, p) -> GrandStrategy:
+    """The grand strategy of a profile over all cells in order."""
+    c = g.clt
+    return GrandStrategy(tuple((cell, c.cell_actions[cell][a]) for cell, a in zip(c.cells, p)))
 
-    def __init__(self, g: Game):
-        self.g = g
-        self.cells = g.clt.sorted_infosets()
-        self.pools = [_sorted(g.clt.feasible[next(iter(cell))]) for cell in self.cells]
-        nxt = g.clt.next
-        self.succ = {x: tuple(nxt[(x, a)] for a in pool)
-                     for cell, pool in zip(self.cells, self.pools) for x in cell}
-        self.pay = g.ranks
 
-    def strategy(self, p) -> GrandStrategy:
-        """The grand strategy of a profile over all cells in order."""
-        return GrandStrategy(tuple(zip(self.cells, (pool[a] for pool, a in zip(self.pools, p)))))
+def _nash_among(g: Game, start, order, profiles) -> list:
+    """The profiles that are Nash in play from start, in the order given.
 
-    def nash_among(self, start, order, profiles) -> list:
-        """The profiles that are Nash in play from start, in the order given.
-
-        A profile holds one action index for each cell self.cells[k], k in
-        order; these must be all the cells met below start. Each player's
-        best payoff is computed once per tuple of the other players'
-        actions."""
-        g, ends = self.g, self.g.tree.end_nodes
-        at = {x: (j, self.succ[x]) for j, k in enumerate(order) for x in self.cells[k]}
-        owner = [g.mover[next(iter(self.cells[k]))] for k in order]
-        checks = []
-        for i in dict.fromkeys(owner):
-            mine = frozenset(j for j, o in enumerate(owner) if o == i)
-            others = [j for j in range(len(owner)) if j not in mine]
-            key = itemgetter(*others) if others else (lambda p: ())
-            checks.append((key, mine, self.pay[i], {}))
-        out = []
-        for p in profiles:
-            x = start
-            while x not in ends:
-                j, succ = at[x]
-                x = succ[p[j]]
-            for key, mine, pay, memo in checks:
-                k = key(p)
-                best = memo.get(k)
-                if best is None:
-                    best = memo[k] = _best_payoff(at, ends, pay, start, p, mine)
-                if best > pay[x]:
-                    break
-            else:
-                out.append(p)
-        return out
+    A profile holds one action index for each cell g.clt.cells[k], k in
+    order; these must be all the cells met below start. Each player's best
+    payoff rank (ranks order ends as the utilities do) is computed once per
+    tuple of the other players' actions."""
+    cells, ends = g.clt.cells, g.tree.end_nodes
+    at = {x: (j, g.clt.succ[x]) for j, k in enumerate(order) for x in cells[k]}
+    owner = [g.mover[next(iter(cells[k]))] for k in order]
+    checks = []
+    for i in dict.fromkeys(owner):
+        mine = frozenset(j for j, o in enumerate(owner) if o == i)
+        others = [j for j in range(len(owner)) if j not in mine]
+        key = itemgetter(*others) if others else (lambda p: ())
+        checks.append((key, mine, g.ranks[i], {}))
+    out = []
+    for p in profiles:
+        x = start
+        while x not in ends:
+            j, succ = at[x]
+            x = succ[p[j]]
+        for key, mine, pay, memo in checks:
+            k = key(p)
+            best = memo.get(k)
+            if best is None:
+                best = memo[k] = _best_payoff(at, ends, pay, start, p, mine)
+            if best > pay[x]:
+                break
+        else:
+            out.append(p)
+    return out
 
 
 def _best_payoff(at, ends, pay, start, p, mine):
@@ -143,16 +129,17 @@ def _best_payoff(at, ends, pay, start, p, mine):
 def strategies(g: Game, cap: int = 1_000_000):
     """All grand strategies in lexicographic (infoset, action) order."""
     _check_cap(g, cap)
-    idx = _Index(g)
-    return [GrandStrategy(tuple(zip(idx.cells, combo)))
-            for combo in itertools.product(*idx.pools)]
+    c = g.clt
+    return [GrandStrategy(tuple(zip(c.cells, combo)))
+            for combo in itertools.product(*map(c.cell_actions.__getitem__, c.cells))]
 
 
 def _play(g: Game, choice: dict, x):
     """The end node reached from x when every cell plays choice."""
-    info_of, nxt, ends = g.clt.info_of, g.clt.next, g.tree.end_nodes
+    c, ends = g.clt, g.tree.end_nodes
     while x not in ends:
-        x = nxt[(x, choice[info_of[x]])]
+        cell = c.info_of[x]
+        x = c.succ[x][c.cell_actions[cell].index(choice[cell])]
     return x
 
 
@@ -162,10 +149,9 @@ def outcome(g: Game, s: GrandStrategy) -> frozenset:
 
 def is_nash(g: Game, s: GrandStrategy) -> bool:
     """No player gains by a unilateral deviation from s."""
-    idx = _Index(g)
-    choice = s.as_dict()
-    p = tuple(pool.index(choice[cell]) for cell, pool in zip(idx.cells, idx.pools))
-    return bool(idx.nash_among(g.tree.root, range(len(p)), [p]))
+    choice, c = s.as_dict(), g.clt
+    p = tuple(c.cell_actions[cell].index(choice[cell]) for cell in c.cells)
+    return bool(_nash_among(g, g.tree.root, range(len(p)), [p]))
 
 
 def nash(g: Game, cap: int = 1_000_000):
@@ -173,10 +159,9 @@ def nash(g: Game, cap: int = 1_000_000):
     strategy space is walked one index tuple at a time and never stored;
     only the equilibria become GrandStrategy objects."""
     _check_cap(g, cap)
-    idx = _Index(g)
-    profiles = itertools.product(*(range(len(pool)) for pool in idx.pools))
-    return [idx.strategy(p)
-            for p in idx.nash_among(g.tree.root, range(len(idx.pools)), profiles)]
+    sizes = [len(g.clt.cell_actions[cell]) for cell in g.clt.cells]
+    profiles = itertools.product(*map(range, sizes))
+    return [_strategy(g, p) for p in _nash_among(g, g.tree.root, range(len(sizes)), profiles)]
 
 
 def spe(g: Game, cap: int = 1_000_000):
@@ -189,8 +174,7 @@ def spe(g: Game, cap: int = 1_000_000):
     below it are r's own choices joined with one such profile per child
     root, kept when Nash from r. At the tree's root they are the SPE."""
     _check_cap(g, cap)
-    idx = _Index(g)
-    roots, tree = subgame_roots(g), g.tree
+    roots, tree, cells = subgame_roots(g), g.tree, g.clt.cells
     # The root is a subgame root; in preorder each node's parent comes first.
     nearest, children = {tree.root: tree.root}, {r: [] for r in roots}
     for x in tree.order[1:]:
@@ -199,19 +183,19 @@ def spe(g: Game, cap: int = 1_000_000):
             children[above].append(x)
         nearest[x] = x if x in roots else above
     own = {r: [] for r in roots}
-    for k, cell in enumerate(idx.cells):
+    for k, cell in enumerate(cells):
         own[nearest[next(iter(cell))]].append(k)
     # order[r] lists the cells below r: r's own, then each child's order.
     order, found = {}, {}
     for r in reversed([x for x in tree.order if x in roots]):
         kids = children[r]
         order[r] = own[r] + [k for c in kids for k in order.pop(c)]
-        choices = itertools.product(*(range(len(idx.pools[k])) for k in own[r]))
+        choices = itertools.product(*(range(len(g.clt.cell_actions[cells[k]])) for k in own[r]))
         joined = (sum(parts, ()) for parts in
                   itertools.product(choices, *(found.pop(c) for c in kids)))
-        found[r] = idx.nash_among(r, order[r], joined)
-    back = sorted(range(len(idx.cells)), key=order[tree.root].__getitem__)
-    return [idx.strategy(p) for p in sorted(tuple(p[j] for j in back) for p in found[tree.root])]
+        found[r] = _nash_among(g, r, order[r], joined)
+    back = sorted(range(len(cells)), key=order[tree.root].__getitem__)
+    return [_strategy(g, p) for p in sorted(tuple(p[j] for j in back) for p in found[tree.root])]
 
 
 def push_strategy(iso: GameMorphism, s: GrandStrategy) -> GrandStrategy:

@@ -110,7 +110,8 @@ def parse_game_text(text: str):
     edge_lines: list = []  # each edge's declaration line, in edges' order, for error reports
     cells: dict = {}       # infoset id (Term) -> frozenset of nodes
     cell_player: dict = {}  # infoset id -> player
-    utilities: dict = {}
+    utilities: list = []   # ((player, end or run), value) for each utility line
+    utility_lines: list = []  # each utility's line, in utilities' order
     atom = _ATOMS.get
 
     # Keywords are tested most frequent first.
@@ -158,7 +159,8 @@ def parse_game_text(text: str):
                     else:
                         raise ParseError("expected 'end' or 'run'")
                     value = _read_rational(toks[k:])
-                utilities[(pid, where)] = value
+                utilities.append(((pid, where), value))
+                utility_lines.append(lineno)
             elif head == "infoset":
                 if m:
                     i, ws = m.group(5, 6)
@@ -215,31 +217,36 @@ def parse_game_text(text: str):
             if where:
                 raise ValidationError(e.code, e.witness,
                                       detail=f"line {where[-1]}") from None
+        if e.code == "UtilityConflict":
+            # The keys are validated in line order and all before the
+            # conflicting one are valid: it is the first of the run's keys
+            # whose value differs from the first's.
+            i, run = e.witness
+            held = [(v, line) for ((j, where), v), line in zip(utilities, utility_lines)
+                    if j == i and (where == run or where in run)]
+            line = next(line for v, line in held if v != held[0][0])
+            raise ValidationError(e.code, e.witness, detail=f"line {line}") from None
         raise
     return name, game
 
 
 def print_game(name: str, g: Game) -> str:
-    lines = [f"game {name}"]
-    for x in g.tree.sorted_nodes:
-        lines.append(f"node {encode(x)}")
-    for (x, y) in g.tree.sorted_edges:
-        lines.append(f"edge {encode(x)} {encode(y)} {encode(g.clt.label[(x, y)])}")
-    cells = g.clt.sorted_infosets()
-    ids = {cell: f"i{k}" for k, cell in enumerate(cells)}
-    for cell in cells:
-        members = " ".join([encode(x) for x in _sorted(cell)])
-        lines.append(f"infoset {ids[cell]} {{ {members} }}")
-    for cell in cells:
-        pid = g.mover[next(iter(cell))]
-        lines.append(f"player {encode(pid)} infoset {ids[cell]}")
-    ends = [x for x in g.tree.sorted_nodes if x in g.tree.end_nodes]
+    t, cells = g.tree, g.clt.cells
+    lines = [f"game {name}", *[f"node {encode(x)}" for x in t.sorted_nodes]]
+    lines += [f"edge {encode(x)} {encode(y)} {encode(g.clt.act[y])}"
+              for x in t.sorted_nodes for y in t.children[x]]
+    lines += [f"infoset i{k} {{ {' '.join([encode(x) for x in _sorted(cell)])} }}"
+              for k, cell in enumerate(cells)]
+    lines += [f"player {encode(g.mover[next(iter(cell))])} infoset i{k}"
+              for k, cell in enumerate(cells)]
+    ends = [x for x in t.sorted_nodes if x in t.end_nodes]
     try:
         for i in _sorted(g.players):
+            table = g.payoffs[i]
             for end in ends:
-                lines.append(f"utility {encode(i)} end {encode(end)} {g.utilities[(i, end)]}")
+                lines.append(f"utility {encode(i)} end {encode(end)} {table[end]}")
     except ValueError:  # str() of a value past the interpreter's digit limit
-        raise OperationError("UtilityTooLong", witness=(i, _run(g.tree, end))) from None
+        raise OperationError("UtilityTooLong", witness=(i, _run(t, end))) from None
     return "\n".join(lines) + "\n"
 
 

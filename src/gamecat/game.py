@@ -2,8 +2,9 @@
 
 The mover map must be constant on information sets and its image is the
 player set; utilities assign each player an exact rational on every run.
-Utilities are keyed internally by the run's end node, since runs of a finite
-tree biject with end nodes.
+They are stored as one table per player keyed by end node (`payoffs`), since
+runs of a finite tree biject with end nodes; `utilities`, keyed by (player,
+end node), is a view for callers outside the library.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .terms import Atom, Term
-from .tree import _run, _runs, run_end, runs
+from .tree import _run, _runs, run_end, runs, validate_out_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,14 +25,13 @@ class Game:
     clt: CLT
     mover: dict                      # decision node -> player
     players: frozenset = field(repr=False)  # image of mover
-    utilities: dict = field(repr=False)     # (player, end node) -> Fraction
-    player_nodes: dict = field(repr=False)  # player -> frozenset of nodes
+    payoffs: dict = field(repr=False)       # player -> end node -> Fraction
 
     def __eq__(self, other):
         if not isinstance(other, Game):
             return NotImplemented
         return (self.clt == other.clt and self.mover == other.mover
-                and self.utilities == other.utilities)
+                and self.payoffs == other.payoffs)
 
     __hash__ = None
 
@@ -43,7 +43,12 @@ class Game:
         return runs(self.clt.tree)
 
     def utility(self, i: Term, run: frozenset) -> Fraction:
-        return self.utilities[(i, run_end(self.clt.tree, run))]
+        if i not in self.payoffs:
+            raise OperationError("UnknownPlayer", witness=i)
+        return self.payoffs[i][run_end(self.clt.tree, run)]
+
+    utilities = cached_property(lambda self: {
+        (i, e): v for i, table in self.payoffs.items() for e, v in table.items()})
 
     @cached_property
     def ranks(self) -> dict:
@@ -54,7 +59,7 @@ class Game:
         player's utilities, which order as the utilities do."""
         out = {}
         for i in self.players:
-            pay = [self.utilities[(i, e)] for e in self.tree.ends]
+            pay = list(map(self.payoffs[i].__getitem__, self.tree.ends))
             den = math.lcm(*{v.denominator for v in pay})
             keys = [v.numerator * (den // v.denominator) for v in pay]
             rank = {v: k for k, v in enumerate(sorted(set(keys)))}
@@ -63,6 +68,8 @@ class Game:
 
 
 def validate_game(clt: CLT, mover, utilities) -> Game:
+    """utilities gives values by (player, end node or run), as a mapping or
+    as pairs, which may repeat a run with one value but not with two."""
     w = clt.tree.decision_nodes
     mover = dict(mover)
     if w - mover.keys():
@@ -70,35 +77,36 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
     if mover.keys() - w:
         raise ValidationError("MoverMissing", witness=min(mover.keys() - w),
                               detail="mover assigned to a non-decision node")
-    split = _not_constant(clt.sorted_infosets(), mover)
+    split = _not_constant(clt.cells, mover)
     if split is not None:
         raise ValidationError("MoverNotConstant", witness=split)
 
     players = frozenset(mover.values())
     tree = clt.tree
 
-    table: dict = {}
-    for key, value in utilities.items():
-        i, end = key
+    payoffs: dict = {i: {} for i in players}
+    for (i, end), value in utilities.items() if hasattr(utilities, "items") else utilities:
         if isinstance(end, (frozenset, set)):
             try:
                 end = run_end(tree, end)
             except OperationError:
                 raise ValidationError("UtilityExtraneous", witness=(i, frozenset(end))) from None
-        if i not in players or end not in tree.end_nodes:
+        table = payoffs.get(i)
+        if table is None or end not in tree.end_nodes:
             raise ValidationError("UtilityExtraneous", witness=(i, end))
-        table[(i, end)] = value if type(value) is Fraction else Fraction(value)
+        value = value if type(value) is Fraction else Fraction(value)
+        held = table.setdefault(end, value)
+        if held is not value and held != value:
+            raise ValidationError("UtilityConflict", witness=(i, _run(tree, end)))
 
-    # Every key is a (player, end) pair, so the table is full unless short.
-    if len(table) < len(players) * len(tree.ends):
-        gap = min({(i, end) for i in players for end in tree.ends} - table.keys())
-        raise ValidationError("UtilityMissing", witness=(gap[0], _run(tree, gap[1])))
+    # Every key is an end node, so a table is full unless short.
+    gaps = [(i, e) for i, table in payoffs.items() if len(table) < len(tree.ends)
+            for e in tree.ends if e not in table]
+    if gaps:
+        i, end = min(gaps)
+        raise ValidationError("UtilityMissing", witness=(i, _run(tree, end)))
 
-    player_nodes: dict = {i: [] for i in players}
-    for x, i in mover.items():
-        player_nodes[i].append(x)
-    return Game(clt=clt, mover=mover, players=players, utilities=table,
-                player_nodes={i: frozenset(xs) for i, xs in player_nodes.items()})
+    return Game(clt=clt, mover=mover, players=players, payoffs=payoffs)
 
 
 def one_player_zero_game(clt: CLT, player: Term = Atom("P1")) -> Game:
@@ -123,8 +131,6 @@ def build_game(nodes, edges, infosets, mover, utilities) -> Game:
 
     edges is a map (src, tgt) -> action label.
     """
-    from .tree import validate_out_tree
-
     tree = validate_out_tree(nodes, edges)
     clt = validate_clt(tree, infosets, edges)
     return validate_game(clt, mover, utilities)

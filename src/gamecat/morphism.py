@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
-from .game import Game, validate_game
+from .game import Game, build_game
 from .terms import Atom, Term, _sorted, encode_set
 from .tree import (_indexed, _run, _runs, run_end, strict_predecessors,
                    validate_out_tree)
@@ -81,11 +81,13 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
     if extra:
         raise OperationError("BadNodeMap", witness=min(extra), detail="map key is not a source node")
 
-    for x, y in src.tree.sorted_edges:
-        if (node_map[x], node_map[y]) not in tgt.tree.edges:
-            raise ValidationError("EdgeNotPreserved", witness=(x, y))
+    tgt_pred = tgt.tree.pred
+    for x in src.tree.sorted_nodes:
+        for y in src.tree.children[x]:
+            if tgt_pred.get(node_map[y]) is not node_map[x]:
+                raise ValidationError("EdgeNotPreserved", witness=(x, y))
 
-    cells = src.sorted_infosets()
+    cells = src.cells
     for cell in cells:
         images = {node_map[x] for x in cell}
         anchor = next(iter(images))
@@ -93,19 +95,21 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
         if target_cell is None or not images <= target_cell:
             raise ValidationError("InfosetSplit", witness=cell)
 
-    alpha_at: dict = {}
-    for x in _decision_nodes(src.tree):
-        table = {}
-        for a in _sorted(src.feasible[x]):
-            y = src.next[(x, a)]
-            table[a] = tgt.label[(node_map[x], node_map[y])]
-        alpha_at[x] = table
+    alpha_at = {x: _alpha_at(src, tgt, node_map, x) for x in _decision_nodes(src.tree)}
     split = _not_constant(cells, alpha_at)
     if split is not None:
         raise ValidationError("ActionTransformNotConstant", witness=split)
     alpha = {cell: alpha_at[next(iter(cell))] for cell in cells}
 
     return CltMorphism(source=src, target=tgt, node_map=node_map, alpha=alpha)
+
+
+def _alpha_at(src: CLT, tgt: CLT, node_map, x) -> dict:
+    """x's actions in term order -> the actions on the images of their
+    edges: the image of the edge into y is the edge into node_map[y]."""
+    act = tgt.act
+    return {a: act[node_map[y]]
+            for a, y in zip(src.cell_actions[src.info_of[x]], src.succ[x])}
 
 
 def action_at(m: CltMorphism, x: Term, a: Term) -> Term:
@@ -207,31 +211,20 @@ def is_mono(m) -> bool:
 def clt_mono_witness(m: CltMorphism):
     """Two distinct morphisms from a two-node tree with equal composites,
     when the node map is not injective; None otherwise."""
-    collision = None
-    by_image: dict = {}
-    for x in m.source.tree.sorted_nodes:
-        v = m.node_map[x]
-        if v in by_image:
-            collision = (by_image[v], x)
+    by_image: dict = {}  # image -> the first node with it, in term order
+    for x2 in m.source.tree.sorted_nodes:
+        x1 = by_image.setdefault(m.node_map[x2], x2)
+        if x1 is not x2:
             break
-        by_image[v] = x
-    if collision is None:
+    else:
         return None
-    x1, x2 = collision
     # The root cannot collide: it strictly precedes every other node and
     # morphisms preserve strict order. So both nodes have predecessors.
-    probe = _two_node_clt()
     n0, n1 = Atom("0*"), Atom("1*")
+    probe = validate_clt(validate_out_tree({n0, n1}, {(n0, n1)}), [{n0}], {(n0, n1): Atom("*")})
     pred = m.source.tree.pred
-    theta1 = validate_clt_morphism(probe, m.source, {n0: pred[x1], n1: x1})
-    theta2 = validate_clt_morphism(probe, m.source, {n0: pred[x2], n1: x2})
-    return theta1, theta2
-
-
-def _two_node_clt() -> CLT:
-    n0, n1 = Atom("0*"), Atom("1*")
-    tree = validate_out_tree({n0, n1}, {(n0, n1)})
-    return validate_clt(tree, [{n0}], {(n0, n1): Atom("*")})
+    return (validate_clt_morphism(probe, m.source, {n0: pred[x1], n1: x1}),
+            validate_clt_morphism(probe, m.source, {n0: pred[x2], n1: x2}))
 
 
 def mono_witness(gm: GameMorphism):
@@ -255,22 +248,13 @@ def mono_witness(gm: GameMorphism):
         raise OperationError("InvariantBroken", witness=(e1, e2),
                              detail="runs with equal images have unequal node-image chains")
 
-    probe = _path_game(path1)
-    gamma1 = validate_game_morphism(probe, gm.source, {x: x for x in path1})
-    delta = dict(zip(path1, path2))
-    gamma2 = validate_game_morphism(probe, gm.source, delta)
-    return gamma1, gamma2
-
-
-def _path_game(path) -> Game:
-    """Single-run game on the given node chain: singleton information sets,
-    each decision node is its own player, zero utilities."""
-    edges = {(path[k], path[k + 1]): Atom("*") for k in range(len(path) - 1)}
-    tree = validate_out_tree(set(path), set(edges))
-    clt = validate_clt(tree, [{x} for x in path[:-1]], edges)
-    mover = {x: x for x in path[:-1]}
-    utilities = {(x, path[-1]): 0 for x in path[:-1]}
-    return validate_game(clt, mover, utilities)
+    # The probe is the single-run game on path1: singleton information sets,
+    # each decision node its own player, zero utilities.
+    edges = {(path1[k], path1[k + 1]): Atom("*") for k in range(len(path1) - 1)}
+    probe = build_game(path1, edges, [{x} for x in path1[:-1]], {x: x for x in path1[:-1]},
+                       {(x, e1): 0 for x in path1[:-1]})
+    return (validate_game_morphism(probe, gm.source, {x: x for x in path1}),
+            validate_game_morphism(probe, gm.source, dict(zip(path1, path2))))
 
 
 def is_iso(m) -> bool:
@@ -294,8 +278,8 @@ def _is_iso(m) -> bool:
         return False
     if len(m.source.tree.nodes) != len(m.target.tree.nodes):
         return False
-    cell_images = {frozenset(m.node_map[x] for x in cell) for cell in m.source.infosets}
-    return cell_images == set(m.target.infosets)
+    cell_images = {frozenset(m.node_map[x] for x in cell) for cell in m.source.cells}
+    return cell_images == set(m.target.cells)
 
 
 def inverse(m):
@@ -320,40 +304,47 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     by transport, with no validator: every field maps through the
     bijections, `order` stays a preorder with contiguous subtrees, and only
     what the names order is sorted: the nodes, once, as validation does
-    (children and sorted edges are read off them), the ends and the cells.
+    (children are read off them), the ends, the cells and each cell's
+    actions.
     """
-    node_bij = dict(node_bij)
-    if set(node_bij) != set(g.tree.nodes) or len(set(node_bij.values())) != len(node_bij):
-        raise OperationError("NotBijective", detail="node map")
-    player_bij = dict(player_bij)
-    if set(player_bij) != set(g.players) or len(set(player_bij.values())) != len(player_bij):
-        raise OperationError("NotBijective", detail="player map")
+    nb, pb = dict(node_bij), dict(player_bij)
+    for bij, domain, what in ((nb, g.tree.nodes, "node map"), (pb, g.players, "player map")):
+        if bij.keys() != domain or len(set(bij.values())) != len(bij):
+            raise OperationError("NotBijective", detail=what)
     action_bijs = {x: dict(t) for x, t in action_bijs.items()}
     if set(action_bijs) != set(g.tree.decision_nodes):
         raise OperationError("NotBijective", detail="action maps must cover decision nodes")
-    for x in _decision_nodes(g.tree):
-        t = action_bijs[x]
-        if set(t) != set(g.clt.feasible[x]) or len(set(t.values())) != len(t):
+    t, c = g.tree, g.clt
+    for x in _decision_nodes(t):
+        table = action_bijs[x]
+        if table.keys() != set(c.cell_actions[c.info_of[x]]) \
+                or len(set(table.values())) != len(table):
             raise OperationError("NotBijective", witness=x, detail="action map at node")
-    split = _not_constant(g.clt.sorted_infosets(), action_bijs)
+    split = _not_constant(c.cells, action_bijs)
     if split is not None:
         raise OperationError("ActionBijsNotConstantOnInfoset", witness=split)
 
-    t, c, nb, pb = g.tree, g.clt, node_bij, player_bij
     image = nb.__getitem__
-    label = {(nb[x], nb[y]): action_bijs[x][a] for (x, y), a in c.label.items()}
-    tree = _indexed(frozenset(nb.values()), frozenset(label), nb[t.root],
+    tree = _indexed(frozenset(nb.values()), nb[t.root],
                     {nb[y]: nb[x] for y, x in t.pred.items()}, map(image, t.order))
-    cells = tuple(sorted([frozenset(map(image, cell)) for cell in c.cells], key=encode_set))
-    clt = CLT(tree=tree, infosets=frozenset(cells), label=label,
-              actions=frozenset(label.values()),
-              feasible={nb[x]: frozenset(action_bijs[x].values()) for x in t.decision_nodes},
-              next={(nb[x], action_bijs[x][a]): nb[y] for (x, a), y in c.next.items()},
-              info_of={x: cell for cell in cells for x in cell}, cells=cells)
+    cell_actions, succ = {}, {}
+    for cell in c.cells:
+        # The images of the cell's actions, sorted, and where each was.
+        table = action_bijs[next(iter(cell))]
+        images = [table[a] for a in c.cell_actions[cell]]
+        pool = tuple(_sorted(images))
+        at = [images.index(b) for b in pool]
+        cell_actions[frozenset(map(image, cell))] = pool
+        for x in cell:
+            succ[nb[x]] = tuple([nb[c.succ[x][k]] for k in at])
+    cells = tuple(sorted(cell_actions, key=encode_set))
+    clt = CLT(tree=tree, cells=cells, info_of={x: cell for cell in cells for x in cell},
+              act={nb[y]: action_bijs[t.pred[y]][a] for y, a in c.act.items()},
+              cell_actions=cell_actions, succ=succ)
     g2 = Game(clt=clt, mover={nb[x]: pb[i] for x, i in g.mover.items()},
               players=frozenset(pb.values()),
-              utilities={(pb[i], nb[e]): v for (i, e), v in g.utilities.items()},
-              player_nodes={pb[i]: frozenset(map(image, xs)) for i, xs in g.player_nodes.items()})
+              payoffs={pb[i]: {nb[e]: v for e, v in table.items()}
+                       for i, table in g.payoffs.items()})
     alpha = {cell: action_bijs[next(iter(cell))] for cell in c.cells}
     cm = CltMorphism(source=c, target=clt, node_map=nb, alpha=alpha)
     return g2, GameMorphism(source=g, target=g2, clt_morphism=cm, iota=pb)
@@ -384,7 +375,7 @@ def iso_search(g1: Game, g2: Game):
     sig1, sig2 = _signatures(t1), _signatures(t2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
-    if sorted(len(c) for c in g1.clt.infosets) != sorted(len(c) for c in g2.clt.infosets):
+    if sorted(map(len, g1.clt.cells)) != sorted(map(len, g2.clt.cells)):
         return None
     prof1 = sorted(sorted(g1.ranks[i].values()) for i in g1.players)
     prof2 = sorted(sorted(g2.ranks[i].values()) for i in g2.players)

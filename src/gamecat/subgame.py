@@ -30,13 +30,14 @@ def selten_subclt(c: CLT, r: Term) -> CLT:
         raise OperationError("NotDecisionNode", witness=r)
     below = descendants(c.tree, r)
     # Restricting to below gives a CLT exactly when no cell straddles it.
-    cell = next((cell for cell in c.sorted_infosets() if cell & below and cell - below), None)
+    cell = next((cell for cell in c.cells if cell & below and cell - below), None)
     if cell is not None:
         raise ValidationError("NotExists", witness=cell)
-    edges = {e: a for e, a in c.label.items() if e[0] in below and e[1] in below}
+    # The edges inside are those into the nodes below r.
+    pred = c.tree.pred
+    edges = {(pred[y], y): c.act[y] for y in below if y is not r}
     tree = validate_out_tree(below, set(edges))
-    infosets = [cell for cell in c.infosets if cell <= below]
-    return validate_clt(tree, infosets, edges)
+    return validate_clt(tree, [cell for cell in c.cells if cell <= below], edges)
 
 
 def selten_subgame(g: Game, r: Term) -> SeltenResult:
@@ -46,8 +47,7 @@ def selten_subgame(g: Game, r: Term) -> SeltenResult:
     players = set(mover.values())
     # A run of the subgame completes to the run of g with the same end node,
     # so utilities restrict by end node.
-    utilities = {(i, end): v for (i, end), v in g.utilities.items()
-                 if i in players and end in below}
+    utilities = {(i, end): g.payoffs[i][end] for i in players for end in sub_clt.tree.ends}
     sub = validate_game(sub_clt, mover, utilities)
     inclusion = validate_game_morphism(sub, g, {x: x for x in below})
     return SeltenResult(root=r, subgame=sub, inclusion=inclusion)
@@ -63,7 +63,7 @@ def subgame_roots(g: Game):
     tree, info_of = g.tree, g.clt.info_of
     pos, last = tree.pos, tree.last
     span = {}
-    for cell in g.clt.infosets:
+    for cell in g.clt.cells:
         members = [pos[x] for x in cell]
         span[cell] = (min(members), max(members))
     bounds = {}  # decision node -> least and greatest position of a cell met below
@@ -97,7 +97,8 @@ def is_selten_subgame(sub: Game, sup: Game) -> bool:
         return False
     if any(inc.iota[i] != i for i in inc.iota):
         return False
-    if not sub.clt.infosets <= sup.clt.infosets:
+    if not set(sub.clt.cells) <= set(sup.clt.cells):
         return False
     # The inclusion maps players and end nodes identically.
-    return all(sup.utilities[key] == v for key, v in sub.utilities.items())
+    return all(sup.payoffs[i][e] == v for i, table in sub.payoffs.items()
+               for e, v in table.items())

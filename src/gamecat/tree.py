@@ -5,14 +5,18 @@ incoming edge, every other node has exactly one. Decision nodes are those
 with outgoing edges; runs are root-to-end paths, identified with their node
 sets but held as their end nodes (`OutTree.ends`), which biject with them.
 
-Validation sorts the nodes once, in term order (`sorted_nodes`), and reads
-the children of each node and the edges (`sorted_edges`) off them, both in
-term order. Its walk from the root is kept as an index, the nodes in a
-preorder (`order`); each node's position in it (`pos`), the position of
-the last node of its subtree (`last`) and its depth are derived on first
-read. The subtree below x is `order[pos[x]:last[x] + 1]`, so `tree_leq` is an
-O(1) interval test and `descendants` an O(output) slice. Only a preorder
-with contiguous subtree intervals is promised, in no sibling order.
+Each edge is stored once, as its target's parent (`pred`): (u, v) is an
+edge exactly when `pred.get(v) is u`. Validation sorts the nodes once
+(`sorted_nodes`) and reads each node's children in term order off them
+(`children`), so the edges in term order are `(x, y) for x in sorted_nodes
+for y in children[x]`. `edges`, the set of pairs, is a view for callers
+outside the library. Validation's walk from the root is kept as an index,
+the nodes in a preorder (`order`); each node's position in it (`pos`), the
+position of the last node of its subtree (`last`) and its depth are derived
+on first read. The subtree below x is `order[pos[x]:last[x] + 1]`, so
+`tree_leq` is an O(1) interval test and `descendants` an O(output) slice.
+Only a preorder with contiguous subtree intervals is promised, in no
+sibling order.
 """
 
 from __future__ import annotations
@@ -28,23 +32,23 @@ from .terms import Term, _sorted, encode
 @dataclass(frozen=True, eq=False)
 class OutTree:
     nodes: frozenset
-    edges: frozenset  # of (src, tgt) pairs
     root: Term = field(repr=False)
     pred: dict = field(repr=False)      # node -> parent, on nodes - {root}
     children: dict = field(repr=False)  # node -> tuple of children in term order
     decision_nodes: frozenset = field(repr=False)
     end_nodes: frozenset = field(repr=False)
     ends: tuple = field(repr=False)     # end nodes by encoding: one per run, in run order
-    sorted_edges: tuple = field(repr=False)  # edges in term order of (src, tgt)
     order: tuple = field(repr=False)    # the nodes in a preorder
     sorted_nodes: tuple = field(repr=False)  # nodes in term order
 
     def __eq__(self, other):
         if not isinstance(other, OutTree):
             return NotImplemented
-        return self.nodes == other.nodes and self.edges == other.edges
+        return self.nodes == other.nodes and self.pred == other.pred
 
     __hash__ = None
+
+    edges = cached_property(lambda self: frozenset([(x, y) for y, x in self.pred.items()]))
 
     @cached_property
     def pos(self) -> dict:
@@ -105,7 +109,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
         raise ValidationError("MultipleRoots", witness=tuple(_sorted(roots)))
     (root,) = roots
 
-    tree = _indexed(node_set, edge_set, root, pred)
+    tree = _indexed(node_set, root, pred)
     if len(tree.order) != len(node_set):
         # Every unreached node has a parent (roots were unique), so following
         # parents inside the unreached part must loop.
@@ -120,11 +124,11 @@ def validate_out_tree(nodes, edges) -> OutTree:
     return tree
 
 
-def _indexed(nodes, edges, root, pred, order=None) -> OutTree:
+def _indexed(nodes, root, pred, order=None) -> OutTree:
     """The tree with these parts and its index: the nodes sorted once, in
-    term order, and each node's children and the (src, tgt) edges, in term
-    order, read off them; order, when not given, from a walk down from the
-    root, which meets each node reached once since parents are unique."""
+    term order, and each node's children, in term order, read off them;
+    order, when not given, from a walk down from the root, which meets each
+    node reached once since parents are unique."""
     sorted_nodes = tuple(_sorted(nodes))
     children: dict = {x: [] for x in sorted_nodes}
     for y in sorted_nodes:
@@ -138,10 +142,9 @@ def _indexed(nodes, edges, root, pred, order=None) -> OutTree:
             order.append(x)
             stack += children[x]
     decision = frozenset(pred.values())
-    return OutTree(nodes=nodes, edges=edges, root=root, pred=pred, children=children,
+    return OutTree(nodes=nodes, root=root, pred=pred, children=children,
                    decision_nodes=decision, end_nodes=nodes - decision,
                    ends=tuple(sorted(nodes - decision, key=encode)), sorted_nodes=sorted_nodes,
-                   sorted_edges=tuple([(x, y) for x in sorted_nodes for y in children[x]]),
                    order=tuple(order))
 
 

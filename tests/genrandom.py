@@ -76,7 +76,7 @@ def relabel_iso(rng, g, prefix=None):
     rng.shuffle(order)
     node_bij = {x: Atom(f"{prefix}x{k}") for x, k in zip(nodes, order)}
     action_bijs = {}
-    for cidx, cell in enumerate(g.clt.sorted_infosets()):
+    for cidx, cell in enumerate(g.clt.cells):
         feas = sorted(g.clt.feasible[next(iter(cell))], key=term_key)
         perm = list(range(len(feas)))
         rng.shuffle(perm)

@@ -200,7 +200,7 @@ def ref_to_distinguished_sequence(g):
 
 
 def ref_to_action_set(g):
-    for cell in g.clt.sorted_infosets():
+    for cell in g.clt.cells:
         members = sorted(cell, key=term_key)
         for x in members:
             for y in members:
@@ -262,7 +262,7 @@ def test_converters_equal_the_staged_reference(monkeypatch):
 def _pairwise_absentminded_witness(g):
     """The witness as first written: tree_leq on every ordered pair of each
     cell, cells in encoding order."""
-    for cell in g.clt.sorted_infosets():
+    for cell in g.clt.cells:
         for x, y in itertools.permutations(sorted(cell), 2):
             if tree_leq(g.tree, x, y):
                 return (cell, x, y)
@@ -442,7 +442,7 @@ def test_pushforward_errors_keep_their_codes_and_witnesses():
         # One member of a cell gets its own permutation: the first split cell
         # in encoding order names its least member and the least other
         # member whose map differs.
-        cells = [c for c in g.clt.sorted_infosets()
+        cells = [c for c in g.clt.cells
                  if len(c) > 1 and len(g.clt.feasible[next(iter(c))]) > 1]
         if cells:
             cell = rng.choice(cells)

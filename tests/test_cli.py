@@ -34,6 +34,16 @@ def test_validate_rejects_broken_file(tmp_path, capsys):
     assert "Trivial" in out
 
 
+def test_validate_rejects_conflicting_utilities(tmp_path, capsys):
+    bad = tmp_path / "bad.gm"
+    bad.write_text("game b\nnode 0\nnode 1\nnode 2\nedge 0 1 a\nedge 0 2 b\n"
+                   "infoset i { 0 }\nplayer P infoset i\n"
+                   "utility P end 1 1\nutility P end 2 0\nutility P end 1 2\n")
+    code, out = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert "error: UtilityConflict P {0,1} (line 11)" in out
+
+
 def test_syntax_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.gm"
     bad.write_text("game b\nnode (0\n")

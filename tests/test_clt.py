@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from gamecat import (Atom, OperationError, ValidationError, next_node,
-                     validate_clt, validate_out_tree)
+from gamecat import (Atom, OperationError, ValidationError, next_node, to_distinguished,
+                     to_sequence, validate_clt, validate_out_tree)
 from gamecat.clt import _not_constant
 from examplegames import A, relabel, mixedalpha, make_clt
+from genrandom import random_game
 
 
 def test_infoset_with_shared_feasibility_is_valid():
@@ -114,3 +115,21 @@ def test_not_constant_reports_the_split_of_the_sorted_cell():
             k += size
         value = {x: rng.choice("uvv") for x in members}
         assert _not_constant(cells, value) == reference(cells, value)
+
+
+def test_validation_and_transport_store_the_same_forms():
+    # Each cell's actions are its members' labels in term order, each
+    # decision node's children follow them, and a converter's transported
+    # CLT stores what validating its views afresh stores.
+    rng = random.Random(17)
+    for _ in range(120):
+        g = random_game(rng, max_nodes=10)
+        for c in (g.clt, to_sequence(g).game.clt, to_distinguished(g).game.clt):
+            for x, cell in c.info_of.items():
+                labels = [c.label[(x, y)] for y in c.tree.children[x]]
+                assert list(c.cell_actions[cell]) == sorted(labels)
+                assert [c.label[(x, y)] for y in c.succ[x]] == list(c.cell_actions[cell])
+            tree = validate_out_tree(c.tree.nodes, c.tree.edges)
+            fresh = validate_clt(tree, c.infosets, c.label)
+            assert ((c.cells, c.info_of, c.act, c.cell_actions, c.succ)
+                    == (fresh.cells, fresh.info_of, fresh.act, fresh.cell_actions, fresh.succ))

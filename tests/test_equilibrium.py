@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gamecat import (Atom, OperationError, is_nash, nash,
+from gamecat import (Atom, OperationError, is_nash, nash, next_node,
                      outcome, properties, push_strategy, spe, strategies,
                      strategy_space_size, subgame_roots, to_distinguished)
 from gamecat.equilibrium import _play
@@ -145,7 +145,7 @@ def test_binary_8_spe_is_backward_induction_within_seconds():
 def _ref_deviation_gains(g, choice, start, i, base):
     """True when player i, the others held to choice, can reach from start
     an end node worth more than base to i; stops at the first such node."""
-    info_of, nxt, mine = g.clt.info_of, g.clt.next, g.player_nodes[i]
+    info_of, mine = g.clt.info_of, {x for x, j in g.mover.items() if j == i}
     feasible, ends, utilities = g.clt.feasible, g.tree.end_nodes, g.utilities
     fixed, path = {}, []
     stack = [(start, 0, None, None)]
@@ -164,12 +164,12 @@ def _ref_deviation_gains(g, choice, start, i, base):
             continue
         c = info_of[x]
         if x not in mine:
-            stack.append((nxt[(x, choice[c])], depth + 1, None, None))
+            stack.append((next_node(g.clt, x, choice[c]), depth + 1, None, None))
         elif c in fixed:
-            stack.append((nxt[(x, fixed[c])], depth + 1, None, None))
+            stack.append((next_node(g.clt, x, fixed[c]), depth + 1, None, None))
         else:
             for a in feasible[x]:
-                stack.append((nxt[(x, a)], depth + 1, c, a))
+                stack.append((next_node(g.clt, x, a), depth + 1, c, a))
     return False
 
 

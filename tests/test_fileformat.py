@@ -138,6 +138,35 @@ utility P1 end 2 0
     assert "line 6" in e.value.detail
 
 
+UTILITY_BASE = """game u
+node r
+node a
+node b
+edge r a x
+edge r b y
+infoset i { r }
+player P infoset i
+utility P end a 1
+utility P end b 0
+"""
+
+
+@pytest.mark.parametrize("later", ["utility P end a 2", "utility P run { r a } 2"])
+def test_a_second_value_for_one_run_is_a_conflict_naming_its_line(later):
+    # An identical repeat in between is read again and agrees.
+    with pytest.raises(ValidationError) as e:
+        parse_game_text(UTILITY_BASE + "utility P end a 1\n" + later + "\n")
+    run = frozenset({A("r"), A("a")})
+    assert (e.value.code, e.value.witness) == ("UtilityConflict", (A("P"), run))
+    assert e.value.detail == "line 12"
+
+
+def test_repeated_utility_lines_with_one_value_are_read_again():
+    text = UTILITY_BASE + "utility P end a 1\nutility P run { r a } 1\nutility P end a 1/1\n"
+    _, g = parse_game_text(text)
+    assert g.utility(A("P"), frozenset({A("r"), A("a")})) == 1
+
+
 def test_infoset_without_player_line():
     text = """game t
 node 0

@@ -21,7 +21,7 @@ def test_three_player_game_is_valid():
     assert g.players == frozenset({A("P1"), A("P2"), A("P3")})
     assert g.mover[A(3)] == A("P3") and g.mover[A(4)] == A("P3")
     assert g.utility(A("P1"), run_of(g, 0, 3, 5)) == 1
-    assert g.player_nodes[A("P3")] == frozenset({A(3), A(4)})
+    assert {x for x, i in g.mover.items() if i == A("P3")} == {A(3), A(4)}
 
 
 def test_mover_must_cover_and_be_constant():
@@ -85,6 +85,27 @@ def test_sets_that_are_not_runs_are_rejected_everywhere(nodes):
     with pytest.raises(ValidationError) as e:
         parse_game_text(text)
     assert (e.value.code, e.value.witness) == ("UtilityExtraneous", (A("P1"), z))
+
+
+def test_utility_of_an_unknown_player_is_a_coded_error():
+    g = trio_a()
+    with pytest.raises(OperationError) as e:
+        g.utility(A("P9"), run_of(g, 0, 3, 5))
+    assert (e.value.code, e.value.witness) == ("UnknownPlayer", A("P9"))
+
+
+def test_an_end_key_and_a_run_key_with_two_values_conflict():
+    # build_game keys one run by its end and by its node set, with two values.
+    edges = {(A(0), A(1)): A("a"), (A(0), A(2)): A("b")}
+    run = frozenset({A(0), A(1)})
+    utilities = {(A("P1"), A(1)): 1, (A("P1"), A(2)): 0, (A("P1"), run): 2}
+    with pytest.raises(ValidationError) as e:
+        build_game({A(0), A(1), A(2)}, edges, [{A(0)}], {A(0): A("P1")}, utilities)
+    assert (e.value.code, e.value.witness) == ("UtilityConflict", (A("P1"), run))
+    # Two keys for one run with one value agree.
+    g = build_game({A(0), A(1), A(2)}, edges, [{A(0)}], {A(0): A("P1")},
+                   {**utilities, (A("P1"), run): Fraction(2, 2)})
+    assert g.utility(A("P1"), run) == 1
 
 
 def test_one_player_zero_game():

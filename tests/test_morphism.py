@@ -11,7 +11,7 @@ import pytest
 from gamecat import (Atom, GameMorphism, OperationError, ValidationError, action_at,
                      build_game, clt_mono_witness, compose, forget, identity_clt_morphism,
                      identity_morphism, inverse, is_iso, is_mono, iso_search,
-                     mono_witness, one_player_zero_game, parse_game_text, pushforward,
+                     mono_witness, next_node, one_player_zero_game, parse_game_text, pushforward,
                      run_at, run_end, runs, strict_predecessors, term_key,
                      validate_clt_morphism, validate_game_morphism)
 from gamecat.terms import FinSet, Tup
@@ -58,8 +58,8 @@ def test_noncontinuous_action_transform_is_rejected():
 def test_per_node_action_values_behind_the_rejection():
     # the two nodes disagree: one sends b to e, the other sends b to f
     src, tgt = mixedalpha()
-    assert tgt.label[(A(3), src.next[(A(3), A("b"))])] == A("e")
-    assert tgt.label[(A(4), src.next[(A(4), A("b"))])] == A("f")
+    assert tgt.label[(A(3), next_node(src, A(3), A("b")))] == A("e")
+    assert tgt.label[(A(4), next_node(src, A(4), A("b")))] == A("f")
 
 
 def test_end_nodes_must_map_to_end_nodes():

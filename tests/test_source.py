@@ -48,3 +48,18 @@ def test_file_reader_has_no_public_helpers():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
     assert public == ["parse_game_text", "print_game", "parse_morphism_text", "print_morphism"]
+
+
+def test_library_reads_no_derived_view():
+    # OutTree, CLT and Game store each fact once; the pair-keyed and set
+    # forms below are views built on first read for callers outside the
+    # library, so no library module reads one.
+    views = {"edges", "label", "feasible", "infosets", "actions", "utilities", "next"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gamecat.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}: .{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in views]
+    assert found == []

@@ -158,11 +158,12 @@ def test_edge_witness_is_the_least_offending_edge():
 
 
 def test_sorted_index_is_term_order():
-    # Validation and transport both read children and edges off the nodes.
+    # Validation and transport both read children off the nodes, so the
+    # edges in term order are each sorted node's children in turn.
     for g in list(index_inputs())[::4]:
         for t in (g.tree, to_sequence(g).game.tree):
             assert t.sorted_nodes == tuple(sorted(t.nodes))
-            assert t.sorted_edges == tuple(sorted(t.edges))
+            assert [(x, y) for x in t.sorted_nodes for y in t.children[x]] == sorted(t.edges)
             assert t.children == {x: tuple(sorted(y for p, y in t.edges if p == x)) for x in t.nodes}
 
 
