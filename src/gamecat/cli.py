@@ -29,11 +29,11 @@ class _Report:
         self.machine = fmt == "machine"
 
     def line(self, key: str, *values):
-        text = " ".join(str(v) for v in values)
+        text = " ".join(map(str, values))
         if self.machine:
-            print(f"{key} {text}".rstrip())
+            sys.stdout.write(f"{key} {text}".rstrip() + "\n")
         else:
-            print(f"{key}: {text}" if text else key)
+            sys.stdout.write(f"{key}: {text}\n" if text else key + "\n")
 
 
 def _read_text(path: str) -> str:

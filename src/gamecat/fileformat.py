@@ -8,12 +8,14 @@ encodings), so printing is idempotent and parse/print round-trips.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import count
 
 from .errors import OperationError, ParseError, ValidationError
 from .game import Game, build_game
-from .terms import _ATOMS, _BARE_ATOM, _END, _TOKENS, Atom, _read_tokens, _sorted, encode
+from .terms import (_ATOMS, _BARE_ATOM, _END, _TOKENS, Atom, _quote, _read_tokens, _sorted,
+                    _unquote, encode)
 from .tree import _run
 
 # Everything before the first `#` that is outside a quoted atom.
@@ -23,16 +25,51 @@ _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
 # slash and digit characters ends; any other such run is a bad token.
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?![-+/0-9])|[-+/0-9]*")
 
-# A declaration line whose terms are all bare atoms, read by one match whose
-# last group is named for its keyword; other lines, bad ones too, are tokenised.
+# One quoted atom, as a source or target line may give its file.
+_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+# The bare-atom grammar of each declaration kind, written once: the line
+# reader reads a line of a kind by one match of it, and the block reader
+# checks every line of a file against it by one search.
 _W = _BARE_ATOM.pattern
-_GM_LINE = re.compile(  # groups: node 1, edge 2-4, infoset 5-6, player 7-8, utility 9-13
-    rf"node[ \t]+(?P<node>{_W})"
-    rf"|edge[ \t]+({_W})[ \t]+({_W})[ \t]+(?P<edge>{_W})"
-    rf"|infoset[ \t]+({_W})[ \t]*\{{[ \t]*(?P<infoset>(?:{_W}(?:[ \t]+{_W})*)?)[ \t]*\}}"
-    rf"|player[ \t]+({_W})[ \t]+infoset[ \t]+(?P<player>{_W})"
-    rf"|utility[ \t]+({_W})[ \t]+end[ \t]+({_W})[ \t]+(?P<utility>([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?)")
-_GMM_LINE = re.compile(rf"map[ \t]+({_W})[ \t]+->[ \t]*(?P<map>{_W})")
+_GM_KINDS = {
+    "node": rf"node[ \t]+({_W})",
+    "edge": rf"edge[ \t]+({_W})[ \t]+({_W})[ \t]+({_W})",
+    "infoset": rf"infoset[ \t]+({_W})[ \t]*\{{[ \t]*((?:{_W}(?:[ \t]+{_W})*)?)[ \t]*\}}",
+    "player": rf"player[ \t]+({_W})[ \t]+infoset[ \t]+({_W})",
+    "utility": rf"utility[ \t]+({_W})[ \t]+end[ \t]+({_W})[ \t]+([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?",
+}
+_GMM_KINDS = {"map": rf"map[ \t]+({_W})[ \t]+->[ \t]*({_W})"}
+
+
+def _line_pattern(kinds: dict):
+    """One pattern for a line of any kind; the last group is the kind's
+    whole line, named for its keyword, so lastgroup is the keyword."""
+    return re.compile("|".join(f"(?P<{k}>{p})" for k, p in kinds.items()))
+
+
+def _plain_lines(heads: tuple, kinds: dict):
+    """A pattern that finds, in lines each put after a "\n", the first that
+    is not plain: a whole-line comment, a head line (a keyword in heads and
+    a rest with no `#` or `"`) or a bare-atom line of kinds. Its search
+    steps from "\n" to "\n" in C, keeps nothing from line to line and stops
+    at the first other line. The kinds' groups do not capture here (no
+    kind's pattern has a literal `(`)."""
+    bare = [re.sub(r"\((?!\?)", "(?:", p) for p in kinds.values()]
+    heads = [rf'{h}[ \t][^#"\n]*' for h in heads]
+    return re.compile(r"\n(?!(?:" + "|".join(["#.*", *heads, *bare]) + r")(?:\n|\Z))")
+
+
+def _block_spec(heads: tuple, kinds: dict) -> tuple:
+    """_blocks' arguments for a format: its plain-line pattern, its heads,
+    and for each keyword the bounds between which its sorted lines lie."""
+    return _plain_lines(heads, kinds), heads, tuple((k, k + "\t", k + "!") for k in (*heads, *kinds))
+
+
+# groups: node 2, edge 4-6, infoset 8-9, player 11-12, utility 14-17; map 2-3
+_GM_LINE, _GMM_LINE = _line_pattern(_GM_KINDS), _line_pattern(_GMM_KINDS)
+_GM_BLOCKS = _block_spec(("game",), _GM_KINDS)
+_GMM_BLOCKS = _block_spec(("morphism", "source", "target"), _GMM_KINDS)
 
 
 def _word_at(toks, k: int) -> str:
@@ -58,7 +95,7 @@ def _members(toks, k: int):
     return frozenset(members), k + 1
 
 
-def _fraction(num: str, den) -> Fraction:
+def _fraction(num: str, den=None) -> Fraction:
     """num/den from digit strings, den None for 1; past int()'s digit limit a ParseError."""
     try:
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
@@ -102,8 +139,82 @@ def _lines(text: str, bare):
             yield lineno, head, rest, None, toks
 
 
+def _atoms(names: list) -> list:
+    """The atoms so named, looked up in C; only names not met before are built."""
+    xs = list(map(_ATOMS.get, names))
+    if all(xs):
+        return xs
+    # New names are built once each, in the order met. A block's names are
+    # sorted, and a set of atoms iterates about in the order they were built
+    # (an atom's hash is its address), so the validator's node sort is cheap.
+    for name in dict.fromkeys(names):
+        if name not in _ATOMS:
+            Atom(name)
+    return list(map(_ATOMS.get, names))
+
+
+def _blocks(text: str, plain, heads: tuple, bounds: tuple):
+    """For a text of plain lines (see _plain_lines) with one line of each
+    head: each keyword's lines joined by "\n"; else None. The lines are
+    stripped and sorted, so each keyword's lines form one block."""
+    lines = ["", *filter(None, map(str.strip, text.splitlines()))]  # "" puts a "\n" first
+    if plain.search("\n".join(lines)):
+        return None
+    lines.sort()
+    b = {k: "\n".join(lines[bisect_left(lines, lo):bisect_left(lines, hi)]) for k, lo, hi in bounds}
+    for h in heads:
+        if not b[h] or "\n" in b[h]:
+            return None
+    return b
+
+
+def _game_blocks(text: str):
+    """(name, Game) for a text of plain declarations that the line reader
+    reads without error; None for any other text, which is left to it.
+    Line order decides only which error the line reader reports, so the
+    game read from the sorted blocks is the one it reads."""
+    b = _blocks(text, *_GM_BLOCKS)
+    if b is None:
+        return None
+    nodes = set(_atoms(b["node"].split()[1::2]))
+    w = b["edge"].split()
+    edges = dict(zip(zip(_atoms(w[1::4]), _atoms(w[2::4])), _atoms(w[3::4])))
+    if len(edges) != len(w) // 4:
+        return None
+    # Each line is "infoset id {" members "}": split at the braces, the
+    # pieces alternate between the two (and one empty piece ends them).
+    parts = b["infoset"].replace("{", "}").split("}")
+    members = parts[1::2]
+    _atoms(" ".join(members).split())  # so that get finds every member
+    get = _ATOMS.get
+    cells = dict(zip(_atoms(" ".join(parts[::2]).split()[1::2]),
+                     [frozenset(map(get, ws.split())) for ws in members]))
+    w = b["player"].split()
+    cell_player = dict(zip(_atoms(w[3::4]), _atoms(w[1::4])))
+    if len(cells) != len(members) or len(cell_player) != len(w) // 4 \
+            or cell_player.keys() != cells.keys():
+        return None
+    w = b["utility"].split()
+    try:
+        values = (list(map(Fraction, map(int, w[4::5]))) if "/" not in b["utility"]
+                  else [_fraction(*v.split("/")) for v in w[4::5]])
+    except (ValueError, ParseError):  # past int()'s digit limit
+        return None
+    utilities = list(zip(zip(_atoms(w[1::5]), _atoms(w[3::5])), values))
+    mover = {x: cell_player[ident] for ident, cell in cells.items() for x in cell}
+    name = b["game"][5:].strip()
+    del b, w, parts, members  # the text's pieces, freed before validation builds the game
+    try:
+        return name, build_game(nodes, edges, cells.values(), mover, utilities)
+    except ValidationError:
+        return None
+
+
 def parse_game_text(text: str):
     """Returns (name, Game). Raises ParseError or a validation error."""
+    read = _game_blocks(text)
+    if read is not None:
+        return read
     name = None
     nodes: set = set()
     edges: dict = {}
@@ -120,7 +231,7 @@ def parse_game_text(text: str):
         try:
             if head == "node":
                 if m:
-                    x = atom(m[1]) or Atom(m[1])
+                    x = atom(m[2]) or Atom(m[2])
                 else:
                     x, k = _read_tokens(toks, 0)
                     if k + 1 < len(toks):
@@ -128,7 +239,7 @@ def parse_game_text(text: str):
                 nodes.add(x)
             elif head == "edge":
                 if m:
-                    s, t, a = m.group(2, 3, 4)
+                    s, t, a = m.group(4, 5, 6)
                     src = atom(s) or Atom(s)
                     tgt = atom(t) or Atom(t)
                     act = atom(a) or Atom(a)
@@ -145,7 +256,7 @@ def parse_game_text(text: str):
                 edge_lines.append(lineno)
             elif head == "utility":
                 if m:
-                    p, e, num, den = m.group(9, 10, 12, 13)
+                    p, e, num, den = m.group(14, 15, 16, 17)
                     pid = atom(p) or Atom(p)
                     where = atom(e) or Atom(e)
                     value = _fraction(num, den)
@@ -163,7 +274,7 @@ def parse_game_text(text: str):
                 utility_lines.append(lineno)
             elif head == "infoset":
                 if m:
-                    i, ws = m.group(5, 6)
+                    i, ws = m.group(8, 9)
                     ident = atom(i) or Atom(i)
                     members = frozenset([atom(w) or Atom(w) for w in ws.split()])
                 else:
@@ -176,7 +287,7 @@ def parse_game_text(text: str):
                 cells[ident] = members
             elif head == "player":
                 if m:
-                    p, i = m.group(7, 8)
+                    p, i = m.group(11, 12)
                     pid = atom(p) or Atom(p)
                     ident = atom(i) or Atom(i)
                 else:
@@ -250,8 +361,36 @@ def print_game(name: str, g: Game) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _morphism_blocks(text: str):
+    """parse_morphism_text's result for a text of plain declarations with
+    no map key repeated; None for any other text, which is left to the line
+    reader."""
+    b = _blocks(text, *_GMM_BLOCKS)
+    if b is None:
+        return None
+    w = b["map"].replace("->", " ").split()
+    node_map = dict(zip(_atoms(w[1::3]), _atoms(w[2::3])))
+    if len(node_map) != len(w) // 3:
+        return None
+    return b["morphism"][9:].strip(), b["source"][7:].strip(), b["target"][7:].strip(), node_map
+
+
+def _file_ref(rest: str) -> str:
+    """A source or target line's file: the text of a line that is one
+    quoted atom, else the line as written."""
+    if rest[:1] == '"' and _QUOTED.fullmatch(rest):
+        name, off = _unquote(rest)
+        if off is not None:
+            raise ParseError(name)
+        return name
+    return rest
+
+
 def parse_morphism_text(text: str):
     """Returns (name, source_path, target_path, node_map dict)."""
+    read = _morphism_blocks(text)
+    if read is not None:
+        return read
     name = source = target = None
     node_map: dict = {}
     for lineno, head, rest, m, toks in _lines(text, _GMM_LINE):
@@ -259,12 +398,12 @@ def parse_morphism_text(text: str):
             if head == "morphism":
                 name = rest
             elif head == "source":
-                source = rest
+                source = _file_ref(rest)
             elif head == "target":
-                target = rest
+                target = _file_ref(rest)
             elif head == "map":
                 if m:
-                    src, tgt = [_ATOMS.get(w) or Atom(w) for w in m.group(1, 2)]
+                    src, tgt = [_ATOMS.get(w) or Atom(w) for w in m.group(2, 3)]
                 else:
                     src, k = _read_tokens(toks, 0)
                     if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
@@ -286,9 +425,18 @@ def parse_morphism_text(text: str):
     return name, source, target, node_map
 
 
+def _print_ref(path: str) -> str:
+    """path as a source or target line writes it: quoted when the line,
+    read back, would not give it (a `#`, a leading quote, a line break, or
+    leading or trailing blanks)."""
+    if "#" in path or path[:1] == '"' or path != path.strip() or len(path.splitlines()) > 1:
+        return _quote(path)
+    return path
+
+
 def print_morphism(name: str, source: str, target: str, node_map: dict, keys=None) -> str:
     """keys, when given, are node_map's keys in term order."""
-    lines = [f"morphism {name}", f"source {source}", f"target {target}"]
+    lines = [f"morphism {name}", f"source {_print_ref(source)}", f"target {_print_ref(target)}"]
     for x in _sorted(node_map) if keys is None else keys:
         lines.append(f"map {encode(x)} -> {encode(node_map[x])}")
     return "\n".join(lines) + "\n"

@@ -244,6 +244,26 @@ def test_convert_writes_verifiable_pair(tmp_path, capsys):
         assert code == 0
 
 
+def test_morphism_files_the_cli_writes_read_back_from_a_hash_directory(tmp_path, capsys):
+    # iso writes absolute paths and convert the input's basename; a `#` in
+    # either is written quoted, so it is not read back as a comment.
+    work = tmp_path / "a#b"
+    work.mkdir()
+    shutil.copy(fixture_path("collapse_src.gm"), work / "collapse_src.gm")
+    shutil.copy(fixture_path("collapse_src.gm"), work / "x#y.gm")
+    game = str(work / "collapse_src.gm")
+    emitted = str(work / "e.gmm")
+    assert run(capsys, "iso", game, game, "--emit-morphism", emitted)[0] == 0
+    assert f'source "{game}"' in open(emitted, encoding="utf-8").read()
+    code, out = run(capsys, "morphism", "check", emitted)
+    assert (code, out.splitlines()[0]) == (0, "verdict: valid")
+    assert run(capsys, "convert", str(work / "x#y.gm"), "--to", "sequence")[0] == 0
+    certificate = str(work / "x#y.sequence.gmm")
+    assert 'source "x#y.gm"' in open(certificate, encoding="utf-8").read()
+    code, out = run(capsys, "morphism", "classify", certificate)
+    assert code == 0 and "iso: true" in out
+
+
 def test_convert_absentminded_fails_cleanly(capsys):
     code, out = run(capsys, "convert", fixture_path("split_tgt.gm"),
                     "--to", "action-set")

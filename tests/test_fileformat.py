@@ -711,3 +711,112 @@ def test_printing_a_utility_with_more_digits_than_str_writes_is_a_coded_error(va
         print_game("g", g)
     assert err.value.code == "UtilityTooLong"
     assert err.value.witness == (p, frozenset({r, e}))
+
+
+_BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _bare_fixture_texts():
+    """(parser, text) for each fixture whose names are all bare atoms."""
+    texts = [(parse, open(p, encoding="utf-8").read())
+             for paths, parse in ((all_game_fixtures(), parse_game_text),
+                                  (all_morphism_fixtures(), parse_morphism_text))
+             for p in paths]
+    return [(parse, t) for parse, t in texts if '"' not in t and "(" not in t]
+
+
+def _layouts(rng, text, k):
+    """text with its lines shuffled; with whole-line comments and blank
+    lines put in; with the k-th other line break; with a second `game` or
+    `source` line; with a tab after one keyword; with one name quoted."""
+    lines = text.splitlines()
+    out = ["\n".join(rng.sample(lines, len(lines)))]
+    padded = list(lines)
+    for filler in ("# a comment", "", " \t ", "\t#another", "#"):
+        padded.insert(rng.randint(0, len(padded)), filler)
+    out.append("\n".join(padded))
+    out.append(_BREAKS[k % len(_BREAKS)].join(lines))
+    second = "source other.gm" if "\nmap " in text else "game other"
+    out.append("\n".join(lines[:1] + rng.sample(lines[1:] + [second], len(lines))))
+    j = rng.randrange(len(lines))
+    out.append("\n".join(lines[:j] + [lines[j].replace(" ", "\t", 1)] + lines[j + 1:]))
+    named = []
+    for j, line in enumerate(lines):
+        words = line.split(" ")
+        if words[0] in ("node", "edge", "infoset", "player", "utility", "map"):
+            last = len(words) - 1 if words[0] == "utility" else len(words)
+            named += [(j, i) for i in range(1, last)
+                      if words[i] not in ("infoset", "end", "{", "}", "->")]
+    if named:
+        j, i = rng.choice(named)
+        words = lines[j].split(" ")
+        words[i] = f'"{words[i]}"'
+        out.append("\n".join(lines[:j] + [" ".join(words)] + lines[j + 1:]))
+    return out
+
+
+def test_neither_line_order_nor_layout_changes_a_load():
+    rng = random.Random(14)
+    texts = _bare_fixture_texts()
+    for game, morphism in _bare_texts(rng, 200):
+        texts += [(parse_game_text, game), (parse_morphism_text, morphism)]
+    kinds = {"game": 0, "ParseError": 0, "ValidationError": 0, "morphism": 0}
+    for k, (parse, text) in enumerate(texts):
+        ref = ref_parse_game_text if parse is parse_game_text else ref_parse_morphism_text
+        cases = _layouts(rng, text, k)
+        cases += list(_mutants(rng, text, 2)) + list(_mutants(rng, cases[0], 2))
+        for case in cases:
+            got = _parsed(parse, case)
+            assert got == _parsed(ref, case), case
+            kinds[got[0]] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_a_file_of_plain_declarations_never_reaches_the_line_reader(monkeypatch):
+    # Shuffled lines, comments, blank lines, other line breaks and tabs
+    # after a keyword are still plain declarations.
+    from gamecat import fileformat
+    rng = random.Random(15)
+    texts = _bare_fixture_texts()
+    for game, morphism in _bare_texts(rng, 50):
+        texts += [(parse_game_text, game), (parse_morphism_text, morphism)]
+    texts += [(parse, case) for k, (parse, text) in enumerate(texts)
+              for case in _layouts(rng, text, k)
+              if '"' not in case and "game other" not in case and "source other" not in case]
+    expected = [parse(text) for parse, text in texts]
+
+    def refuse(*args):
+        raise AssertionError("the line reader was reached")
+
+    monkeypatch.setattr(fileformat, "_lines", refuse)
+    assert [parse(text) for parse, text in texts] == expected
+
+
+def test_a_file_with_one_quoted_name_reaches_the_line_reader(monkeypatch):
+    from gamecat import fileformat
+    game = print_game("t", trio_a())
+    morphism = print_morphism("m", "a.gm", "a.gm", {x: x for x in trio_a().tree.nodes})
+    cases = [(parse_game_text, game, game.replace("node 0\n", 'node "0"\n')),
+             (parse_morphism_text, morphism, morphism.replace("map 0 ", 'map "0" ')),
+             (parse_morphism_text, morphism, morphism.replace("source a.gm", 'source "a.gm"'))]
+    calls = []
+    original = fileformat._lines
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(fileformat, "_lines", counted)
+    for parse, plain, quoted in cases:
+        assert quoted != plain and parse(quoted) == parse(plain)
+    assert calls == [quoted for _, _, quoted in cases]
+
+
+@pytest.mark.parametrize("path", ["a#b/g.gm", '"g.gm', '"g.gm"', "g.gm\n", " g.gm",
+                                  "g\u2028.gm", 'a"b#c', "/abs/x#y/g.gm "])
+def test_a_file_reference_that_would_not_read_back_is_written_quoted(path):
+    node_map = {A("x"): A("y")}
+    printed = print_morphism("m", path, "b.gm", node_map)
+    assert parse_morphism_text(printed) == ("m", path, "b.gm", node_map)
+    assert print_morphism("m", "a b.gm", path, node_map).startswith(
+        "morphism m\nsource a b.gm\ntarget \"")

@@ -1,0 +1,257 @@
+"""Compare the bytes every gamecat CLI command prints and writes between two
+source trees.
+
+    python3 tools/cli_bytes.py PARENT [--tree TREE] [--games 200] [--seed 1]
+
+PARENT and TREE are checkouts holding src/gamecat; TREE defaults to the
+checkout this script is in, and PARENT can be made with, for example,
+`git worktree add /tmp/parent HEAD~1`.
+
+The inputs are built once, with this checkout's library and tests/genrandom:
+the files of tests/fixtures; seeded random games, every other one renamed to
+quoted, tuple and set names, each with a relabelled copy, the identity
+morphism, the certificate of the copy and a morphism that swaps two nodes;
+mutated copies of those files (a piece put in, a character dropped, a blank
+turned into a tab or dropped, a line repeated or dropped); and a game in a
+directory named `a#b`. Each game goes through validate, props, strategies,
+nash, spe, subgames, subgame --at (the least and the greatest node), convert
+to all four forms (reading the two files it writes) and iso against its copy
+with --emit-morphism (reading the file); each morphism through morphism
+check, classify and compose; every call in both output formats.
+
+Each tree runs every call in its own subprocess (PYTHONPATH=TREE/src), in
+its own copy of the inputs, and absolute paths into that copy are written
+`<work>` before comparing. The report gives the calls made, their exit codes,
+and every call whose standard output, exit code or written files differ.
+Exit status: 0 when nothing differs, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+import traceback
+from collections import Counter
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+CONVERT = ["distinguished", "sequence", "action-set", "distinguished-sequence"]
+PIECES = ["(", ")", "{", "}", ",", '"', "\\", "\t", " ", "/", "->", "-", ">", "#", "x",
+          "1/0", "--1", "infoset", "end", "run", "\\u12", "é", '""', '"a b"', "(a,"]
+NAMES = ["a b", 'x"y', "é", "q#r", "m\\n", "(", "{z}", "1/2", "end", "run", "-", "->"]
+
+
+def _mutant(rng, text):
+    """text with one or two lines changed."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 2)):
+        j = rng.randrange(len(lines))
+        line, pos, r = lines[j], rng.randint(0, len(lines[j])), rng.random()
+        if r < 0.45:
+            lines[j] = line[:pos] + rng.choice(PIECES) + line[pos:]
+        elif r < 0.6:
+            lines[j] = line[:pos] + line[pos + 1:]
+        elif r < 0.8 and " " in line:
+            k = rng.choice([k for k, ch in enumerate(line) if ch == " "])
+            lines[j] = line[:k] + rng.choice(["\t", ""]) + line[k + 1:]
+        elif r < 0.9:
+            lines.insert(j, line)
+        else:
+            del lines[j]
+    return "\n".join(lines)
+
+
+def build_inputs(inputs, n_games, seed):
+    """Write the inputs under inputs; return the calls, each (argv, the
+    files it may write), with paths relative to inputs."""
+    sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
+    from gamecat import (Atom, GameError, encode, parse_game_text, print_game, print_morphism,
+                         pushforward)
+    from gamecat.terms import FinSet, Tup
+    from genrandom import random_game
+
+    rng = random.Random(seed)
+    shutil.copytree(os.path.join(REPO, "tests", "fixtures"), os.path.join(inputs, "fixtures"))
+    os.makedirs(os.path.join(inputs, "a#b"))
+    for name in ("collapse_src.gm", "x#y.gm"):
+        shutil.copy(os.path.join(inputs, "fixtures", "collapse_src.gm"),
+                    os.path.join(inputs, "a#b", name))
+
+    def put(path, text):
+        with open(os.path.join(inputs, path), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+    def name(k, renamed):
+        if not renamed or rng.random() < 0.4:
+            return Atom(f"v{k}")
+        base = Atom(f"{rng.choice(NAMES)}{k}")
+        r = rng.random()
+        return Tup((base, Atom("t"))) if r < 0.2 else FinSet((base,)) if r < 0.35 else base
+
+    def relabel(g, names):
+        nodes = sorted(g.tree.nodes)
+        bij = dict(zip(nodes, names))
+        return pushforward(g, bij, {x: {a: a for a in g.clt.feasible[x]}
+                                    for x in g.tree.decision_nodes}, {i: i for i in g.players})
+
+    games, morphisms, pairs, texts = [], [], [], []
+    for k in range(n_games):
+        g = random_game(rng, max_nodes=9)
+        n, renamed = len(g.tree.nodes), k % 2 == 1
+        g, _ = relabel(g, [name(j, renamed) for j in range(n)])
+        copy, cert = relabel(g, rng.sample([name(j, renamed) for j in range(n)], n))
+        src, dst = f"r{k}.gm", f"r{k}.copy.gm"
+        texts += [put(src, print_game(f"r{k}", g)), put(dst, print_game(f"r{k}c", copy))]
+        ident = {x: x for x in g.tree.nodes}
+        swapped = dict(ident)
+        x, y = rng.sample(sorted(g.tree.nodes), 2)
+        swapped[x], swapped[y] = y, x
+        ms = [put(f"r{k}.id.gmm", print_morphism(f"id{k}", src, src, ident)),
+              put(f"r{k}.iso.gmm", print_morphism(f"iso{k}", src, dst, cert.node_map)),
+              put(f"r{k}.bad.gmm", print_morphism(f"bad{k}", src, src, swapped))]
+        texts += ms
+        morphisms += ms
+        games += [src, dst]
+        pairs += [(ms[0], ms[0]), (ms[0], ms[1]), (ms[1], ms[0])]
+    for j, path in enumerate(rng.sample(texts, min(len(texts), max(10, n_games // 2)))):
+        ext = os.path.splitext(path)[1]
+        with open(os.path.join(inputs, path), encoding="utf-8") as fh:
+            text = fh.read()
+        out = put(f"mutant{j}{ext}", _mutant(rng, text))
+        (games if ext == ".gm" else morphisms).append(out)
+    fixtures = sorted(os.listdir(os.path.join(inputs, "fixtures")))
+    games += [f"fixtures/{f}" for f in fixtures if f.endswith(".gm")]
+    morphisms += [f"fixtures/{f}" for f in fixtures if f.endswith(".gmm")]
+    pairs += [(m, m) for m in morphisms if m.startswith("fixtures/")]
+    games += ["a#b/collapse_src.gm", "a#b/x#y.gm"]
+
+    calls = []
+    for path in games:
+        stem = os.path.splitext(path)[0]
+        with open(os.path.join(inputs, path), encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            nodes = parse_game_text(text)[1].tree.sorted_nodes
+            ats = [encode(nodes[0]), encode(nodes[-1])]
+        except GameError:  # a mutant: the commands report its error
+            ats = ["v0"]
+        calls += [([cmd, path], []) for cmd in
+                  ("validate", "props", "strategies", "nash", "spe", "subgames")]
+        calls += [(["subgame", path, "--at", at], []) for at in ats]
+        calls += [(["convert", path, "--to", to], [f"{stem}.{to}.gm", f"{stem}.{to}.gmm"])
+                  for to in CONVERT]
+        twin = f"{stem}.copy.gm"
+        other = twin if os.path.exists(os.path.join(inputs, twin)) else path
+        emit = f"{stem}.emitted.gmm"
+        calls.append((["iso", path, other, "--emit-morphism", emit], [emit]))
+    for path in morphisms:
+        calls += [(["morphism", action, path], []) for action in ("check", "classify")]
+    calls += [(["morphism", "compose", a, b], []) for a, b in pairs]
+    return [(["--format", fmt, *argv], writes) for argv, writes in calls
+            for fmt in ("human", "machine")]
+
+
+def run_calls(calls_path, out_path):
+    """Child: run every call in this process, in the current directory."""
+    import gamecat
+    from gamecat.cli import main
+    work = os.getcwd()
+    with open(calls_path, encoding="utf-8") as fh:
+        calls = json.load(fh)
+    results = []
+    for argv, writes in calls:
+        buf = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+        except Exception:  # a traceback is an outcome to compare too
+            code = "traceback: " + traceback.format_exc().strip().splitlines()[-1]
+        files = {}
+        for path in writes:
+            if os.path.exists(path):
+                with open(path, encoding="utf-8") as fh:
+                    files[path] = fh.read().replace(work, "<work>")
+                os.remove(path)
+        results.append([code, buf.getvalue().replace(work, "<work>"), files])
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump({"library": gamecat.__file__, "results": results}, fh)
+
+
+def _difference(a, b, label):
+    lines = difflib.unified_diff(a.splitlines(), b.splitlines(), "parent", "tree", lineterm="", n=0)
+    return [f"  {label}: " + line for line in list(lines)[2:8]]
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", help="the source tree to compare against")
+    p.add_argument("--tree", default=REPO, help="the source tree to check (this checkout)")
+    p.add_argument("--games", type=int, default=200, help="random games to build")
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    trees = [os.path.abspath(args.parent), os.path.abspath(args.tree)]
+    for tree in trees:
+        if not os.path.isdir(os.path.join(tree, "src", "gamecat")):
+            p.error(f"{tree} holds no src/gamecat")
+    with tempfile.TemporaryDirectory(prefix="cli-bytes-") as tmp:
+        inputs = os.path.join(tmp, "inputs")
+        os.makedirs(inputs)
+        calls = build_inputs(inputs, args.games, args.seed)
+        calls_path = os.path.join(tmp, "calls.json")
+        with open(calls_path, "w", encoding="utf-8") as fh:
+            json.dump(calls, fh)
+        procs = []
+        for side, tree in zip(("parent", "tree"), trees):
+            work = os.path.join(tmp, side)
+            shutil.copytree(inputs, work)
+            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+            procs.append(subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__), "--child", calls_path,
+                 os.path.join(tmp, side + ".json")], cwd=work, env=env))
+        if any(proc.wait() for proc in procs):
+            print("a child run failed", file=sys.stderr)
+            return 2
+        runs = []
+        for side, tree in zip(("parent", "tree"), trees):
+            with open(os.path.join(tmp, side + ".json"), encoding="utf-8") as fh:
+                run = json.load(fh)
+            if not run["library"].startswith(os.path.join(tree, "src")):
+                print(f"{side} loaded {run['library']}, not its tree's library", file=sys.stderr)
+                return 2
+            runs.append(run["results"])
+    written = sum(len(files) for _, _, files in runs[1])
+    codes = Counter(code for code, _, _ in runs[1])
+    print(f"calls {len(calls)}  files written {written}  exit codes "
+          + " ".join(f"{code}:{n}" for code, n in sorted(codes.items(), key=str)))
+    differing = 0
+    for (argv, _), (c0, out0, f0), (c1, out1, f1) in zip(calls, *runs):
+        report = []
+        if c0 != c1:
+            report.append(f"  exit code: {c0} -> {c1}")
+        if out0 != out1:
+            report += _difference(out0, out1, "stdout")
+        for path in sorted(set(f0) | set(f1)):
+            if f0.get(path) != f1.get(path):
+                report += _difference(f0.get(path, ""), f1.get(path, ""), path)
+        if report:
+            differing += 1
+            print("differs: gamecat " + " ".join(argv), *report, sep="\n")
+    print(f"differing calls {differing}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        run_calls(*sys.argv[2:4])
+    else:
+        sys.exit(main())
