@@ -37,7 +37,11 @@ class _Report:
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except ValueError as e:  # a NUL character in the path
+        raise ParseError(f"cannot open {path!r}: {e}") from None
+    with fh:
         try:
             return fh.read()
         except UnicodeDecodeError as e:
@@ -200,22 +204,20 @@ def _check_morphism(path, rep, classify=False):
 
 
 def _cmd_morphism(args, rep):
-    if args.action == "check":
-        return _check_morphism(args.files[0], rep)
-    if args.action == "classify":
-        return _check_morphism(args.files[0], rep, classify=True)
-    if args.action == "compose":
-        if len(args.files) != 2:
-            raise ParseError("compose needs two morphism files")
-        _, s1, t1, map1 = _load_morphism(args.files[0])
-        _, s2, t2, map2 = _load_morphism(args.files[1])
-        m1 = validate_game_morphism(s1, t1, map1)
-        m2 = validate_game_morphism(s2, t2, map2)
-        m = compose(m2, m1)
-        for x in m.source.tree.sorted_nodes:
-            rep.line("map", encode(x), "->", encode(m.node_map[x]))
-        return 0
-    raise ParseError(f"unknown morphism action {args.action!r}")
+    if args.action != "compose":  # check or classify
+        if len(args.files) != 1:
+            raise ParseError(f"{args.action} needs one morphism file")
+        return _check_morphism(args.files[0], rep, classify=args.action == "classify")
+    if len(args.files) != 2:
+        raise ParseError("compose needs two morphism files")
+    _, s1, t1, map1 = _load_morphism(args.files[0])
+    _, s2, t2, map2 = _load_morphism(args.files[1])
+    m1 = validate_game_morphism(s1, t1, map1)
+    m2 = validate_game_morphism(s2, t2, map2)
+    m = compose(m2, m1)
+    for x in m.source.tree.sorted_nodes:
+        rep.line("map", encode(x), "->", encode(m.node_map[x]))
+    return 0
 
 
 def _cmd_iso(args, rep):

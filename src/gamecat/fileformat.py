@@ -28,24 +28,17 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?![-+/0-9])|[-+/0-9]*")
 # One quoted atom, as a source or target line may give its file.
 _QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
 
-# The bare-atom grammar of each declaration kind, written once: the line
-# reader reads a line of a kind by one match of it, and the block reader
-# checks every line of a file against it by one search.
+# The bare-atom grammar of each declaration kind, written once: the block
+# reader checks every line of a file against it by one search.
 _W = _BARE_ATOM.pattern
 _GM_KINDS = {
-    "node": rf"node[ \t]+({_W})",
-    "edge": rf"edge[ \t]+({_W})[ \t]+({_W})[ \t]+({_W})",
-    "infoset": rf"infoset[ \t]+({_W})[ \t]*\{{[ \t]*((?:{_W}(?:[ \t]+{_W})*)?)[ \t]*\}}",
-    "player": rf"player[ \t]+({_W})[ \t]+infoset[ \t]+({_W})",
-    "utility": rf"utility[ \t]+({_W})[ \t]+end[ \t]+({_W})[ \t]+([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?",
+    "node": rf"node[ \t]+{_W}",
+    "edge": rf"edge[ \t]+{_W}[ \t]+{_W}[ \t]+{_W}",
+    "infoset": rf"infoset[ \t]+{_W}[ \t]*\{{[ \t]*(?:{_W}(?:[ \t]+{_W})*)?[ \t]*\}}",
+    "player": rf"player[ \t]+{_W}[ \t]+infoset[ \t]+{_W}",
+    "utility": rf"utility[ \t]+{_W}[ \t]+end[ \t]+{_W}[ \t]+[+-]?[0-9]+(?:/0*[1-9][0-9]*)?",
 }
-_GMM_KINDS = {"map": rf"map[ \t]+({_W})[ \t]+->[ \t]*({_W})"}
-
-
-def _line_pattern(kinds: dict):
-    """One pattern for a line of any kind; the last group is the kind's
-    whole line, named for its keyword, so lastgroup is the keyword."""
-    return re.compile("|".join(f"(?P<{k}>{p})" for k, p in kinds.items()))
+_GMM_KINDS = {"map": rf"map[ \t]+{_W}[ \t]+->[ \t]*{_W}"}
 
 
 def _plain_lines(heads: tuple, kinds: dict):
@@ -53,11 +46,9 @@ def _plain_lines(heads: tuple, kinds: dict):
     is not plain: a whole-line comment, a head line (a keyword in heads and
     a rest with no `#` or `"`) or a bare-atom line of kinds. Its search
     steps from "\n" to "\n" in C, keeps nothing from line to line and stops
-    at the first other line. The kinds' groups do not capture here (no
-    kind's pattern has a literal `(`)."""
-    bare = [re.sub(r"\((?!\?)", "(?:", p) for p in kinds.values()]
+    at the first other line."""
     heads = [rf'{h}[ \t][^#"\n]*' for h in heads]
-    return re.compile(r"\n(?!(?:" + "|".join(["#.*", *heads, *bare]) + r")(?:\n|\Z))")
+    return re.compile(r"\n(?!(?:" + "|".join(["#.*", *heads, *kinds.values()]) + r")(?:\n|\Z))")
 
 
 def _block_spec(heads: tuple, kinds: dict) -> tuple:
@@ -66,8 +57,6 @@ def _block_spec(heads: tuple, kinds: dict) -> tuple:
     return _plain_lines(heads, kinds), heads, tuple((k, k + "\t", k + "!") for k in (*heads, *kinds))
 
 
-# groups: node 2, edge 4-6, infoset 8-9, player 11-12, utility 14-17; map 2-3
-_GM_LINE, _GMM_LINE = _line_pattern(_GM_KINDS), _line_pattern(_GMM_KINDS)
 _GM_BLOCKS = _block_spec(("game",), _GM_KINDS)
 _GMM_BLOCKS = _block_spec(("morphism", "source", "target"), _GMM_KINDS)
 
@@ -115,17 +104,12 @@ def _read_rational(toks) -> Fraction:
     return _fraction(num, den)
 
 
-def _lines(text: str, bare):
-    """(line number, keyword, rest, match, tokens) for each line that is not
-    blank once its comment is stripped: for a line that bare matches whole
-    (all lines are stripped and matched in C), its keyword and match; else
-    the keyword up to the first space or tab, the rest less leading
-    whitespace, and its tokens, ending in one _END."""
-    lines = list(map(str.strip, text.splitlines()))
-    for lineno, line, m in zip(count(1), lines, map(bare.fullmatch, lines)):
-        if m:
-            yield lineno, m.lastgroup, None, m, None
-            continue
+def _lines(text: str):
+    """(line number, keyword, rest, tokens) for each line that is not blank
+    once stripped and its comment removed: the keyword up to the first space
+    or tab, the rest less leading whitespace, and its tokens, ending in one
+    _END."""
+    for lineno, line in zip(count(1), map(str.strip, text.splitlines())):
         if "#" in line:
             c = _BEFORE_COMMENT.match(line)
             line = c.group(0).rstrip() if c else line
@@ -136,7 +120,7 @@ def _lines(text: str, bare):
             rest = rest.lstrip()
             toks = _TOKENS.findall(rest)
             toks.append(_END)
-            yield lineno, head, rest, None, toks
+            yield lineno, head, rest, toks
 
 
 def _atoms(names: list) -> list:
@@ -223,80 +207,54 @@ def parse_game_text(text: str):
     cell_player: dict = {}  # infoset id -> player
     utilities: list = []   # ((player, end or run), value) for each utility line
     utility_lines: list = []  # each utility's line, in utilities' order
-    atom = _ATOMS.get
 
     # Keywords are tested most frequent first.
-    for lineno, head, rest, m, toks in _lines(text, _GM_LINE):
-        # A tokenised line is read to its end when only _END is left.
+    for lineno, head, rest, toks in _lines(text):
+        # A line is read to its end when only _END is left.
         try:
             if head == "node":
-                if m:
-                    x = atom(m[2]) or Atom(m[2])
-                else:
-                    x, k = _read_tokens(toks, 0)
-                    if k + 1 < len(toks):
-                        raise ParseError("trailing input")
+                x, k = _read_tokens(toks, 0)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
                 nodes.add(x)
             elif head == "edge":
-                if m:
-                    s, t, a = m.group(4, 5, 6)
-                    src = atom(s) or Atom(s)
-                    tgt = atom(t) or Atom(t)
-                    act = atom(a) or Atom(a)
-                else:
-                    src, k = _read_tokens(toks, 0)
-                    tgt, k = _read_tokens(toks, k)
-                    act, k = _read_tokens(toks, k)
-                    if k + 1 < len(toks):
-                        raise ParseError("trailing input")
+                src, k = _read_tokens(toks, 0)
+                tgt, k = _read_tokens(toks, k)
+                act, k = _read_tokens(toks, k)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
                 key = (src, tgt)
                 if key in edges:
                     raise ParseError("duplicate edge")
                 edges[key] = act
                 edge_lines.append(lineno)
             elif head == "utility":
-                if m:
-                    p, e, num, den = m.group(14, 15, 16, 17)
-                    pid = atom(p) or Atom(p)
-                    where = atom(e) or Atom(e)
-                    value = _fraction(num, den)
+                pid, k = _read_tokens(toks, 0)
+                word = _word_at(toks, k)
+                if word == "end":
+                    where, k = _read_tokens(toks, k + 1)
+                elif word == "run":
+                    where, k = _members(toks, k + 1)
                 else:
-                    pid, k = _read_tokens(toks, 0)
-                    word = _word_at(toks, k)
-                    if word == "end":
-                        where, k = _read_tokens(toks, k + 1)
-                    elif word == "run":
-                        where, k = _members(toks, k + 1)
-                    else:
-                        raise ParseError("expected 'end' or 'run'")
-                    value = _read_rational(toks[k:])
+                    raise ParseError("expected 'end' or 'run'")
+                value = _read_rational(toks[k:])
                 utilities.append(((pid, where), value))
                 utility_lines.append(lineno)
             elif head == "infoset":
-                if m:
-                    i, ws = m.group(8, 9)
-                    ident = atom(i) or Atom(i)
-                    members = frozenset([atom(w) or Atom(w) for w in ws.split()])
-                else:
-                    ident, k = _read_tokens(toks, 0)
-                    members, k = _members(toks, k)
-                    if k + 1 < len(toks):
-                        raise ParseError("trailing input")
+                ident, k = _read_tokens(toks, 0)
+                members, k = _members(toks, k)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
                 if ident in cells:
                     raise ParseError("duplicate infoset id")
                 cells[ident] = members
             elif head == "player":
-                if m:
-                    p, i = m.group(11, 12)
-                    pid = atom(p) or Atom(p)
-                    ident = atom(i) or Atom(i)
-                else:
-                    pid, k = _read_tokens(toks, 0)
-                    if _word_at(toks, k) != "infoset":
-                        raise ParseError("expected 'infoset'")
-                    ident, k = _read_tokens(toks, k + 1)
-                    if k + 1 < len(toks):
-                        raise ParseError("trailing input")
+                pid, k = _read_tokens(toks, 0)
+                if _word_at(toks, k) != "infoset":
+                    raise ParseError("expected 'infoset'")
+                ident, k = _read_tokens(toks, k + 1)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
                 if ident in cell_player:
                     raise ParseError("infoset assigned to two players")
                 cell_player[ident] = pid
@@ -393,7 +351,7 @@ def parse_morphism_text(text: str):
         return read
     name = source = target = None
     node_map: dict = {}
-    for lineno, head, rest, m, toks in _lines(text, _GMM_LINE):
+    for lineno, head, rest, toks in _lines(text):
         try:
             if head == "morphism":
                 name = rest
@@ -402,15 +360,12 @@ def parse_morphism_text(text: str):
             elif head == "target":
                 target = _file_ref(rest)
             elif head == "map":
-                if m:
-                    src, tgt = [_ATOMS.get(w) or Atom(w) for w in m.group(2, 3)]
-                else:
-                    src, k = _read_tokens(toks, 0)
-                    if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
-                        raise ParseError("expected '->'")
-                    tgt, k = _read_tokens(toks, k + 2)
-                    if k + 1 < len(toks):
-                        raise ParseError("trailing input")
+                src, k = _read_tokens(toks, 0)
+                if toks[k][1] != "-" or toks[k + 1] != ("", "", ">"):
+                    raise ParseError("expected '->'")
+                tgt, k = _read_tokens(toks, k + 2)
+                if k + 1 < len(toks):
+                    raise ParseError("trailing input")
                 if src in node_map:
                     raise ParseError("duplicate map key")
                 node_map[src] = tgt

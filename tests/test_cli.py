@@ -82,6 +82,27 @@ def test_non_utf8_morphism_is_a_syntax_error(tmp_path, capsys):
     assert out == f"error: SyntaxError ({tgt} is not UTF-8: bad byte at offset 12)\n"
 
 
+@pytest.mark.parametrize("source", ['"a\\u0000b.gm"', "a\x00b.gm"], ids=["quoted", "raw"])
+def test_a_nul_in_a_file_name_is_a_syntax_error(tmp_path, capsys, source):
+    shutil.copy(fixture_path("trio_a.gm"), tmp_path / "g.gm")
+    bad = tmp_path / "bad.gmm"
+    bad.write_text(f"morphism m\nsource {source}\ntarget g.gm\nmap 0 -> 0\n", encoding="utf-8")
+    code, out = run(capsys, "--format", "machine", "morphism", "check", str(bad))
+    assert code == 2
+    path = os.path.join(str(tmp_path), "a\x00b.gm")
+    assert out == f"error SyntaxError (cannot open {path!r}: embedded null byte)\n"
+
+
+@pytest.mark.parametrize("action", ["check", "classify"])
+def test_morphism_check_and_classify_take_exactly_one_file(capsys, action):
+    gmm = fixture_path("collapse.gmm")
+    for files in ([gmm, fixture_path("nonexistent.gmm")], [gmm, gmm]):
+        code, out = run(capsys, "morphism", action, *files)
+        assert code == 2
+        assert out == f"error: SyntaxError ({action} needs one morphism file)\n"
+    assert run(capsys, "morphism", action, gmm)[0] == 0
+
+
 def test_morphism_term_error_names_its_line(tmp_path, capsys):
     shutil.copy(fixture_path("trio_a.gm"), tmp_path / "g.gm")
     bad = tmp_path / "bad.gmm"

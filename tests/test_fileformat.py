@@ -593,7 +593,7 @@ def _bare_texts(rng, n):
 
 
 def _boundary_variants(line):
-    """Rewrites of one printed line at the edges of what one match reads:
+    """Rewrites of one printed line at the edges of the bare-atom grammar:
     blanks and keywords glued or widened, other whitespace between fields,
     comments, rationals, member lists and arrows."""
     words = line.split(" ")
@@ -625,7 +625,7 @@ def _boundary_variants(line):
     return out
 
 
-def test_one_match_reader_agrees_with_the_cursor_reader_at_its_edges():
+def test_readers_agree_with_the_cursor_reader_at_the_bare_grammar_edges():
     rng = random.Random(12)
     kinds = {"game": 0, "ParseError": 0, "ValidationError": 0, "morphism": 0}
     for game, morphism in _bare_texts(rng, 40):
@@ -650,8 +650,10 @@ def test_one_match_reader_agrees_with_the_cursor_reader_at_its_edges():
     assert min(kinds.values()) >= 100, kinds
 
 
-def test_bare_atom_lines_are_read_by_one_match():
-    from gamecat.fileformat import _GM_LINE, _GMM_LINE
+def test_bare_atom_lines_pass_the_plain_line_gate():
+    # The gate finds, in lines each put after a "\n", the first line that
+    # is not plain; the bare-atom grammar of each kind is written once, in it.
+    from gamecat.fileformat import _GM_BLOCKS, _GMM_BLOCKS
     games = [open(p, encoding="utf-8").read() for p in all_game_fixtures()]
     games = [text for text in games if '"' not in text and "(" not in text]
     morphisms = [print_morphism("id", "g.gm", "g.gm", {x: x for x in parse_game_text(t)[1].tree.nodes})
@@ -659,15 +661,16 @@ def test_bare_atom_lines_are_read_by_one_match():
     for game, morphism in _bare_texts(random.Random(13), 200):
         games.append(game)
         morphisms.append(morphism)
-    lines = [(_GM_LINE, line) for text in games for line in text.splitlines()
+    gm, gmm = _GM_BLOCKS[0], _GMM_BLOCKS[0]
+    lines = [(gm, line) for text in games for line in text.splitlines()
              if not line.startswith("game ")]
-    lines += [(_GMM_LINE, line) for text in morphisms for line in text.splitlines()
+    lines += [(gmm, line) for text in morphisms for line in text.splitlines()
               if line.startswith("map ")]
     assert len(lines) > 5000
-    for pattern, line in lines:
-        assert pattern.fullmatch(line), line
-    # One quoted, tuple or set name is enough to send a line to the tokens.
-    for pattern, line in lines[::7]:
+    for gate, line in lines:
+        assert not gate.search("\n" + line), line
+    # One quoted, tuple or set name is enough to make a line not plain.
+    for gate, line in lines[::7]:
         words = line.split(" ")
         names = [k for k, w in enumerate(words)
                  if k and w not in ("infoset", "end", "{", "}", "->")
@@ -675,13 +678,14 @@ def test_bare_atom_lines_are_read_by_one_match():
         for k in names:
             for name in (f'"{words[k]}"', f"({words[k]})", f"{{{words[k]}}}", f'"{words[k]} x"'):
                 changed = " ".join(words[:k] + [name] + words[k + 1:])
-                assert not pattern.fullmatch(changed), changed
+                assert gate.search("\n" + changed), changed
 
 
 @pytest.mark.parametrize("end", ["e", '"e x"'], ids=["bare-atom line", "quoted-atom line"])
 def test_utility_with_more_digits_than_int_reads_is_a_coded_parse_error(end, tmp_path, capsys):
-    # A bare-atom utility line is read by one match, a quoted one is
-    # tokenised: both name the line, and the CLI exits 2 with no traceback.
+    # A file of bare-atom lines is first tried by the block reader, one with
+    # a quoted atom goes straight to the line reader: both errors name the
+    # line, and the CLI exits 2 with no traceback.
     from gamecat.cli import main
     big = "1" * 5000
     text = (f"game g\nnode r\nnode {end}\nnode f\nedge r {end} a\nedge r f b\n"
@@ -810,6 +814,27 @@ def test_a_file_with_one_quoted_name_reaches_the_line_reader(monkeypatch):
     for parse, plain, quoted in cases:
         assert quoted != plain and parse(quoted) == parse(plain)
     assert calls == [quoted for _, _, quoted in cases]
+
+
+@pytest.mark.parametrize("workload", ["corpus", "strategic", "deep"])
+def test_no_benchmark_command_reaches_the_line_reader(workload, tmp_path, monkeypatch):
+    # Every file a benchmark workload loads, the files its commands write
+    # included, is read by the block reader; a workload that timed the line
+    # reader would fail here.
+    from gamecat import fileformat
+    from gamecat.cli import main
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(FIXTURES)), "perfbench"))
+    import workloads
+    cases = workloads.build(workload, "t", str(tmp_path), tiny=True)
+
+    def refuse(*args):
+        raise AssertionError("the line reader was reached")
+
+    monkeypatch.setattr(fileformat, "_lines", refuse)
+    cmds = [cmd for case in cases for cmd in case.cmds]
+    assert cmds
+    for cmd in cmds:
+        assert main(cmd.argv) == cmd.code, cmd.argv
 
 
 @pytest.mark.parametrize("path", ["a#b/g.gm", '"g.gm', '"g.gm"', "g.gm\n", " g.gm",
