@@ -23,19 +23,14 @@ from .terms import Term, _sorted, encode_set
 from .tree import OutTree
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CLT:
     tree: OutTree
-    cells: tuple                            # the information sets, by encoding
-    info_of: dict = field(repr=False)       # decision node -> its cell
-    act: dict = field(repr=False)           # non-root node -> action on its incoming edge
-    cell_actions: dict = field(repr=False)  # cell -> its actions in term order
-    succ: dict = field(repr=False)          # decision node -> children, by action index
-
-    def __eq__(self, other):
-        if not isinstance(other, CLT):
-            return NotImplemented
-        return self.tree == other.tree and self.cells == other.cells and self.act == other.act
+    cells: tuple  # the information sets, by encoding
+    info_of: dict = field(repr=False, compare=False)  # decision node -> its cell
+    act: dict = field(repr=False)  # non-root node -> action on its incoming edge
+    cell_actions: dict = field(repr=False, compare=False)  # cell -> its actions in term order
+    succ: dict = field(repr=False, compare=False)  # decision node -> children, by action index
 
     __hash__ = None
 

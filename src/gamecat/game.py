@@ -20,18 +20,12 @@ from .terms import Atom, Term
 from .tree import _run, _runs, run_end, runs, validate_out_tree
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Game:
     clt: CLT
     mover: dict                      # decision node -> player
-    players: frozenset = field(repr=False)  # image of mover
+    players: frozenset = field(repr=False, compare=False)  # image of mover
     payoffs: dict = field(repr=False)       # player -> end node -> Fraction
-
-    def __eq__(self, other):
-        if not isinstance(other, Game):
-            return NotImplemented
-        return (self.clt == other.clt and self.mover == other.mover
-                and self.payoffs == other.payoffs)
 
     __hash__ = None
 

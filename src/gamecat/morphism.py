@@ -20,34 +20,22 @@ from .tree import (_indexed, _run, _runs, run_end, strict_predecessors,
                    validate_out_tree)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CltMorphism:
     source: CLT
     target: CLT
     node_map: dict
-    alpha: dict = field(repr=False)  # cell -> {action -> action}, cells in encoding order
-
-    def __eq__(self, other):
-        if not isinstance(other, CltMorphism):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.node_map == other.node_map)
+    alpha: dict = field(repr=False, compare=False)  # cell -> {action -> action}, by encoding
 
     __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GameMorphism:
     source: Game
     target: Game
     clt_morphism: CltMorphism
-    iota: dict = field(repr=False)  # player -> player
-
-    def __eq__(self, other):
-        if not isinstance(other, GameMorphism):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.node_map == other.node_map)
+    iota: dict = field(repr=False, compare=False)  # player -> player
 
     __hash__ = None
 
@@ -350,44 +338,44 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     return g2, GameMorphism(source=g, target=g2, clt_morphism=cm, iota=pb)
 
 
-def _signatures(t):
-    """Each node's (depth, child count, subtree size, sorted child subtree
-    sizes), read off the tree's index."""
-    size = {x: t.last[x] - t.pos[x] + 1 for x in t.order}
-    return {x: (t.depth[x], len(kids), size[x], tuple(sorted(size[k] for k in kids)))
-            for x, kids in t.children.items()}
+def _colours(g: Game, table: dict) -> dict:
+    """Each node of g -> its key's number in table. No key names a node,
+    action or player: a player's is (0, *its sorted ranks), an end's
+    (2, *its sorted (player colour, rank) pairs) and a decision node's
+    (1, depth, cell size, *its sorted child colours)."""
+    depth, children, info_of = g.tree.depth, g.tree.children, g.clt.info_of
+    players = [(table.setdefault((0, *sorted(r.values())), len(table)), r) for r in g.ranks.values()]
+    colour: dict = {}
+    for x in reversed(g.tree.order):  # children before their parent
+        kids = children[x]
+        if kids:
+            key = (1, depth[x], len(info_of[x]), *sorted([colour[y] for y in kids]))
+        else:
+            key = (2, *sorted([(c, r[x]) for c, r in players]))
+        colour[x] = table.setdefault(key, len(table))
+    return colour
 
 
 def iso_search(g1: Game, g2: Game):
     """Search for an isomorphism from g1 to g2; None when there is none.
 
-    Backtracking over root-preserving node bijections. Before the search,
-    the games must agree on the multisets of structural node signatures,
-    of infoset sizes and of per-player ordinal utility profiles; during it,
-    a source node is tried only on target nodes with its signature that
-    keep the parent and child links already assigned. Any complete
-    candidate is re-validated, so the pruning only affects speed. The
-    witness is the least isomorphism, comparing node maps by the images of
-    the source nodes taken in term order, each in term order (not by
-    encoding: `"a b"` encodes before `a` but sorts after it).
+    Backtracking over root-preserving node bijections, re-validating each
+    complete one: a source node is tried on the target nodes of its colour
+    (`_colours`) that keep the parent and child links already assigned.
+    The witness is the least isomorphism by the source nodes' images in
+    term order, each in term order (`"a b"` encodes before `a`, sorts after).
     """
     t1, t2 = g1.tree, g2.tree
-    sig1, sig2 = _signatures(t1), _signatures(t2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
+    table: dict = {}  # key -> colour, shared by the two games
+    col1, col2 = _colours(g1, table), _colours(g2, table)
+    if col1[t1.root] != col2[t2.root]:
         return None
-    if sorted(map(len, g1.clt.cells)) != sorted(map(len, g2.clt.cells)):
-        return None
-    prof1 = sorted(sorted(g1.ranks[i].values()) for i in g1.players)
-    prof2 = sorted(sorted(g2.ranks[i].values()) for i in g2.players)
-    if prof1 != prof2:
-        return None
-
-    # Only the root has depth 0, so signatures already fix root to root.
-    by_sig: dict = {}
+    # Equal roots give equal colour multisets; only roots have depth 0.
+    by_colour: dict = {}
     for v in t2.sorted_nodes:
-        by_sig.setdefault(sig2[v], []).append(v)
+        by_colour.setdefault(col2[v], []).append(v)
     order = t1.sorted_nodes
-    candidates = [by_sig[sig1[x]] for x in order]
+    candidates = [by_colour[col1[x]] for x in order]
 
     def consistent(x, v):
         if x != t1.root:

@@ -29,22 +29,17 @@ from .errors import OperationError, ValidationError
 from .terms import Term, _sorted, encode
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OutTree:
     nodes: frozenset
-    root: Term = field(repr=False)
+    root: Term = field(repr=False, compare=False)
     pred: dict = field(repr=False)      # node -> parent, on nodes - {root}
-    children: dict = field(repr=False)  # node -> tuple of children in term order
-    decision_nodes: frozenset = field(repr=False)
-    end_nodes: frozenset = field(repr=False)
-    ends: tuple = field(repr=False)     # end nodes by encoding: one per run, in run order
-    order: tuple = field(repr=False)    # the nodes in a preorder
-    sorted_nodes: tuple = field(repr=False)  # nodes in term order
-
-    def __eq__(self, other):
-        if not isinstance(other, OutTree):
-            return NotImplemented
-        return self.nodes == other.nodes and self.pred == other.pred
+    children: dict = field(repr=False, compare=False)  # node -> children in term order
+    decision_nodes: frozenset = field(repr=False, compare=False)
+    end_nodes: frozenset = field(repr=False, compare=False)
+    ends: tuple = field(repr=False, compare=False)  # end nodes by encoding, in run order
+    order: tuple = field(repr=False, compare=False)  # the nodes in a preorder
+    sorted_nodes: tuple = field(repr=False, compare=False)  # nodes in term order
 
     __hash__ = None
 

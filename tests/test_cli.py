@@ -82,11 +82,15 @@ def test_non_utf8_morphism_is_a_syntax_error(tmp_path, capsys):
     assert out == f"error: SyntaxError ({tgt} is not UTF-8: bad byte at offset 12)\n"
 
 
-@pytest.mark.parametrize("source", ['"a\\u0000b.gm"', "a\x00b.gm"], ids=["quoted", "raw"])
-def test_a_nul_in_a_file_name_is_a_syntax_error(tmp_path, capsys, source):
+@pytest.mark.parametrize("ref, name", [("source", '"a\\u0000b.gm"'), ("source", "a\x00b.gm"),
+                                       ("target", '"a\\u0000b.gm"'), ("target", "a\x00b.gm")],
+                         ids=["quoted", "raw", "quoted-target", "raw-target"])
+def test_a_nul_in_a_file_name_is_a_syntax_error(tmp_path, capsys, ref, name):
     shutil.copy(fixture_path("trio_a.gm"), tmp_path / "g.gm")
     bad = tmp_path / "bad.gmm"
-    bad.write_text(f"morphism m\nsource {source}\ntarget g.gm\nmap 0 -> 0\n", encoding="utf-8")
+    refs = {"source": "g.gm", "target": "g.gm", ref: name}
+    bad.write_text(f"morphism m\nsource {refs['source']}\ntarget {refs['target']}\nmap 0 -> 0\n",
+                   encoding="utf-8")
     code, out = run(capsys, "--format", "machine", "morphism", "check", str(bad))
     assert code == 2
     path = os.path.join(str(tmp_path), "a\x00b.gm")

@@ -363,6 +363,60 @@ def test_iso_search_returns_the_least_isomorphism():
     assert iso_search(g, h).node_map[A(1)] == A("a")
 
 
+def binary_tree_game(depth, utility):
+    """The full binary tree of the given depth, each node named by its path
+    from the root `r`; P1 and P2 alternate by depth, and utility(i, end)
+    gives player i's utility at each end."""
+    edges, level = {}, ["r"]
+    for _ in range(depth):
+        edges.update({(x, x + bit): "LR"[int(bit)] for x in level for bit in "01"})
+        level = [x + bit for x in level for bit in "01"]
+    decision = {x for x, _ in edges}
+    return make_game(edges, [{x} for x in decision],
+                     {x: f"P{(len(x) - 1) % 2 + 1}" for x in decision},
+                     {(i, e): utility(i, e) for i in ("P1", "P2") for e in level})
+
+
+def ordinal_invariant(g):
+    """Per end, the players' utility ranks, as a sorted list, least over the
+    orders of the players: isomorphic games have equal invariants."""
+    return min(sorted(tuple(g.ranks[i][e] for i in perm) for e in g.tree.ends)
+               for perm in itertools.permutations(g.players))
+
+
+def timed_iso_search(g1, g2):
+    start = time.perf_counter()
+    m = iso_search(g1, g2)
+    took = time.perf_counter() - start
+    assert took < 5, took
+    return m
+
+
+def test_iso_search_on_shuffled_binary_trees_returns_within_seconds():
+    # Unless the utilities below a node steer the search, it tries every
+    # sibling order here, which takes minutes.
+    rng = random.Random(19)
+    g = binary_tree_game(8, lambda i, e: rng.randint(0, 3))
+    m = timed_iso_search(g, relabel_iso(rng, g)[0])
+    assert m is not None and is_iso(m)
+    # Constant utilities tie every node with every other of its depth.
+    flat = binary_tree_game(8, lambda i, e: 0)
+    m = timed_iso_search(flat, relabel_iso(rng, flat)[0])
+    assert m is not None and is_iso(m)
+    # A near miss: P1's utilities swapped at two ends, changing P1's order
+    # so that the ordinal invariant certifies it is not isomorphic to g.
+    p1, base = g.payoffs[A("P1")], ordinal_invariant(g)
+
+    def swapped(e1, e2):
+        swap = {(A("P1"), e1): p1[e2], (A("P1"), e2): p1[e1]}
+        return build_game(g.tree.nodes, g.clt.label, g.clt.cells, g.mover,
+                          {**g.utilities, **swap})
+
+    near = next(h for h in itertools.starmap(swapped, itertools.combinations(g.tree.ends, 2))
+                if ordinal_invariant(h) != base)
+    assert timed_iso_search(g, relabel_iso(rng, near)[0]) is None
+
+
 def test_mergers_are_not_mono():
     rng = random.Random(29)
     found = 0
