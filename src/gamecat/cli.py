@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -86,11 +87,8 @@ def _cmd_validate(args, rep):
 def _cmd_props(args, rep):
     _, g = _load_game(args.game)
     p = properties(g)
-    rep.line("distinguished_actions", str(p.distinguished_actions).lower())
-    rep.line("uses_sequences", str(p.uses_sequences).lower())
-    rep.line("uses_action_sets", str(p.uses_action_sets).lower())
-    rep.line("no_absentmindedness", str(p.no_absentmindedness).lower())
-    rep.line("perfect_information", str(p.perfect_information).lower())
+    for f in dataclasses.fields(p):
+        rep.line(f.name, str(getattr(p, f.name)).lower())
     return 0
 
 
@@ -101,17 +99,11 @@ def _cmd_strategies(args, rep):
     return 0
 
 
-def _cmd_nash(args, rep):
+def _cmd_equilibria(args, rep):
     _, g = _load_game(args.game)
-    for s in nash(g, args.max_strategies):
-        rep.line("nash", _strategy_str(s))
-    return 0
-
-
-def _cmd_spe(args, rep):
-    _, g = _load_game(args.game)
-    for s in spe(g, args.max_strategies):
-        rep.line("spe", _strategy_str(s))
+    solver = {"nash": nash, "spe": spe}[args.command]
+    for s in solver(g, args.max_strategies):
+        rep.line(args.command, _strategy_str(s))
     return 0
 
 
@@ -178,29 +170,22 @@ def _check_morphism(path, rep, classify=False):
         return 1
     rep.line("verdict", "valid")
     for cell, table in gm.clt_morphism.alpha.items():  # in encoding order
-        for a in _sorted(table):
-            rep.line("alpha", encode_set(cell), encode(a), "->", encode(table[a]))
+        for a, image in table.items():  # in term order
+            rep.line("alpha", encode_set(cell), encode(a), "->", encode(image))
     for z, image in gm.zeta.items():
         rep.line("zeta", encode_set(z), "->", encode_set(image))
     for i in _sorted(gm.iota):
         rep.line("iota", encode(i), "->", encode(gm.iota[i]))
     if classify:
-        mono = is_mono(gm)
-        iso = is_iso(gm)
-        rep.line("mono", str(mono).lower())
-        rep.line("iso", str(iso).lower())
-        w = mono_witness(gm)
-        if w is not None:
-            g1, g2 = w
-            for x in g1.source.tree.sorted_nodes:
-                rep.line("mono_witness", encode(x), "->",
-                         encode(g1.node_map[x]), "|", encode(g2.node_map[x]))
-        cw = clt_mono_witness(gm.clt_morphism)
-        if cw is not None:
-            t1, t2 = cw
-            for x in t1.source.tree.sorted_nodes:
-                rep.line("clt_mono_witness", encode(x), "->",
-                         encode(t1.node_map[x]), "|", encode(t2.node_map[x]))
+        for key, verdict in (("mono", is_mono(gm)), ("iso", is_iso(gm))):
+            rep.line(key, str(verdict).lower())
+        for key, w in (("mono_witness", mono_witness(gm)),
+                       ("clt_mono_witness", clt_mono_witness(gm.clt_morphism))):
+            if w is not None:
+                m1, m2 = w
+                for x in m1.source.tree.sorted_nodes:
+                    rep.line(key, encode(x), "->", encode(m1.node_map[x]), "|",
+                             encode(m2.node_map[x]))
     return 0
 
 
@@ -248,8 +233,8 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     for cmd, fn in [("validate", _cmd_validate), ("props", _cmd_props),
-                    ("strategies", _cmd_strategies), ("nash", _cmd_nash),
-                    ("spe", _cmd_spe), ("subgames", _cmd_subgames)]:
+                    ("strategies", _cmd_strategies), ("nash", _cmd_equilibria),
+                    ("spe", _cmd_equilibria), ("subgames", _cmd_subgames)]:
         sp = sub.add_parser(cmd)
         sp.add_argument("game")
         sp.set_defaults(func=fn)

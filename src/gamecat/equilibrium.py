@@ -29,7 +29,6 @@ from .errors import OperationError
 from .game import Game
 from .morphism import GameMorphism, is_iso
 from .subgame import subgame_roots
-from .terms import encode_set
 from .tree import _run
 
 
@@ -199,15 +198,10 @@ def spe(g: Game, cap: int = 1_000_000):
 
 
 def push_strategy(iso: GameMorphism, s: GrandStrategy) -> GrandStrategy:
-    """Transport a strategy along an isomorphism: at each target node the
-    image action of what the strategy chose at the preimage node."""
+    """Transport a strategy along an isomorphism: each target cell, in
+    encoding order, takes the image action of its preimage cell's choice."""
     if not is_iso(iso):
         raise OperationError("NotIso")
-    tau = iso.node_map
-    alpha = iso.clt_morphism.alpha
-    choice = s.as_dict()
-    pushed = {}
-    for cell, a in choice.items():
-        image_cell = frozenset(tau[x] for x in cell)
-        pushed[image_cell] = alpha[cell][a]
-    return GrandStrategy(tuple(sorted(pushed.items(), key=lambda kv: encode_set(kv[0]))))
+    tau, alpha, info_of = iso.node_map, iso.clt_morphism.alpha, iso.target.clt.info_of
+    pushed = {info_of[tau[next(iter(cell))]]: alpha[cell][a] for cell, a in s.choices}
+    return GrandStrategy(tuple((c, pushed[c]) for c in iso.target.clt.cells if c in pushed))

@@ -246,22 +246,13 @@ def mono_witness(gm: GameMorphism):
 
 
 def is_iso(m) -> bool:
-    cached = getattr(m, "_iso_verdict", None)
-    if cached is None:
-        cached = _is_iso(m)
-        object.__setattr__(m, "_iso_verdict", cached)
-    return cached
-
-
-def _is_iso(m) -> bool:
     if isinstance(m, GameMorphism):
         if not is_iso(m.clt_morphism):
             return False
         if len(set(m.iota.values())) != len(m.iota):
             return False
-        ends = m.source.tree.ends
-        return all(_order_violation(ends, a, b) is None and _order_violation(ends, b, a) is None
-                   for _, a, b in _utility_orders(m.source, m.target, m.node_map, m.iota))
+        # The ends biject: dense ranks agree both ways exactly when equal.
+        return all(a == b for _, a, b in _utility_orders(m.source, m.target, m.node_map, m.iota))
     if len(set(m.node_map.values())) != len(m.source.tree.nodes):
         return False
     if len(m.source.tree.nodes) != len(m.target.tree.nodes):

@@ -82,8 +82,6 @@ def is_selten_subgame(sub: Game, sup: Game) -> bool:
     identity action transform and inclusion player transform; the node set
     is a node and all its successors; information sets and utilities are
     restrictions."""
-    if not sub.tree.nodes <= sup.tree.nodes:
-        return False
     r = sub.tree.root
     if r not in sup.tree.decision_nodes:
         return False

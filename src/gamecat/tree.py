@@ -106,15 +106,12 @@ def validate_out_tree(nodes, edges) -> OutTree:
 
     tree = _indexed(node_set, root, pred)
     if len(tree.order) != len(node_set):
-        # Every unreached node has a parent (roots were unique), so following
-        # parents inside the unreached part must loop.
-        reached, seen = set(tree.order), set()
-        first = x = min(node_set - reached)
+        # An unreached node has a parent (roots were unique), and the parent
+        # is unreached too, as the walk takes every child; so parents loop.
+        x, seen = min(node_set - set(tree.order)), set()
         while x not in seen:
             seen.add(x)
             x = pred[x]
-            if x in reached:
-                raise ValidationError("NotConnected", witness=first)
         raise ValidationError("HasCycle", witness=x)
     return tree
 

@@ -107,6 +107,12 @@ def test_morphism_check_and_classify_take_exactly_one_file(capsys, action):
     assert run(capsys, "morphism", action, gmm)[0] == 0
 
 
+def test_morphism_compose_takes_two_files(capsys):
+    code, out = run(capsys, "morphism", "compose", fixture_path("collapse.gmm"))
+    assert code == 2
+    assert out == "error: SyntaxError (compose needs two morphism files)\n"
+
+
 def test_morphism_term_error_names_its_line(tmp_path, capsys):
     shutil.copy(fixture_path("trio_a.gm"), tmp_path / "g.gm")
     bad = tmp_path / "bad.gmm"
@@ -118,6 +124,10 @@ def test_morphism_term_error_names_its_line(tmp_path, capsys):
     code, out = run(capsys, "--format", "machine", "morphism", "check", str(bad))
     assert code == 2
     assert out == "error SyntaxError (unterminated quoted atom at line 6)\n"
+    bad.write_text('morphism m\nsource ""\ntarget g.gm\nmap 0 -> 0\n')
+    code, out = run(capsys, "morphism", "check", str(bad))
+    assert code == 2
+    assert out == "error: SyntaxError (empty quoted atom at line 2)\n"
 
 
 def test_props_output(capsys):

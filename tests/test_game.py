@@ -36,6 +36,11 @@ def test_mover_must_cover_and_be_constant():
         validate_game(clt2, {A(0): A("P1"), A(1): A("P2")}, {})
     assert e.value.code == "MoverNotConstant"
 
+    with pytest.raises(ValidationError) as e:
+        validate_game(clt, {A(0): A("P1"), A(1): A("P1"), A(2): A("P1")}, {})
+    assert (e.value.code, e.value.witness, e.value.detail) == (
+        "MoverMissing", A(2), "mover assigned to a non-decision node")
+
 
 def test_utilities_must_cover_all_runs_and_players():
     clt = make_clt({(0, 1): "a", (0, 2): "b"}, [{0}])
@@ -91,6 +96,9 @@ def test_utility_of_an_unknown_player_is_a_coded_error():
     g = trio_a()
     with pytest.raises(OperationError) as e:
         g.utility(A("P9"), run_of(g, 0, 3, 5))
+    assert (e.value.code, e.value.witness) == ("UnknownPlayer", A("P9"))
+    with pytest.raises(OperationError) as e:
+        ordinal_profile(g, A("P9"))
     assert (e.value.code, e.value.witness) == ("UnknownPlayer", A("P9"))
 
 

@@ -127,6 +127,26 @@ def test_compose_requires_matching_endpoints():
     with pytest.raises(OperationError) as e:
         compose(m, m)
     assert e.value.code == "SourceTargetMismatch"
+    with pytest.raises(OperationError) as e:
+        compose(forget(m), m)
+    assert (e.value.code, e.value.detail) == ("SourceTargetMismatch", "mixed morphism kinds")
+
+
+def test_bad_node_maps_and_actions_are_coded_errors():
+    src, tgt = relabel()
+    cases = [({x: v for x, v in ident(src).items() if x != A(5)}, A(5), "node unmapped"),
+             ({**ident(src), A(5): A("zz")}, A(5), "image is not a target node"),
+             ({**ident(src), A("zz"): A(0)}, A("zz"), "map key is not a source node")]
+    for node_map, witness, detail in cases:
+        with pytest.raises(OperationError) as e:
+            validate_clt_morphism(src, tgt, node_map)
+        assert (e.value.code, e.value.witness, e.value.detail) == ("BadNodeMap", witness, detail)
+    m = validate_clt_morphism(src, tgt, ident(src))
+    for x, a, code, witness in [(A(5), A("b"), "NotDecision", A(5)),
+                                (A(0), A("zz"), "NotFeasible", (A(0), A("zz")))]:
+        with pytest.raises(OperationError) as e:
+            action_at(m, x, a)
+        assert (e.value.code, e.value.witness) == (code, witness)
 
 
 def test_composite_transformations_follow_the_component_formulas():
@@ -276,6 +296,8 @@ def test_inverse_round_trips():
         assert is_iso(inv)
         assert compose(inv, cert) == identity_morphism(g)
         assert compose(cert, inv) == identity_morphism(g2)
+        clt_inv = inverse(forget(cert))
+        assert clt_inv == forget(inv) and is_iso(clt_inv)
 
 
 def test_iso_search_finds_cross_labelled_pairs():
@@ -361,6 +383,34 @@ def test_iso_search_returns_the_least_isomorphism():
         competing += len(isos) > 1
     assert competing >= 20
     assert iso_search(g, h).node_map[A(1)] == A("a")
+
+
+def test_iso_search_runs_out_of_candidates_and_rejects_a_misplaced_child():
+    edges = {("z", "x"): "L", ("z", "y"): "R",
+             ("x", "a"): "L", ("x", "b"): "R", ("y", "c"): "L", ("y", "d"): "R"}
+    cells = [{"z"}, {"x"}, {"y"}]
+
+    def game(movers, utility):
+        return make_game(edges, cells, dict(zip("zxy", movers)),
+                         {(i, e): utility.get(e, 0) for i in ("P1", "P2") for e in "abcd"})
+
+    # Colours read no mover, so every node ties with its counterparts, but
+    # no player map fits: the search tries every candidate and ends empty.
+    apart = game(("P1", "P2", "P2"), {})
+    together = game(("P1", "P1", "P2"), {})
+    # The leaves sort before their parents, so x's leaves a and b are placed
+    # under n first, and the child check then rejects m for x.
+    source = game(("P1", "P2", "P2"), {"a": 1, "c": 1})
+    target = make_game({("r", "m"): "L", ("r", "n"): "R", ("m", "s"): "L", ("m", "t"): "R",
+                        ("n", "p"): "L", ("n", "q"): "R"},
+                       [{"r"}, {"m"}, {"n"}], {"r": "P1", "m": "P2", "n": "P2"},
+                       {(i, e): int(e in "qt") for i in ("P1", "P2") for e in "pqst"})
+    for g1, g2 in [(apart, together), (source, target)]:
+        isos = isos_by_brute_force(g1, g2)
+        m = iso_search(g1, g2)
+        assert (m.node_map if m else None) == (isos[0] if isos else None)
+    assert iso_search(apart, together) is None
+    assert iso_search(source, target).node_map[A("x")] == A("n")
 
 
 def binary_tree_game(depth, utility):

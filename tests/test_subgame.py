@@ -94,6 +94,33 @@ def test_selten_characterization_rejects_utility_mismatch():
     assert not is_selten_subgame(g1, g2)
 
 
+def test_selten_characterization_rejects_each_broken_condition():
+    # P1 at 0 chooses between 2 and P2's node 1, which chooses 3 or 4.
+    g = make_game({(0, 1): "a", (0, 2): "b", (1, 3): "c", (1, 4): "d"}, [{0}, {1}],
+                  {0: "P1", 1: "P2"}, {("P1", 2): 0, ("P1", 3): 1, ("P1", 4): 2,
+                                       ("P2", 2): 0, ("P2", 3): 0, ("P2", 4): 1})
+
+    def at_1(edges=None, player="P2", utility=None):
+        edges = edges or {(1, 3): "c", (1, 4): "d"}
+        utility = utility or {3: 0, 4: 1}
+        (root,) = {x for x, _ in edges}
+        return make_game(edges, [{root}], {root: player},
+                         {(player, e): utility.get(e, 0) for _, e in edges})
+
+    assert is_selten_subgame(at_1(), g)
+    rejected = [
+        at_1(edges={(2, 3): "c", (2, 4): "d"}),  # root 2 is an end of g
+        at_1(edges={(1, 3): "c", (1, 4): "d", (1, 9): "e"}),  # 9 is not a node of g
+        at_1(edges={(1, 3): "c"}),  # 4 is missing
+        at_1(utility={3: 1, 4: 0}),  # P2's order is reversed: no morphism
+        at_1(edges={(1, 3): "x", (1, 4): "y"}),  # alpha renames the actions
+        at_1(player="P3"),  # iota renames the player
+    ]
+    for sub in rejected:
+        assert not is_selten_subgame(sub, g)
+    assert not is_selten_subgame(g, at_1())  # 0 is not a node of the smaller game
+
+
 def test_subgame_roots_transported_by_isomorphisms():
     rng = random.Random(31)
     for _ in range(15):

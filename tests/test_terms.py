@@ -292,6 +292,14 @@ def test_equality_is_identity_and_the_hash_is_objects():
     assert hash(t) == object.__hash__(t) and type(t).__hash__ is object.__hash__
 
 
+def test_terms_are_immutable_and_order_only_among_terms():
+    a = Atom("a")
+    with pytest.raises(AttributeError):
+        a.name = "b"
+    with pytest.raises(TypeError):
+        a < 3
+
+
 def test_atom_name_must_be_a_nonempty_str():
     for bad in (5, b"a", None, ("a",)):
         with pytest.raises(TypeError):

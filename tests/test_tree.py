@@ -51,6 +51,17 @@ def test_error_codes():
         with pytest.raises(ValidationError) as e:
             validate_out_tree(nodes, edges)
         assert e.value.code == code, (nodes, edges)
+    a, b, c, d, r, x = map(A, "abcdrx")
+    witnessed = [
+        (set(), set(), "NoRoot", None, "empty node set"),
+        ({a, b, c}, {(a, b), (b, c), (c, a)}, "NoRoot", None, ""),
+        # The cycle off the root is met by following parents from b.
+        ({r, x, b, c, d}, {(r, x), (b, c), (c, d), (d, b)}, "HasCycle", b, ""),
+    ]
+    for nodes, edges, code, witness, detail in witnessed:
+        with pytest.raises(ValidationError) as e:
+            validate_out_tree(nodes, edges)
+        assert (e.value.code, e.value.witness, e.value.detail) == (code, witness, detail)
 
 
 def test_all_nodes_covered_by_edges_requirement():
@@ -78,6 +89,9 @@ def test_order_helpers():
     assert not tree_leq(t, A(3), A(2))
     assert descendants(t, A(1)) == frozenset({A(1), A(2)})
     assert run_end(t, frozenset({A(0), A(1), A(2)})) == A(2)
+    with pytest.raises(OperationError) as e:
+        strict_predecessors(t, A(9))
+    assert (e.value.code, e.value.witness) == ("UnknownNode", A(9))
 
 
 def test_runs_are_ordered_by_end_encoding():
