@@ -14,6 +14,7 @@ from .errors import ValidationError
 from .game import Game
 from .morphism import GameMorphism, pushforward
 from .terms import FinSet, Tup, encode
+from .tree import _above
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,10 @@ def _uses_action_sets(g: Game) -> bool:
 def _absentminded_witness(g: Game):
     """(cell, x, y) for the first cell in encoding order with a member x
     strictly before another member y: the least such x, then the least y
-    after it (the first such pair of the cell's members in term order).
-
-    Subtrees are intervals of the tree's preorder, so x has a member below
-    it exactly when the member next after x in preorder lies in x's interval."""
+    after it (the first such pair of the cell's members in term order)."""
     pos, last = g.tree.pos, g.tree.last
     for cell in g.clt.cells:
-        ps = sorted(cell, key=pos.__getitem__)
-        above = [x for x, y in zip(ps, ps[1:]) if pos[y] <= last[x]]
+        above = _above(g.tree, cell)
         if above:
             x = min(above)
             return cell, x, min(y for y in cell if pos[x] < pos[y] <= last[x])

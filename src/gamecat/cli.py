@@ -68,8 +68,8 @@ def _load_morphism(path: str):
     return name, src, tgt, node_map
 
 
-def _strategy_str(s):
-    return " ".join(f"{encode_set(cell)}={encode(a)}" for cell, a in s.choices)
+def _strategy_str(prefixes, s):
+    return " ".join([prefixes[cell] + encode(a) for cell, a in s.choices])
 
 
 def _cmd_validate(args, rep):
@@ -93,17 +93,15 @@ def _cmd_props(args, rep):
 
 
 def _cmd_strategies(args, rep):
+    """strategies, nash or spe: each cell's "<encoding>=" is built once."""
     _, g = _load_game(args.game)
-    for s in strategies(g, args.max_strategies):
-        rep.line("strategy", _strategy_str(s), "outcome", encode_set(outcome(g, s)))
-    return 0
-
-
-def _cmd_equilibria(args, rep):
-    _, g = _load_game(args.game)
-    solver = {"nash": nash, "spe": spe}[args.command]
+    prefixes = {cell: encode_set(cell) + "=" for cell in g.clt.cells}
+    solver = {"strategies": strategies, "nash": nash, "spe": spe}[args.command]
     for s in solver(g, args.max_strategies):
-        rep.line(args.command, _strategy_str(s))
+        if solver is strategies:
+            rep.line("strategy", _strategy_str(prefixes, s), "outcome", encode_set(outcome(g, s)))
+        else:
+            rep.line(args.command, _strategy_str(prefixes, s))
     return 0
 
 
@@ -233,8 +231,8 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     for cmd, fn in [("validate", _cmd_validate), ("props", _cmd_props),
-                    ("strategies", _cmd_strategies), ("nash", _cmd_equilibria),
-                    ("spe", _cmd_equilibria), ("subgames", _cmd_subgames)]:
+                    ("strategies", _cmd_strategies), ("nash", _cmd_strategies),
+                    ("spe", _cmd_strategies), ("subgames", _cmd_subgames)]:
         sp = sub.add_parser(cmd)
         sp.add_argument("game")
         sp.set_defaults(func=fn)

@@ -8,14 +8,16 @@ some fixed list of cells, each index into the cell's actions in term order.
 
 With the other players held to a profile, player i can reach an end node
 exactly when play follows the profile at every node of another player and
-i's own choices along the way agree within each information set (Kuhn 1953;
-agreement matters only under absentmindedness). One walk of the tree finds
-i's best reachable payoff, and it depends only on the other players'
-actions, so it is computed once per tuple of them: a profile is Nash when
-no player's best payoff beats what the player gets at its outcome. `nash`
-runs this check over the strategy space, one profile at a time. `spe` never
-goes through the strategy space: it builds the profiles that are Nash in
-every subgame bottom up over the subgame roots (Selten 1965/1975).
+i's own choices along the way agree within each information set (Kuhn 1953).
+One walk of the tree finds i's best reachable payoff. It tracks i's choices
+only at the cells met twice, those with a member strictly below another
+(absentmindedness): nowhere else can one run meet a cell twice. The payoff
+depends only on the other players' actions, so it is computed once per tuple
+of them: a profile is Nash when no player's best payoff beats what the
+player gets at its outcome. `nash` runs this check over the strategy space,
+one profile at a time. `spe` never goes through the strategy space: it
+builds the profiles that are Nash in every subgame bottom up over the
+subgame roots (Selten 1965/1975).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import OperationError
 from .game import Game
 from .morphism import GameMorphism, is_iso
 from .subgame import subgame_roots
-from .tree import _run
+from .tree import _above, _run
 
 
 @dataclass(frozen=True)
@@ -65,24 +67,25 @@ def _nash_among(g: Game, start, order, profiles) -> list:
     tuple of the other players' actions."""
     cells, ends = g.clt.cells, g.tree.end_nodes
     at = {x: (j, g.clt.succ[x]) for j, k in enumerate(order) for x in cells[k]}
+    twice = {j for j, k in enumerate(order) if len(cells[k]) > 1 and _above(g.tree, cells[k])}
     owner = [g.mover[next(iter(cells[k]))] for k in order]
     checks = []
     for i in dict.fromkeys(owner):
         mine = frozenset(j for j, o in enumerate(owner) if o == i)
         others = [j for j in range(len(owner)) if j not in mine]
         key = itemgetter(*others) if others else (lambda p: ())
-        checks.append((key, mine, g.ranks[i], {}))
+        checks.append((key, mine, mine & twice, g.ranks[i], {}))
     out = []
     for p in profiles:
         x = start
         while x not in ends:
             j, succ = at[x]
             x = succ[p[j]]
-        for key, mine, pay, memo in checks:
+        for key, mine, again, pay, memo in checks:
             k = key(p)
             best = memo.get(k)
             if best is None:
-                best = memo[k] = _best_payoff(at, ends, pay, start, p, mine)
+                best = memo[k] = _best_payoff(at, pay, start, p, mine, again)
             if best > pay[x]:
                 break
         else:
@@ -90,38 +93,33 @@ def _nash_among(g: Game, start, order, profiles) -> list:
     return out
 
 
-def _best_payoff(at, ends, pay, start, p, mine):
+def _best_payoff(at, pay, start, p, mine, again):
     """The best payoff in pay among the end nodes reachable from start when
     the positions in mine are free and every other position plays p.
 
     An iterative DFS: at a node whose position is not in mine it follows p;
-    at one in mine it branches over the actions, unless that position was
-    fixed higher up the same path (absentmindedness), where it keeps the
-    fixed action. Each node is visited at most once."""
-    best = None
-    fixed: dict = {}  # free positions fixed on the current path -> action index
-    path: list = []   # per depth, the position the edge into that node fixed, or None
-    stack = [(start, 0, None, 0)]
+    at one in mine it branches over the actions. A stack entry carries the
+    actions fixed on its path at the positions in again, those in mine met
+    twice (absentmindedness), where a later node keeps the fixed action.
+    Each node is visited at most once."""
+    best = -1  # ranks are at least 0
+    stack = [(start, ())]
     while stack:
-        x, depth, j, a = stack.pop()
-        for c in path[depth:]:
-            if c is not None:
-                del fixed[c]
-        del path[depth:]
-        path.append(j)
-        if j is not None:
-            fixed[j] = a
-        if x in ends:
-            if best is None or pay[x] > best:
+        x, fixed = stack.pop()
+        here = at.get(x)
+        if here is None:  # an end node
+            if pay[x] > best:
                 best = pay[x]
             continue
-        j, succ = at[x]
+        j, succ = here
         if j not in mine:
-            stack.append((succ[p[j]], depth + 1, None, 0))
-        elif j in fixed:
-            stack.append((succ[fixed[j]], depth + 1, None, 0))
+            stack.append((succ[p[j]], fixed))
+        elif j not in again:
+            stack += [(y, fixed) for y in succ]
+        elif j in (held := dict(fixed)):
+            stack.append((succ[held[j]], fixed))
         else:
-            stack.extend((y, depth + 1, j, a) for a, y in enumerate(succ))
+            stack += [(y, (*fixed, (j, a))) for a, y in enumerate(succ)]
     return best
 
 
@@ -199,9 +197,14 @@ def spe(g: Game, cap: int = 1_000_000):
 
 def push_strategy(iso: GameMorphism, s: GrandStrategy) -> GrandStrategy:
     """Transport a strategy along an isomorphism: each target cell, in
-    encoding order, takes the image action of its preimage cell's choice."""
+    encoding order, takes the image action of its preimage cell's choice.
+    A choice at no source cell, or of an action its cell lacks, is NotAStrategy."""
     if not is_iso(iso):
         raise OperationError("NotIso")
+    feasible = iso.source.clt.cell_actions
+    off = next(((cell, a) for cell, a in s.choices if a not in feasible.get(cell, ())), None)
+    if off is not None:
+        raise OperationError("NotAStrategy", witness=off)
     tau, alpha, info_of = iso.node_map, iso.clt_morphism.alpha, iso.target.clt.info_of
     pushed = {info_of[tau[next(iter(cell))]]: alpha[cell][a] for cell, a in s.choices}
     return GrandStrategy(tuple((c, pushed[c]) for c in iso.target.clt.cells if c in pushed))

@@ -14,7 +14,7 @@ def witness_str(w) -> str:
         return ""
     if isinstance(w, (Atom, Tup, FinSet)):
         return encode(w)
-    if isinstance(w, frozenset):
+    if isinstance(w, (frozenset, set)):
         return encode_set(w)
     if isinstance(w, tuple):
         return " ".join(witness_str(part) for part in w)

@@ -179,15 +179,15 @@ def _game_blocks(text: str):
             or cell_player.keys() != cells.keys():
         return None
     w = b["utility"].split()
-    try:
-        values = (list(map(Fraction, map(int, w[4::5]))) if "/" not in b["utility"]
-                  else [_fraction(*v.split("/")) for v in w[4::5]])
-    except (ValueError, ParseError):  # past int()'s digit limit
+    texts = w[4::5]
+    try:  # one Fraction per distinct value text
+        value = {v: _fraction(*v.split("/")) for v in set(texts)}
+    except ParseError:  # past int()'s digit limit
         return None
-    utilities = list(zip(zip(_atoms(w[1::5]), _atoms(w[3::5])), values))
+    utilities = list(zip(zip(_atoms(w[1::5]), _atoms(w[3::5])), map(value.__getitem__, texts)))
     mover = {x: cell_player[ident] for ident, cell in cells.items() for x in cell}
     name = b["game"][5:].strip()
-    del b, w, parts, members  # the text's pieces, freed before validation builds the game
+    del b, w, texts, parts, members  # the text's pieces, freed before validation builds the game
     try:
         return name, build_game(nodes, edges, cells.values(), mover, utilities)
     except ValidationError:

@@ -164,6 +164,15 @@ def tree_leq(t: OutTree, x: Term, y: Term) -> bool:
     return t.pos[x] <= t.pos[y] <= t.last[x]
 
 
+def _above(t: OutTree, nodes) -> list:
+    """The nodes of nodes with another of them strictly below, in preorder.
+    Subtrees are intervals of the preorder, so x has one below it exactly
+    when the next of them after x in preorder lies in x's interval."""
+    pos, last = t.pos, t.last
+    ps = sorted(nodes, key=pos.__getitem__)
+    return [x for x, y in zip(ps, ps[1:]) if pos[y] <= last[x]]
+
+
 def _run(t: OutTree, e: Term) -> frozenset:
     """The node set of the run ending at end node e; run_end inverts it."""
     return frozenset([*strict_predecessors(t, e), e])

@@ -189,3 +189,19 @@ def refine():
     src = one_player_zero_game(make_clt(TRIO_EDGES, [{0}, {1}, {3}, {4}]))
     tgt = one_player_zero_game(make_clt(TRIO_EDGES, TRIO_INFOSETS))
     return src, tgt
+
+
+def driver3():
+    """P1's one cell {1, 2, 3} lies on one run: the driver meets it three
+    times. P2 moves before (at 0) and after (at 7). Exiting at 5 or 6 pays
+    P1 most, but reaching 2 takes C at the cell, so a pure strategy never
+    exits there."""
+    edges = {(0, 1): "L", (0, 9): "R",
+             (1, 4): "E", (1, 2): "C", (2, 5): "E", (2, 3): "C",
+             (3, 6): "E", (3, 7): "C", (7, 10): "a", (7, 11): "b"}
+    mover = {0: "P2", 1: "P1", 2: "P1", 3: "P1", 7: "P2"}
+    p1 = {4: 0, 5: 3, 6: 3, 9: 0, 10: 1, 11: -1}
+    p2 = {4: 0, 5: 0, 6: 0, 9: 1, 10: 2, 11: 0}
+    utilities = {**{("P1", e): v for e, v in p1.items()},
+                 **{("P2", e): v for e, v in p2.items()}}
+    return make_game(edges, [{0}, {1, 2, 3}, {7}], mover, utilities)

@@ -9,6 +9,7 @@ import gamecat
 from gamecat import encode, is_iso, parse_game_text, validate_game_morphism
 from gamecat.cli import main
 from conftest import FIXTURES, fixture_path
+import examplegames
 
 
 def run(capsys, *argv):
@@ -154,6 +155,34 @@ def test_strategies_and_equilibria(capsys):
     code, out = run(capsys, "spe", fixture_path("trio_a.gm"))
     assert code == 0
     assert out.count("spe:") >= 1
+
+
+DRIVER3_LINES = {
+    "strategies": [
+        "strategy {0}=L {1,2,3}=C {7}=a outcome {0,1,10,2,3,7}",
+        "strategy {0}=L {1,2,3}=C {7}=b outcome {0,1,11,2,3,7}",
+        "strategy {0}=L {1,2,3}=E {7}=a outcome {0,1,4}",
+        "strategy {0}=L {1,2,3}=E {7}=b outcome {0,1,4}",
+        "strategy {0}=R {1,2,3}=C {7}=a outcome {0,9}",
+        "strategy {0}=R {1,2,3}=C {7}=b outcome {0,9}",
+        "strategy {0}=R {1,2,3}=E {7}=a outcome {0,9}",
+        "strategy {0}=R {1,2,3}=E {7}=b outcome {0,9}",
+    ],
+    "nash": ["nash {0}=L {1,2,3}=C {7}=a", "nash {0}=R {1,2,3}=E {7}=a",
+             "nash {0}=R {1,2,3}=E {7}=b"],
+    "spe": ["spe {0}=L {1,2,3}=C {7}=a"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DRIVER3_LINES))
+def test_strategy_lines_of_a_cell_met_three_times(tmp_path, capsys, command):
+    path = tmp_path / "driver3.gm"
+    path.write_text(gamecat.print_game("driver3", examplegames.driver3()))
+    machine = DRIVER3_LINES[command]
+    code, out = run(capsys, "--format", "machine", command, str(path))
+    assert (code, out.splitlines()) == (0, machine)
+    code, out = run(capsys, command, str(path))
+    assert (code, out.splitlines()) == (0, [line.replace(" ", ": ", 1) for line in machine])
 
 
 @pytest.mark.parametrize("command", ["strategies", "nash", "spe"])

@@ -3,12 +3,13 @@ import time
 
 import pytest
 
-from gamecat import (Atom, OperationError, is_nash, nash, next_node,
-                     outcome, properties, push_strategy, spe, strategies,
-                     strategy_space_size, subgame_roots, to_distinguished)
-from gamecat.equilibrium import _play
+from gamecat import (Atom, OperationError, identity_morphism, is_nash, nash,
+                     next_node, outcome, properties, push_strategy, spe,
+                     strategies, strategy_space_size, subgame_roots,
+                     to_distinguished)
+from gamecat.equilibrium import GrandStrategy, _play
 from gamecat.terms import FinSet, Tup
-from examplegames import A, trio_a, make_game
+from examplegames import A, driver3, nested, trio_a, make_game
 from genrandom import random_game, relabel_iso
 from oracles import (as_strategy_set, backward_induction, oracle_nash,
                      oracle_spe)
@@ -99,6 +100,18 @@ def test_absent_minded_driver_cannot_exit_at_the_second_node():
     all_c = {runset(1, 2): A("C")}
     assert [s.as_dict() for s in nash(g)] == [all_c]
     assert [s.as_dict() for s in spe(g)] == [all_c]
+
+
+def test_driver_meeting_one_cell_three_times_matches_the_oracles():
+    # One run meets P1's cell {1, 2, 3} three times, so a walk that branches
+    # at 1 must keep its choice at both 2 and 3; P2 moves before and after.
+    g = driver3()
+    assert not properties(g).no_absentmindedness
+    assert as_strategy_set(nash(g)) == oracle_nash(g)
+    assert as_strategy_set(spe(g)) == oracle_spe(g)
+    equilibria = nash(g)
+    assert [s.as_dict()[runset(1, 2, 3)] for s in equilibria] == [A("C"), A("E"), A("E")]
+    assert [s for s in strategies(g) if is_nash(g, s)] == equilibria
 
 
 def binary_game(depth, seed):
@@ -275,6 +288,19 @@ def test_push_strategy_requires_an_isomorphism():
     m = validate_game_morphism(g1, g2, {A(0): A(0), A(1): A(1), A(2): A(1)})
     with pytest.raises(OperationError):
         push_strategy(m, strategies(g1)[0])
+
+
+def test_push_strategy_rejects_a_strategy_of_another_game():
+    with pytest.raises(OperationError) as e:
+        push_strategy(identity_morphism(trio_a()), strategies(nested())[0])
+    assert (e.value.code, e.value.witness) == ("NotAStrategy", (runset(0), A("a")))
+    # An action the source cell does not offer is rejected too; a strategy
+    # that chooses at only some source cells still pushes.
+    iso, (cell, a) = identity_morphism(trio_a()), strategies(trio_a())[0].choices[0]
+    with pytest.raises(OperationError) as e:
+        push_strategy(iso, GrandStrategy(((cell, A("e")),)))
+    assert (e.value.code, e.value.witness) == ("NotAStrategy", (cell, A("e")))
+    assert push_strategy(iso, GrandStrategy(((cell, a),))).choices == ((cell, a),)
 
 
 def test_push_along_distinguishing_certificate_tags_actions():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gamecat import (Atom, OperationError, ValidationError, build_game, is_iso,
-                     iso_search, nash, one_player_zero_game, ordinal_profile,
+from gamecat import (Atom, OperationError, ValidationError, build_game, descendants,
+                     is_iso, iso_search, nash, one_player_zero_game, ordinal_profile,
                      parse_game_text, run_end, spe, validate_game,
                      validate_game_morphism)
 from examplegames import A, trio_a, trio_b, collapse, make_clt, make_game
@@ -65,6 +65,21 @@ def test_utilities_accept_run_sets():
 # On the tree 0 -> 1 -> 2, 0 -> 3: a partial run, a set mixing two branches
 # and a set with two ends.
 NOT_RUNS = [(1, 2), (1, 3), (0, 2, 3)]
+
+
+def test_error_messages_encode_plain_sets_and_print_other_witnesses():
+    # A plain set is written as a frozenset is; a witness that is no term
+    # or collection of terms (here a node the caller made up) is printed
+    # with str().
+    with pytest.raises(OperationError) as e:
+        trio_a().utility(A("P1"), {A(0)})
+    assert str(e.value) == "NotARun {0}"
+    with pytest.raises(OperationError) as e:
+        trio_a().utility(A("P1"), frozenset({A(0)}))
+    assert str(e.value) == "NotARun {0}"
+    with pytest.raises(OperationError) as e:
+        descendants(trio_a().tree, 5)
+    assert str(e.value) == "UnknownNode 5"
 
 
 @pytest.mark.parametrize("nodes", NOT_RUNS)
