@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 for success / true verdicts, 1 for false verdicts (invalid
-game, invalid morphism, no isomorphism, no subgame), 2 for usage or syntax
-errors.
+game, invalid morphism, no isomorphism, no subgame) and for an output name
+that would not read back (UnprintableName: every text is built before any
+output), 2 for usage or syntax errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from .canon import (properties, to_action_set, to_distinguished,
                     to_distinguished_sequence, to_sequence)
 from .equilibrium import nash, outcome, spe, strategies
-from .errors import GameError, OperationError, ParseError, ValidationError
+from .errors import OperationError, ParseError, ValidationError
 from .fileformat import (parse_game_text, parse_morphism_text, print_game,
                          print_morphism)
 from .morphism import (_alpha_at, clt_mono_witness, compose, is_iso, is_mono,
@@ -116,9 +117,10 @@ def _cmd_subgame(args, rep):
     name, g = _load_game(args.game)
     at = parse_term(args.at)
     res = selten_subgame(g, at)
+    text = print_game(f"{name}.at.{encode(at)}", res.subgame)
     rep.line("root", encode(res.root))
     rep.line("nodes", len(res.subgame.tree.nodes))
-    sys.stdout.write(print_game(f"{name}.at.{encode(at)}", res.subgame))
+    sys.stdout.write(text)
     return 0
 
 
@@ -136,27 +138,17 @@ def _cmd_convert(args, rep):
     stem, _ = os.path.splitext(args.game)
     out_game = f"{stem}.{args.to}.gm"
     out_morph = f"{stem}.{args.to}.gmm"
-    new_name = f"{name}.{args.to}"
-    with open(out_game, "w", encoding="utf-8") as fh:
-        fh.write(print_game(new_name, result.game))
-    with open(out_morph, "w", encoding="utf-8") as fh:
-        fh.write(print_morphism(
-            f"{name}.to.{args.to}",
-            os.path.basename(args.game), os.path.basename(out_game),
-            result.certificate.node_map, g.tree.sorted_nodes))
+    # The certificate, the shorter text, is built first and held while the game's is.
+    texts = {out_morph: print_morphism(f"{name}.to.{args.to}",
+                                       os.path.basename(args.game), os.path.basename(out_game),
+                                       result.certificate.node_map, g.tree.sorted_nodes),
+             out_game: print_game(f"{name}.{args.to}", result.game)}
+    for path, text in texts.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     rep.line("game_file", out_game)
     rep.line("morphism_file", out_morph)
     return 0
-
-
-def _report_morphism_error(e: GameError, rep, src=None, tgt=None, node_map=None):
-    rep.line("verdict", "invalid")
-    rep.line("error", str(e))
-    if e.code == "ActionTransformNotConstant" and src is not None:
-        x1, x2 = e.witness
-        for x in (x1, x2):
-            for a, image in _alpha_at(src.clt, tgt.clt, node_map, x).items():
-                rep.line("alpha", encode(x), encode(a), "->", encode(image))
 
 
 def _check_morphism(path, rep, classify=False):
@@ -164,7 +156,12 @@ def _check_morphism(path, rep, classify=False):
     try:
         gm = validate_game_morphism(src, tgt, node_map)
     except (ValidationError, OperationError) as e:
-        _report_morphism_error(e, rep, src, tgt, node_map)
+        rep.line("verdict", "invalid")
+        rep.line("error", str(e))
+        if e.code == "ActionTransformNotConstant":
+            for x in e.witness:
+                for a, image in _alpha_at(src.clt, tgt.clt, node_map, x).items():
+                    rep.line("alpha", encode(x), encode(a), "->", encode(image))
         return 1
     rep.line("verdict", "valid")
     for cell, table in gm.clt_morphism.alpha.items():  # in encoding order
@@ -211,14 +208,15 @@ def _cmd_iso(args, rep):
     if m is None:
         rep.line("verdict", "not-isomorphic")
         return 1
+    if args.emit_morphism:
+        text = print_morphism(f"{name1}.iso.{name2}", os.path.abspath(args.game1),
+                              os.path.abspath(args.game2), m.node_map, g1.tree.sorted_nodes)
     rep.line("verdict", "isomorphic")
     for x in g1.tree.sorted_nodes:
         rep.line("map", encode(x), "->", encode(m.node_map[x]))
     if args.emit_morphism:
         with open(args.emit_morphism, "w", encoding="utf-8") as fh:
-            fh.write(print_morphism(f"{name1}.iso.{name2}",
-                                    os.path.abspath(args.game1),
-                                    os.path.abspath(args.game2), m.node_map, g1.tree.sorted_nodes))
+            fh.write(text)
         rep.line("morphism_file", args.emit_morphism)
     return 0
 

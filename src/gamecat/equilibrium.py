@@ -17,7 +17,8 @@ of them: a profile is Nash when no player's best payoff beats what the
 player gets at its outcome. `nash` runs this check over the strategy space,
 one profile at a time. `spe` never goes through the strategy space: it
 builds the profiles that are Nash in every subgame bottom up over the
-subgame roots (Selten 1965/1975).
+subgame roots (Selten 1965/1975). A strategy passed in is NotAStrategy when
+it picks an action its game lacks, or, unless pushed, skips a cell.
 """
 
 from __future__ import annotations
@@ -131,6 +132,19 @@ def strategies(g: Game, cap: int = 1_000_000):
             for combo in itertools.product(*map(c.cell_actions.__getitem__, c.cells))]
 
 
+def _choices(g: Game, s: GrandStrategy, complete: bool = True) -> dict:
+    """s's choices by cell. NotAStrategy for a choice at no cell of g or of
+    an action its cell lacks, witnessed by that (cell, action); when
+    complete, also for the first cell in encoding order with no choice."""
+    feasible, choice = g.clt.cell_actions, dict(s.choices)
+    off = next(((cell, a) for cell, a in s.choices if a not in feasible.get(cell, ())), None)
+    if off is None and complete and len(choice) < len(feasible):
+        off = next(cell for cell in g.clt.cells if cell not in choice)
+    if off is not None:
+        raise OperationError("NotAStrategy", witness=off)
+    return choice
+
+
 def _play(g: Game, choice: dict, x):
     """The end node reached from x when every cell plays choice."""
     c, ends = g.clt, g.tree.end_nodes
@@ -141,12 +155,12 @@ def _play(g: Game, choice: dict, x):
 
 
 def outcome(g: Game, s: GrandStrategy) -> frozenset:
-    return _run(g.tree, _play(g, s.as_dict(), g.tree.root))
+    return _run(g.tree, _play(g, _choices(g, s), g.tree.root))
 
 
 def is_nash(g: Game, s: GrandStrategy) -> bool:
     """No player gains by a unilateral deviation from s."""
-    choice, c = s.as_dict(), g.clt
+    choice, c = _choices(g, s), g.clt
     p = tuple(c.cell_actions[cell].index(choice[cell]) for cell in c.cells)
     return bool(_nash_among(g, g.tree.root, range(len(p)), [p]))
 
@@ -201,10 +215,7 @@ def push_strategy(iso: GameMorphism, s: GrandStrategy) -> GrandStrategy:
     A choice at no source cell, or of an action its cell lacks, is NotAStrategy."""
     if not is_iso(iso):
         raise OperationError("NotIso")
-    feasible = iso.source.clt.cell_actions
-    off = next(((cell, a) for cell, a in s.choices if a not in feasible.get(cell, ())), None)
-    if off is not None:
-        raise OperationError("NotAStrategy", witness=off)
+    choice = _choices(iso.source, s, complete=False)
     tau, alpha, info_of = iso.node_map, iso.clt_morphism.alpha, iso.target.clt.info_of
-    pushed = {info_of[tau[next(iter(cell))]]: alpha[cell][a] for cell, a in s.choices}
+    pushed = {info_of[tau[next(iter(cell))]]: alpha[cell][a] for cell, a in choice.items()}
     return GrandStrategy(tuple((c, pushed[c]) for c in iso.target.clt.cells if c in pushed))

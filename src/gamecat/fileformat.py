@@ -2,7 +2,8 @@
 
 One declaration per line; `#` outside a quoted atom starts a comment; blank
 lines are ignored. Printing is canonical (sorted lines, canonical term
-encodings), so printing is idempotent and parse/print round-trips.
+encodings), so printing is idempotent and parse/print round-trips; a game or
+morphism name that would not read back is not printed (UnprintableName).
 """
 
 from __future__ import annotations
@@ -279,13 +280,9 @@ def parse_game_text(text: str):
     try:
         game = build_game(nodes, edges, cells.values(), mover, utilities)
     except ValidationError as e:
-        if e.code == "NonDeterministic" and isinstance(e.witness, tuple):
-            x, a = e.witness
-            where = [line for ((s, _), b), line in zip(edges.items(), edge_lines)
-                     if s == x and b == a]
-            if where:
-                raise ValidationError(e.code, e.witness,
-                                      detail=f"line {where[-1]}") from None
+        if e.code == "NonDeterministic":  # the witness is (x, a): x has two a-edges
+            line = max(n for ((x, _), a), n in zip(edges.items(), edge_lines) if (x, a) == e.witness)
+            raise ValidationError(e.code, e.witness, detail=f"line {line}") from None
         if e.code == "UtilityConflict":
             # The keys are validated in line order and all before the
             # conflicting one are valid: it is the first of the run's keys
@@ -299,9 +296,18 @@ def parse_game_text(text: str):
     return name, game
 
 
+def _head_line(head: str, name: str) -> str:
+    """The `head name` line; OperationError UnprintableName unless it reads back
+    as name: one line, no blank at either end or `#` outside quotes, nonempty for a game."""
+    if (name != name.strip() or len(name.splitlines()) > 1 or not name and head == "game"
+            or "#" in name and _BEFORE_COMMENT.match(name)):
+        raise OperationError("UnprintableName", detail=name)
+    return f"{head} {name}"
+
+
 def print_game(name: str, g: Game) -> str:
     t, cells = g.tree, g.clt.cells
-    lines = [f"game {name}", *[f"node {encode(x)}" for x in t.sorted_nodes]]
+    lines = [_head_line("game", name), *[f"node {encode(x)}" for x in t.sorted_nodes]]
     lines += [f"edge {encode(x)} {encode(y)} {encode(g.clt.act[y])}"
               for x in t.sorted_nodes for y in t.children[x]]
     lines += [f"infoset i{k} {{ {' '.join([encode(x) for x in _sorted(cell)])} }}"
@@ -391,7 +397,8 @@ def _print_ref(path: str) -> str:
 
 def print_morphism(name: str, source: str, target: str, node_map: dict, keys=None) -> str:
     """keys, when given, are node_map's keys in term order."""
-    lines = [f"morphism {name}", f"source {_print_ref(source)}", f"target {_print_ref(target)}"]
+    lines = [_head_line("morphism", name),
+             f"source {_print_ref(source)}", f"target {_print_ref(target)}"]
     for x in _sorted(node_map) if keys is None else keys:
         lines.append(f"map {encode(x)} -> {encode(node_map[x])}")
     return "\n".join(lines) + "\n"

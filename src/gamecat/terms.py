@@ -330,41 +330,13 @@ def _unquote(tok: str):
         pos += 1
 
 
-class TermReader:
-    """Cursor-based reader of terms embedded in a text. Each read_term
-    tokenizes from the cursor to the end of the text."""
-
-    def __init__(self, text: str, pos: int = 0):
-        self.text = text
-        self.pos = pos
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def read_term(self) -> Term:
-        """Read one term at the cursor and move the cursor past it."""
-        toks = _TOKENS.findall(self.text, self.pos)
-        toks.append((self.text[self.pos + _span(toks, len(toks)):], "", ""))
-        try:
-            t, k = _read_tokens(toks, 0)
-        except ParseError as e:
-            self.pos += e.col - 1
-            raise ParseError(e.detail, col=self.pos + 1) from None
-        self.pos += _span(toks, k)
-        return t
-
-
 def parse_term(s: str) -> Term:
     """Parse a single term occupying the whole string."""
-    r = TermReader(s)
-    t = r.read_term()
-    if not r.at_end():
-        raise ParseError("trailing input after term", col=r.pos + 1)
+    toks = _TOKENS.findall(s)
+    toks.append((s[_span(toks, len(toks)):], "", ""))
+    t, k = _read_tokens(toks, 0)
+    if k + 1 < len(toks):
+        _fail("trailing input after term", toks, k)
     return t
 
 

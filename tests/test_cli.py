@@ -328,6 +328,47 @@ def test_morphism_files_the_cli_writes_read_back_from_a_hash_directory(tmp_path,
     assert code == 0 and "iso: true" in out
 
 
+_HASH_NODE_GAME = """game a"b
+node r
+node "x#y"
+node e
+node f
+node z
+edge r "x#y" a
+edge r z b
+edge "x#y" e c
+edge "x#y" f d
+infoset i0 { r }
+infoset i1 { "x#y" }
+player P infoset i0
+player P infoset i1
+utility P end e 1
+utility P end f 0
+utility P end z 0
+"""
+
+
+def test_iso_refuses_a_morphism_name_that_would_not_read_back(tmp_path, capsys):
+    # `a"b.iso.c"#d"` would read back as `a"b.iso.c"`: nothing is printed
+    # before the refusal and no file is written.
+    a, c, out = tmp_path / "a.gm", tmp_path / "c.gm", tmp_path / "out.gmm"
+    a.write_text(_HASH_NODE_GAME)
+    c.write_text(_HASH_NODE_GAME.replace('game a"b', 'game c"#d"'))
+    code, printed = run(capsys, "iso", str(a), str(c), "--emit-morphism", str(out))
+    assert (code, printed) == (1, 'verdict: invalid\nerror: UnprintableName (a"b.iso.c"#d")\n')
+    assert not out.exists()
+    assert run(capsys, "iso", str(c), str(a), "--emit-morphism", str(out))[0] == 0
+    assert gamecat.parse_morphism_text(out.read_text())[0] == 'c"#d".iso.a"b'
+
+
+def test_subgame_refuses_a_game_name_that_would_not_read_back(tmp_path, capsys):
+    s = tmp_path / "s.gm"
+    s.write_text(_HASH_NODE_GAME)
+    code, printed = run(capsys, "--format", "machine", "subgame", str(s), "--at", '"x#y"')
+    assert (code, printed) == (1, 'verdict invalid\nerror UnprintableName (a"b.at."x#y")\n')
+    assert sorted(os.listdir(tmp_path)) == ["s.gm"]
+
+
 def test_convert_absentminded_fails_cleanly(capsys):
     code, out = run(capsys, "convert", fixture_path("split_tgt.gm"),
                     "--to", "action-set")

@@ -303,6 +303,22 @@ def test_push_strategy_rejects_a_strategy_of_another_game():
     assert push_strategy(iso, GrandStrategy(((cell, a),))).choices == ((cell, a),)
 
 
+def test_outcome_and_is_nash_reject_a_strategy_of_another_game():
+    g = trio_a()
+    first = strategies(g)[0]
+    cases = [(strategies(nested())[0], (runset(0), A("a"))),
+             (GrandStrategy(first.choices[:1] + ((first.choices[1][0], A("e")),)),
+              (first.choices[1][0], A("e"))),
+             # A cell with no choice: the first in encoding order is named.
+             (GrandStrategy(first.choices[:1] + first.choices[2:]), first.choices[1][0])]
+    for s, witness in cases:
+        for f in (outcome, is_nash):
+            with pytest.raises(OperationError) as e:
+                f(g, s)
+            assert (e.value.code, e.value.witness) == ("NotAStrategy", witness)
+    assert outcome(g, first) == outcome(g, GrandStrategy(first.choices[::-1]))
+
+
 def test_push_along_distinguishing_certificate_tags_actions():
     g = trio_a()
     res = to_distinguished(g)

@@ -845,3 +845,27 @@ def test_a_file_reference_that_would_not_read_back_is_written_quoted(path):
     assert parse_morphism_text(printed) == ("m", path, "b.gm", node_map)
     assert print_morphism("m", "a b.gm", path, node_map).startswith(
         "morphism m\nsource a b.gm\ntarget \"")
+
+
+@pytest.mark.parametrize("name", ['a"b.iso.c"#d"', 'a"b.at."x#y"', "a\nnode z", "x\u2028y", "a\\#",
+                                  " a", "a\t", "#", "a #b", "a\x85"])
+def test_a_name_that_would_not_read_back_is_a_coded_error(name):
+    g = trio_a()
+    for printer in (lambda: print_game(name, g), lambda: print_morphism(name, "a.gm", "a.gm", {})):
+        with pytest.raises(OperationError) as err:
+            printer()
+        assert (err.value.code, err.value.detail) == ("UnprintableName", name)
+
+
+@pytest.mark.parametrize("name", ['a"b', 'c"#d"', "x y", 'q"#r', '"#"', "é"])
+def test_names_that_read_back_print(name):
+    g = trio_a()
+    assert parse_game_text(print_game(name, g))[0] == name
+    assert parse_morphism_text(print_morphism(name, "a.gm", "a.gm", {}))[0] == name
+
+
+def test_only_a_morphism_name_may_be_empty():
+    assert parse_morphism_text(print_morphism("", "a.gm", "a.gm", {}))[0] == ""
+    with pytest.raises(OperationError) as err:
+        print_game("", trio_a())
+    assert (err.value.code, err.value.detail) == ("UnprintableName", "")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gamecat import (Atom, FinSet, ParseError, Tup, encode, encode_set,
                      parse_term, term_cmp, term_key)
-from gamecat.terms import _ATOMS, TermReader, _cmp, _sorted
+from gamecat.terms import _ATOMS, _cmp, _sorted
 
 
 def test_atom_order_is_bytewise():
@@ -429,19 +429,18 @@ def test_reader_agrees_with_the_reference_on_fuzzed_strings():
         assert _outcome(parse_term, s) == _outcome(_ref_parse, s), s
 
 
-def test_reader_keeps_the_cursor_for_embedded_terms():
-    r = TermReader("x (a, b) {c} tail", 2)
-    assert r.read_term() == Tup((Atom("a"), Atom("b")))
-    assert r.read_term() == FinSet((Atom("c"),))
-    assert r.pos == len("x (a, b) {c}")
+def test_reader_reports_the_column_of_a_missing_separator():
     with pytest.raises(ParseError) as e:
-        TermReader("(a, b c)").read_term()
+        parse_term("(a, b c)")
     assert (e.value.detail, e.value.col) == ("expected ',' or ')'", 7)
+    with pytest.raises(ParseError) as e:
+        parse_term(" (a, b) {c} ")
+    assert (e.value.detail, e.value.col) == ("trailing input after term", 9)
 
 
 def test_readers_return_one_object_per_name():
-    t1 = TermReader('(a, "b", a)').read_term()
-    t2 = TermReader('{b, "a"}').read_term()
+    t1 = parse_term('(a, "b", a)')
+    t2 = parse_term('{b, "a"}')
     a, b = parse_term('"a"'), parse_term("b")
     assert t1.items[0] is t1.items[2] is t2.items[0] is a is Atom("a")
     assert t1.items[1] is t2.items[1] is b is Atom("b")

@@ -14,10 +14,13 @@ morphism, the certificate of the copy and a morphism that swaps two nodes;
 mutated copies of those files (a piece put in, a character dropped, a blank
 turned into a tab or dropped, a line repeated or dropped); and a game in a
 directory named `a#b`. Each game goes through validate, props, strategies,
-nash, spe, subgames, subgame --at (the least and the greatest node), convert
-to all four forms (reading the two files it writes) and iso against its copy
+nash, spe, subgames, subgame --at (the least and the greatest node, the
+least with blanks around it, and one term that does not parse), convert to
+all four forms (reading the two files it writes) and iso against its copy
 with --emit-morphism (reading the file); each morphism through morphism
-check, classify and compose; every call in both output formats.
+check, classify and compose; every call in both output formats. Two games
+whose names cannot be joined into a printable one (`a"b` and `c"#d"`) go
+through iso both ways and through subgame at a node named `x#y`.
 
 Each tree runs every call in its own subprocess (PYTHONPATH=TREE/src), in
 its own copy of the inputs, and absolute paths into that copy are written
@@ -48,6 +51,29 @@ CONVERT = ["distinguished", "sequence", "action-set", "distinguished-sequence"]
 PIECES = ["(", ")", "{", "}", ",", '"', "\\", "\t", " ", "/", "->", "-", ">", "#", "x",
           "1/0", "--1", "infoset", "end", "run", "\\u12", "é", '""', '"a b"', "(a,"]
 NAMES = ["a b", 'x"y', "é", "q#r", "m\\n", "(", "{z}", "1/2", "end", "run", "-", "->"]
+# Terms that do not parse, for subgame --at, and valid ones with blanks around.
+BAD_ATS = ["(a, b c)", "(a,", '"x', "a b", '"\\u12"', " v0", "v0\t", " (v0, v1) "]
+# A game named a"b with a node named x#y: iso onto a copy named c"#d" would
+# name its morphism a"b.iso.c"#d", and subgame at "x#y" its game
+# a"b.at."x#y"; neither name reads back, so both are refused.
+NAMED = """game a"b
+node r
+node "x#y"
+node e
+node f
+node z
+edge r "x#y" a
+edge r z b
+edge "x#y" e c
+edge "x#y" f d
+infoset i0 { r }
+infoset i1 { "x#y" }
+player P infoset i0
+player P infoset i1
+utility P end e 1
+utility P end f 0
+utility P end z 0
+"""
 
 
 def _mutant(rng, text):
@@ -134,17 +160,21 @@ def build_inputs(inputs, n_games, seed):
     morphisms += [f"fixtures/{f}" for f in fixtures if f.endswith(".gmm")]
     pairs += [(m, m) for m in morphisms if m.startswith("fixtures/")]
     games += ["a#b/collapse_src.gm", "a#b/x#y.gm"]
+    named = [put("named_a.gm", NAMED), put("named_c.gm", NAMED.replace('game a"b', 'game c"#d"'))]
 
-    calls = []
-    for path in games:
+    calls = [(["iso", *named, "--emit-morphism", "named.gmm"], ["named.gmm"]),
+             (["iso", *named[::-1], "--emit-morphism", "named.gmm"], ["named.gmm"]),
+             (["subgame", named[0], "--at", '"x#y"'], [])]
+    for j, path in enumerate(games):
         stem = os.path.splitext(path)[0]
         with open(os.path.join(inputs, path), encoding="utf-8") as fh:
             text = fh.read()
         try:
             nodes = parse_game_text(text)[1].tree.sorted_nodes
-            ats = [encode(nodes[0]), encode(nodes[-1])]
+            ats = [encode(nodes[0]), encode(nodes[-1]), f" {encode(nodes[0])}\t"]
         except GameError:  # a mutant: the commands report its error
             ats = ["v0"]
+        ats.append(BAD_ATS[j % len(BAD_ATS)])
         calls += [([cmd, path], []) for cmd in
                   ("validate", "props", "strategies", "nash", "spe", "subgames")]
         calls += [(["subgame", path, "--at", at], []) for at in ats]
