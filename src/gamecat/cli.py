@@ -3,16 +3,17 @@
 Exit codes: 0 for success / true verdicts, 1 for false verdicts (invalid
 game, invalid morphism, no isomorphism, no subgame) and for an output name
 that would not read back (UnprintableName: every text is built before any
-output), 2 for usage or syntax errors.
+output), 2 for usage and syntax errors and for a file the OS refused
+(FileError).
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .canon import (properties, to_action_set, to_distinguished,
                     to_distinguished_sequence, to_sequence)
@@ -208,62 +209,188 @@ def _cmd_iso(args, rep):
     if m is None:
         rep.line("verdict", "not-isomorphic")
         return 1
-    if args.emit_morphism:
+    if args.emit_morphism:  # written before any output: a refused file is the only line
         text = print_morphism(f"{name1}.iso.{name2}", os.path.abspath(args.game1),
                               os.path.abspath(args.game2), m.node_map, g1.tree.sorted_nodes)
+        with open(args.emit_morphism, "w", encoding="utf-8") as fh:
+            fh.write(text)
     rep.line("verdict", "isomorphic")
     for x in g1.tree.sorted_nodes:
         rep.line("map", encode(x), "->", encode(m.node_map[x]))
     if args.emit_morphism:
-        with open(args.emit_morphism, "w", encoding="utf-8") as fh:
-            fh.write(text)
         rep.line("morphism_file", args.emit_morphism)
     return 0
 
 
-@functools.cache
-def _build_parser():
-    p = argparse.ArgumentParser(prog="gamecat")
-    p.add_argument("--format", choices=["human", "machine"], default="human")
-    p.add_argument("--max-strategies", type=int, default=1_000_000)
-    sub = p.add_subparsers(dest="command", required=True)
+# The command line, one table: per command its handler, its positionals, each
+# (field, choices or None), `files` taking one or more words, and its long
+# options, each name -> (field, choices or int or None, default); an option
+# whose default is ... must be given. _GLOBAL holds the options read before
+# the command; -h and --help belong to every level.
+_GLOBAL = {"--format": ("format", ("human", "machine"), "human"),
+           "--max-strategies": ("max_strategies", int, 1_000_000)}
+_GAME = (("game", None),)
+_COMMANDS = {
+    "validate": (_cmd_validate, _GAME, {}),
+    "props": (_cmd_props, _GAME, {}),
+    "strategies": (_cmd_strategies, _GAME, {}),
+    "nash": (_cmd_strategies, _GAME, {}),
+    "spe": (_cmd_strategies, _GAME, {}),
+    "subgames": (_cmd_subgames, _GAME, {}),
+    "subgame": (_cmd_subgame, _GAME, {"--at": ("at", None, ...)}),
+    "convert": (_cmd_convert, _GAME, {"--to": ("to", tuple(sorted(_CONVERTERS)), ...)}),
+    "morphism": (_cmd_morphism, (("action", ("check", "classify", "compose")), ("files", None)),
+                 {}),
+    "iso": (_cmd_iso, (("game1", None), ("game2", None)),
+            {"--emit-morphism": ("emit_morphism", None, None)}),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # such a word is a value, not an option
 
-    for cmd, fn in [("validate", _cmd_validate), ("props", _cmd_props),
-                    ("strategies", _cmd_strategies), ("nash", _cmd_strategies),
-                    ("spe", _cmd_strategies), ("subgames", _cmd_subgames)]:
-        sp = sub.add_parser(cmd)
-        sp.add_argument("game")
-        sp.set_defaults(func=fn)
 
-    sp = sub.add_parser("subgame")
-    sp.add_argument("game")
-    sp.add_argument("--at", required=True)
-    sp.set_defaults(func=_cmd_subgame)
+def _usage(command=None):
+    """The usage line of the command, or of gamecat itself."""
+    _, positionals, options = _COMMANDS[command] if command else (None, (), _GLOBAL)
+    parts = [f"gamecat {command}" if command else "gamecat", "[-h]"]
+    for name, (field, check, default) in options.items():
+        part = f"{name} " + ("{" + ",".join(check) + "}" if isinstance(check, tuple)
+                             else field.upper())
+        parts.append(part if default is ... else f"[{part}]")
+    for field, choices in positionals:
+        parts.append("{" + ",".join(choices) + "}" if choices else field)
+        if field == "files":
+            parts.append("[files ...]")
+    if not command:
+        parts.append("{" + ",".join(_COMMANDS) + "} ...")
+    return " ".join(parts)
 
-    sp = sub.add_parser("convert")
-    sp.add_argument("game")
-    sp.add_argument("--to", required=True, choices=sorted(_CONVERTERS))
-    sp.set_defaults(func=_cmd_convert)
 
-    sp = sub.add_parser("morphism")
-    sp.add_argument("action", choices=["check", "classify", "compose"])
-    sp.add_argument("files", nargs="+")
-    sp.set_defaults(func=_cmd_morphism)
+def _read_args(words):
+    """The command line as the handlers read it. Global options come before
+    the command, a command's options anywhere among its positionals. A long
+    option may be cut to a unique prefix and takes its value as the next
+    word or after `=`; a word that looks like a negative number is a value.
+    The first `--` ends the options. Each positional's words drop their
+    first `--`: the separator where it stands beside them, else a later one.
+    -h/--help prints usage and exits 0. A usage error writes usage to stderr
+    and exits 2; so does a value left empty by a dropped `--`, which the
+    reference parser of tests/test_cli_args.py hands on as an empty list."""
+    sep = words.index("--") if "--" in words else len(words)
+    command, options, positionals = None, _GLOBAL, ()
+    found = {f: default for f, _, default in _GLOBAL.values()}
+    unknown = []    # unknown options and extra words: errors once help has had its turn
+    taken = 0       # positionals begun; each holds its words until the end
+    last = None     # the words of the last word's positional, so a `--` after it joins them
+    files = None    # the words of `files` while its run of positionals lasts
+    lead = False    # a `--` waits for the next positional, whose words it starts
 
-    sp = sub.add_parser("iso")
-    sp.add_argument("game1")
-    sp.add_argument("game2")
-    sp.add_argument("--emit-morphism")
-    sp.set_defaults(func=_cmd_iso)
-    return p
+    def fail(message):
+        sys.stderr.write(f"usage: {_usage(command)}\ngamecat: error: {message}\n")
+        raise SystemExit(2)
+
+    def option(j):
+        """(name, the value after `=` or None) of an option word, name None
+        for an unknown option; None for a positional word."""
+        w = words[j]
+        if j >= sep or w[:1] != "-" or w == "-":
+            return None
+        if w in options or w in _HELP:
+            return w, None
+        head, eq, value = w.partition("=")
+        if eq and (head in options or head in _HELP):
+            return head, value
+        if w[1] == "-":
+            for name in (*options, "--help"):
+                if name.startswith(head):  # the only one: see the check for `--=` below
+                    return name, value if eq else None
+        elif w[1] == "h":
+            return "-h", w[2:]
+        return None if _NEGATIVE.match(w) or " " in w else (None, None)
+
+    # `--` is a prefix of all three global long options, and every word
+    # before the first `--` is looked up at the top level before any is read.
+    for w in words[:sep]:
+        if w.startswith("--="):
+            fail(f"ambiguous option: {w}")
+    j = 0
+    while j < len(words):
+        w, opt, at_sep = words[j], option(j), j == sep
+        j += 1
+        if opt is not None:
+            last = files = None
+            name, value = opt
+            if name is None:
+                unknown.append(w)
+                continue
+            if name in _HELP:  # -hh... is -h given again
+                if value is None or name == "-h" and value and not value.strip("h"):
+                    text = [_usage(command)] if command else [
+                        _usage(), "", *(f"  {_usage(c)}" for c in _COMMANDS)]
+                    sys.stdout.write("usage: " + "\n".join(text) + "\n")
+                    raise SystemExit(0)
+                fail(f"argument -h/--help: ignored explicit argument {value!r}")
+            field, check, _ = options[name]
+            if value is None:
+                if j == len(words) or j == sep or option(j) is not None:
+                    fail(f"argument {name}: expected one argument")
+                value, j = words[j], j + 1
+            if value == "--":  # dropped, as a positional's is: refused at the end
+                value = []
+            elif check is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    fail(f"argument {name}: invalid int value: {value!r}")
+            elif check and value not in check:
+                fail(f"argument {name}: invalid choice: {value!r}")
+            found[field] = value
+        elif command is None:
+            if at_sep or w not in _COMMANDS:
+                fail(f"argument command: invalid choice: {w!r}")
+            command = w
+            handler, positionals, options = _COMMANDS[w]
+            found.update((f, d) for f, _, d in options.values() if d is not ...)
+        elif at_sep and last is not None:
+            last.append(w)
+        elif at_sep:
+            lead = True
+        elif files is not None:
+            files.append(w)
+        elif taken < len(positionals):
+            field, choices = positionals[taken]
+            taken += 1
+            if choices and w not in choices:  # only `action`'s: the separator leads any `--` there
+                fail(f"argument {field}: invalid choice: {w!r}")
+            last = found[field] = ["--", w] if lead else [w]
+            files, lead = last if field == "files" else None, False
+        else:
+            unknown.append(w)
+            last = None
+    if command is None:
+        fail("the following arguments are required: command")
+    missing = [f for f, _ in positionals[taken:]] + [
+        name for name, (f, _, default) in options.items() if default is ... and f not in found]
+    if missing:
+        fail("the following arguments are required: " + ", ".join(missing))
+    if unknown or lead:
+        fail("unrecognized arguments: " + " ".join(unknown + ["--"] * lead))
+    for field, _ in positionals:
+        given = found[field]
+        if "--" in given:
+            given.remove("--")
+        if field != "files":
+            found[field] = given[0] if given else []
+    for field, value in found.items():
+        if value == [] and field != "files":
+            fail(f"argument {field}: expected one argument")
+    return SimpleNamespace(command=command, func=handler, **found)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _read_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
-        return 2 if e.code else 0
+        return e.code
     rep = _Report(args.format)
     try:
         return args.func(args, rep)
@@ -274,8 +401,9 @@ def main(argv=None) -> int:
         rep.line("verdict", "invalid")
         rep.line("error", str(e))
         return 1
-    except OSError as e:
-        rep.line("error", str(e))
+    except OSError as e:  # a file the OS refused: one code, the OS's reason as detail
+        where = "" if e.filename is None else f": {e.filename!r}"
+        rep.line("error", f"FileError ({e.strerror or e}{where})")
         return 2
 
 

@@ -10,6 +10,12 @@ exception may escape cli.main, and each exit code must show in its output:
 and every morphism file that reads, prints back as it was; every file the
 CLI writes, and every game subgame prints, reads back, name included; a
 call that fails writes nothing.
+
+A second gate mutates the argument lists of valid calls: words dropped,
+repeated, swapped, cut short or replaced from the vocabulary of
+test_cli_args. Each call must exit 0, 1 or 2 without an exception; a usage
+error prints nothing on stdout and its usage on stderr, help prints usage
+on stdout, and any other exit 2 prints one coded error line.
 """
 
 import contextlib
@@ -24,6 +30,7 @@ from gamecat import (GameError, encode, parse_game_text, parse_morphism_text, pa
 from gamecat.cli import main
 from gamecat.terms import Atom, FinSet, Tup
 from genrandom import random_game
+from test_cli_args import WORDS
 
 GAME_NAMES = ['c"#d"', 'a"b', '"#"', 'a"b', "x y", "é", "(p, q)", "q\\"]
 NODE_NAMES = ["a b", 'x"y', "é", "q#r", "#", "m\\n", "(", "{z}", "1/2", "end", "run", "-", "->"]
@@ -31,8 +38,8 @@ PIECES = ["(", ")", "{", "}", ",", '"', "\\", "\t", " ", "/", "->", "#", "x", "1
           "infoset", "end", "run", "\\u12", "é", '""', "(a,", "\n", "node", "0"]
 BAD_ATS = ["(a, b c)", "(a,", '"x', "a b", '"\\u12"', " v0", "v0\t", "", "-v0"]
 CONVERT = ["distinguished", "sequence", "action-set", "distinguished-sequence"]
-# An error line: a taxonomy code, or the errno of a file the OS refused.
-ERROR_LINE = re.compile(r"error:? (?:[A-Z][A-Za-z]+|\[Errno \d+\])(?: |$)")
+# An error line: a taxonomy code (FileError for a file the OS refused).
+ERROR_LINE = re.compile(r"error:? [A-Z][A-Za-z]+(?: |$)")
 
 
 def _relabel(g, names):
@@ -70,14 +77,15 @@ def _mutate(rng, text):
     return text
 
 
-def _build(rng, work, n_games):
-    """Write the inputs into work; return the calls, each (argv, the files
-    it may write, a check of its output), and the texts written."""
+def _build(rng, work, n_games, mutate=_mutate):
+    """Write the inputs into work, each text through mutate; return the
+    calls, each (argv, the files it may write, a check of its output), and
+    the texts written."""
     texts = {}
 
     def put(name, text):
         path = os.path.join(work, name)
-        texts[path] = _mutate(rng, text)
+        texts[path] = mutate(rng, text)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(texts[path])
         return path
@@ -199,3 +207,58 @@ def test_no_call_escapes_and_every_output_reads_back(tmp_path):
             _reads_back(print_morphism(*read), read[0], parse_morphism_text, print_morphism)
     # A gate that only ever sees errors shows nothing: a quarter must pass.
     assert codes[0] >= sum(codes.values()) / 4, codes
+
+
+def _mutate_argv(rng, argv):
+    """argv with a word dropped, repeated, swapped with another, cut short
+    (an option to a prefix of it) or replaced from the vocabulary; now and
+    then twice."""
+    argv = list(argv)
+    for _ in range(1 if rng.random() < 0.7 else 2):
+        k, r = rng.randrange(len(argv)), rng.random()
+        if r < 0.15:
+            del argv[k]
+        elif r < 0.3:
+            argv.insert(k, argv[k])
+        elif r < 0.45:
+            m = rng.randrange(len(argv))
+            argv[k], argv[m] = argv[m], argv[k]
+        elif r < 0.75:
+            k = rng.choice([j for j, w in enumerate(argv) if w.startswith("--")] or [k])
+            argv[k] = argv[k][:rng.randint(min(3, len(argv[k])), len(argv[k]))]
+        else:
+            argv[k] = rng.choice(WORDS)
+        if not argv:
+            break
+    return argv
+
+
+def test_mutated_argument_lists_end_in_a_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative words name files here
+    rng = random.Random(23)
+    calls, _ = _build(rng, str(tmp_path), 10, mutate=lambda rng, text: text)
+    kinds = Counter()
+    for argv, _, _ in calls:
+        for _ in range(8):
+            mutant = _mutate_argv(rng, argv)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(mutant)  # an exception fails the test here
+            out, err = out.getvalue(), err.getvalue()
+            lines = out.splitlines()
+            assert code in (0, 1, 2), mutant
+            if err:
+                assert err.startswith("usage: gamecat") and code == 2 and not out, mutant
+                kinds["usage"] += 1
+            elif out.startswith("usage: gamecat"):
+                assert code == 0, mutant
+                kinds["help"] += 1
+            elif code == 2:
+                assert len(lines) == 1 and ERROR_LINE.match(lines[0]), (mutant, out)
+                kinds["error"] += 1
+            else:
+                if code == 1:
+                    assert any(line.startswith("verdict") for line in lines), (mutant, out)
+                kinds[code] += 1
+    # Each outcome is met: usage errors, help, coded errors, verdicts 0 and 1.
+    assert len(kinds) == 5 and min(kinds.values()) >= 5, kinds

@@ -20,7 +20,12 @@ all four forms (reading the two files it writes) and iso against its copy
 with --emit-morphism (reading the file); each morphism through morphism
 check, classify and compose; every call in both output formats. Two games
 whose names cannot be joined into a printable one (`a"b` and `c"#d"`) go
-through iso both ways and through subgame at a node named `x#y`.
+through iso both ways and through subgame at a node named `x#y`. Ten more
+calls try the forms of the command line once each: an option cut to a
+prefix, `--option=value`, an option before the positionals, `--` before a
+positional, and four usage errors (a bad --format, a missing --to, an
+unknown option, a --max-strategies that is no number); their usage text on
+stderr is not compared.
 
 Each tree runs every call in its own subprocess (PYTHONPATH=TREE/src), in
 its own copy of the inputs, and absolute paths into that copy are written
@@ -187,8 +192,22 @@ def build_inputs(inputs, n_games, seed):
     for path in morphisms:
         calls += [(["morphism", action, path], []) for action in ("check", "classify")]
     calls += [(["morphism", "compose", a, b], []) for a, b in pairs]
+    # The forms of the command line, each once: prefixes, `=value`, options
+    # before positionals, `--`, and four usage errors.
+    game, copy = games[0], games[1]
+    written = [f"{os.path.splitext(game)[0]}.sequence.{ext}" for ext in ("gm", "gmm")]
+    shapes = [(["--form", "machine", "validate", game], []),
+              (["--format=machine", "validate", game], []),
+              (["convert", "--to=sequence", game], written),
+              (["convert", "--to", "sequence", game], written),
+              (["iso", "--emit-morphism", "o.gmm", game, copy], ["o.gmm"]),
+              (["iso", game, "--", copy], []),
+              (["--format", "xml", "validate", game], []),
+              (["convert", game], []),
+              (["validate", "--no-such-option", game], []),
+              (["--max-strategies", "x", "nash", game], [])]
     return [(["--format", fmt, *argv], writes) for argv, writes in calls
-            for fmt in ("human", "machine")]
+            for fmt in ("human", "machine")] + shapes
 
 
 def run_calls(calls_path, out_path):
@@ -201,8 +220,8 @@ def run_calls(calls_path, out_path):
     results = []
     for argv, writes in calls:
         buf = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(buf):
+        try:  # usage on stderr is not compared
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         except Exception:  # a traceback is an outcome to compare too
             code = "traceback: " + traceback.format_exc().strip().splitlines()[-1]
