@@ -10,8 +10,8 @@ output), 2 for usage and syntax errors and for a file the OS refused
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -226,7 +226,7 @@ def _cmd_iso(args, rep):
 # (field, choices or None), `files` taking one or more words, and its long
 # options, each name -> (field, choices or int or None, default); an option
 # whose default is ... must be given. _GLOBAL holds the options read before
-# the command; -h and --help belong to every level.
+# the command.
 _GLOBAL = {"--format": ("format", ("human", "machine"), "human"),
            "--max-strategies": ("max_strategies", int, 1_000_000)}
 _GAME = (("game", None),)
@@ -244,146 +244,85 @@ _COMMANDS = {
     "iso": (_cmd_iso, (("game1", None), ("game2", None)),
             {"--emit-morphism": ("emit_morphism", None, None)}),
 }
-_HELP = ("-h", "--help")
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # such a word is a value, not an option
 
 
-def _usage(command=None):
-    """The usage line of the command, or of gamecat itself."""
-    _, positionals, options = _COMMANDS[command] if command else (None, (), _GLOBAL)
-    parts = [f"gamecat {command}" if command else "gamecat", "[-h]"]
-    for name, (field, check, default) in options.items():
-        part = f"{name} " + ("{" + ",".join(check) + "}" if isinstance(check, tuple)
-                             else field.upper())
-        parts.append(part if default is ... else f"[{part}]")
-    for field, choices in positionals:
-        parts.append("{" + ",".join(choices) + "}" if choices else field)
-        if field == "files":
-            parts.append("[files ...]")
-    if not command:
-        parts.append("{" + ",".join(_COMMANDS) + "} ...")
-    return " ".join(parts)
-
-
-def _read_args(words):
-    """The command line as the handlers read it. Global options come before
-    the command, a command's options anywhere among its positionals. A long
-    option may be cut to a unique prefix and takes its value as the next
-    word or after `=`; a word that looks like a negative number is a value.
-    The first `--` ends the options. Each positional's words drop their
-    first `--`: the separator where it stands beside them, else a later one.
-    -h/--help prints usage and exits 0. A usage error writes usage to stderr
-    and exits 2; so does a value left empty by a dropped `--`, which the
-    reference parser of tests/test_cli_args.py hands on as an empty list."""
-    sep = words.index("--") if "--" in words else len(words)
-    command, options, positionals = None, _GLOBAL, ()
+def _plain_args(words):
+    """The fields of a plain command line, or None for any other: the global
+    options, the command, then its positionals and options in any order,
+    each option spelled in full with a value it takes as the next word, and
+    no other word starting with `-`."""
     found = {f: default for f, _, default in _GLOBAL.values()}
-    unknown = []    # unknown options and extra words: errors once help has had its turn
-    taken = 0       # positionals begun; each holds its words until the end
-    last = None     # the words of the last word's positional, so a `--` after it joins them
-    files = None    # the words of `files` while its run of positionals lasts
-    lead = False    # a `--` waits for the next positional, whose words it starts
-
-    def fail(message):
-        sys.stderr.write(f"usage: {_usage(command)}\ngamecat: error: {message}\n")
-        raise SystemExit(2)
-
-    def option(j):
-        """(name, the value after `=` or None) of an option word, name None
-        for an unknown option; None for a positional word."""
-        w = words[j]
-        if j >= sep or w[:1] != "-" or w == "-":
-            return None
-        if w in options or w in _HELP:
-            return w, None
-        head, eq, value = w.partition("=")
-        if eq and (head in options or head in _HELP):
-            return head, value
-        if w[1] == "-":
-            for name in (*options, "--help"):
-                if name.startswith(head):  # the only one: see the check for `--=` below
-                    return name, value if eq else None
-        elif w[1] == "h":
-            return "-h", w[2:]
-        return None if _NEGATIVE.match(w) or " " in w else (None, None)
-
-    # `--` is a prefix of all three global long options, and every word
-    # before the first `--` is looked up at the top level before any is read.
-    for w in words[:sep]:
-        if w.startswith("--="):
-            fail(f"ambiguous option: {w}")
-    j = 0
-    while j < len(words):
-        w, opt, at_sep = words[j], option(j), j == sep
-        j += 1
-        if opt is not None:
-            last = files = None
-            name, value = opt
-            if name is None:
-                unknown.append(w)
-                continue
-            if name in _HELP:  # -hh... is -h given again
-                if value is None or name == "-h" and value and not value.strip("h"):
-                    text = [_usage(command)] if command else [
-                        _usage(), "", *(f"  {_usage(c)}" for c in _COMMANDS)]
-                    sys.stdout.write("usage: " + "\n".join(text) + "\n")
-                    raise SystemExit(0)
-                fail(f"argument -h/--help: ignored explicit argument {value!r}")
-            field, check, _ = options[name]
-            if value is None:
-                if j == len(words) or j == sep or option(j) is not None:
-                    fail(f"argument {name}: expected one argument")
-                value, j = words[j], j + 1
-            if value == "--":  # dropped, as a positional's is: refused at the end
-                value = []
-            elif check is int:
+    options, positionals, command, taken = _GLOBAL, (), None, []
+    words = iter(words)
+    for w in words:
+        if w in options:
+            (field, check, _), value = options[w], next(words, "-")  # "-": none left
+            if value[:1] == "-":
+                return None
+            if check is int:
                 try:
                     value = int(value)
                 except ValueError:
-                    fail(f"argument {name}: invalid int value: {value!r}")
+                    return None
             elif check and value not in check:
-                fail(f"argument {name}: invalid choice: {value!r}")
+                return None
             found[field] = value
+        elif w[:1] == "-" or command is None and w not in _COMMANDS:
+            return None
         elif command is None:
-            if at_sep or w not in _COMMANDS:
-                fail(f"argument command: invalid choice: {w!r}")
-            command = w
-            handler, positionals, options = _COMMANDS[w]
-            found.update((f, d) for f, _, d in options.values() if d is not ...)
-        elif at_sep and last is not None:
-            last.append(w)
-        elif at_sep:
-            lead = True
-        elif files is not None:
-            files.append(w)
-        elif taken < len(positionals):
-            field, choices = positionals[taken]
-            taken += 1
-            if choices and w not in choices:  # only `action`'s: the separator leads any `--` there
-                fail(f"argument {field}: invalid choice: {w!r}")
-            last = found[field] = ["--", w] if lead else [w]
-            files, lead = last if field == "files" else None, False
+            command, (handler, positionals, options) = w, _COMMANDS[w]
+            found.update((f, default) for f, _, default in options.values())
         else:
-            unknown.append(w)
-            last = None
-    if command is None:
-        fail("the following arguments are required: command")
-    missing = [f for f, _ in positionals[taken:]] + [
-        name for name, (f, _, default) in options.items() if default is ... and f not in found]
-    if missing:
-        fail("the following arguments are required: " + ", ".join(missing))
-    if unknown or lead:
-        fail("unrecognized arguments: " + " ".join(unknown + ["--"] * lead))
-    for field, _ in positionals:
-        given = found[field]
-        if "--" in given:
-            given.remove("--")
-        if field != "files":
-            found[field] = given[0] if given else []
-    for field, value in found.items():
-        if value == [] and field != "files":
-            fail(f"argument {field}: expected one argument")
+            taken.append(w)
+    for k, (field, choices) in enumerate(positionals):
+        if k == len(taken) or choices and taken[k] not in choices:
+            return None
+        found[field] = taken[k:] if field == "files" else taken[k]
+    if command is None or ... in found.values() or (
+            len(taken) > len(positionals) and "files" not in found):
+        return None
     return SimpleNamespace(command=command, func=handler, **found)
+
+
+@functools.cache
+def _parser():
+    """The argparse parser of the table, for every line that is not plain."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a command's parser too names gamecat
+            self.print_usage(sys.stderr)
+            self.exit(2, f"gamecat: error: {message}\n")
+
+    top = Parser(prog="gamecat")
+    commands = top.add_subparsers(dest="command", required=True)
+    levels = [(top, (), _GLOBAL)]
+    for command, (handler, positionals, options) in _COMMANDS.items():
+        parser = commands.add_parser(command)
+        parser.set_defaults(func=handler)
+        levels.append((parser, positionals, options))
+    for parser, positionals, options in levels:
+        for field, choices in positionals:
+            parser.add_argument(field, choices=choices, nargs="+" if field == "files" else None)
+        for name, (field, check, default) in options.items():
+            parser.add_argument(name, dest=field, type=check if check is int else None,
+                                choices=None if check is int else check, required=default is ...,
+                                default=None if default is ... else default)
+    return top
+
+
+def _read_args(words):
+    """The command line as the handlers read it: a plain line from
+    _plain_args, any other from argparse, which prints help, or usage and
+    `gamecat: error: ...`, and exits; so does a value that only a dropped
+    `--` gave, which argparse hands on as [] (`iso a -- --`)."""
+    args = _plain_args(words)
+    if args is None:
+        args = _parser().parse_args(words)
+        for field, value in vars(args).items():
+            if isinstance(value, list) and field != "files":
+                _parser().error(f"argument {field}: expected one argument")
+    return args
 
 
 def main(argv=None) -> int:

@@ -88,7 +88,11 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
         table = payoffs.get(i)
         if table is None or end not in tree.end_nodes:
             raise ValidationError("UtilityExtraneous", witness=(i, end))
-        value = value if type(value) is Fraction else Fraction(value)
+        if type(value) is not Fraction:
+            try:
+                value = Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ValidationError("UtilityNotRational", witness=(i, _run(tree, end))) from None
         held = table.setdefault(end, value)
         if held is not value and held != value:
             raise ValidationError("UtilityConflict", witness=(i, _run(tree, end)))

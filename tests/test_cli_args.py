@@ -10,6 +10,9 @@ The reader and the reference must agree on accept, reject and help, and
 where both accept, on every field the handlers read. The one difference:
 where the reference drops a `--` that is a value's only word and hands on an
 empty list (`iso a -- --`, `subgame g --at=--`), the reader refuses the call.
+The plain reader, which takes the lines with no word starting with `-` but
+full option names, is checked on its own: wherever it returns fields, they
+are the reference's.
 """
 
 import argparse
@@ -21,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gamecat.cli import (_CONVERTERS, _cmd_convert, _cmd_iso, _cmd_morphism, _cmd_props,
                          _cmd_strategies, _cmd_subgame, _cmd_subgames, _cmd_validate,
-                         _read_args, main)
+                         _plain_args, _read_args, main)
 
 FIELDS = ("command", "func", "format", "max_strategies", "game", "at", "to", "action",
           "files", "game1", "game2", "emit_morphism")
@@ -141,6 +144,49 @@ def test_reader_agrees_with_argparse(argv):
         assert "\ngamecat: error: " in err
     else:
         assert not out and not err
+
+
+@st.composite
+def _plain(draw):
+    """A command with its arguments shuffled, global options before it, each
+    option spelled in full with a value drawn from choices, caps, names and
+    words starting with `-`, and up to two words dropped or doubled."""
+    values = st.sampled_from(VALUES + ["+5", " 5", "10"])
+    cmd = draw(st.sampled_from(COMMANDS))
+    glob = draw(st.lists(st.sampled_from(["--format", "--max-strategies"]), max_size=2))
+    parts = draw(st.permutations(CALLS[cmd]))
+    argv = [w for name in glob for w in (name, draw(values))] + [cmd]
+    for part in parts:
+        argv += [part[0], draw(values)] if part[0].startswith("--") else part
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(argv) - 1))
+        argv[k:k + 1] = [] if draw(st.booleans()) else [argv[k], argv[k]]
+    return argv
+
+
+# Options before, after and among the positionals, a repeated option, caps
+# int() reads, an empty game name, and values starting with `-`.
+@example(["iso", "--emit-morphism", "o", "a", "b"])
+@example(["iso", "a", "--emit-morphism", "o", "b"])
+@example(["iso", "a", "b", "--emit-morphism", "o"])
+@example(["subgame", "--at", "x", "g"])
+@example(["convert", "g", "--to", "sequence", "--to", "action-set"])
+@example(["--format", "human", "--format", "machine", "validate", "g"])
+@example(["--max-strategies", "+5", "nash", "g"])
+@example(["--max-strategies", " 5", "nash", "g"])
+@example(["--max-strategies", "1_0", "nash", "g"])
+@example(["validate", ""])
+@example(["morphism", "compose", "m.gmm", "n.gmm"])
+@example(["subgame", "g", "--at", "-5"])
+@example(["--max-strategies", "-5", "nash", "g"])
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(_plain(), _built(), st.lists(st.sampled_from(WORDS), max_size=7)))
+def test_plain_reader_agrees_with_argparse(argv):
+    got = _plain_args(list(argv))
+    if got is not None:
+        assert all(w in LONG[:-1] for w in argv if w[:1] == "-"), argv
+        ref, _, _ = _outcome(_build_parser().parse_args, argv)
+        assert ref == {f: getattr(got, f) for f in FIELDS if hasattr(got, f)}, (argv, ref)
 
 
 def test_usage_names_every_command_and_option():

@@ -837,6 +837,25 @@ def test_no_benchmark_command_reaches_the_line_reader(workload, tmp_path, monkey
         assert main(cmd.argv) == cmd.code, cmd.argv
 
 
+@pytest.mark.parametrize("workload", ["corpus", "strategic", "deep"])
+def test_no_benchmark_command_reaches_argparse(workload, tmp_path, monkeypatch):
+    # Every command line a benchmark workload gives is read by the plain
+    # reader; a workload that timed argparse would fail here.
+    from gamecat import cli
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(FIXTURES)), "perfbench"))
+    import workloads
+    cases = workloads.build(workload, "t", str(tmp_path), tiny=True)
+
+    def refuse():
+        raise AssertionError("argparse was reached")
+
+    monkeypatch.setattr(cli, "_parser", refuse)
+    cmds = [cmd for case in cases for cmd in case.cmds]
+    assert cmds
+    for cmd in cmds:
+        assert cli.main(cmd.argv) == cmd.code, cmd.argv
+
+
 @pytest.mark.parametrize("path", ["a#b/g.gm", '"g.gm', '"g.gm"', "g.gm\n", " g.gm",
                                   "g\u2028.gm", 'a"b#c', "/abs/x#y/g.gm "])
 def test_a_file_reference_that_would_not_read_back_is_written_quoted(path):

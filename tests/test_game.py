@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,26 @@ def test_an_end_key_and_a_run_key_with_two_values_conflict():
     g = build_game({A(0), A(1), A(2)}, edges, [{A(0)}], {A(0): A("P1")},
                    {**utilities, (A("P1"), run): Fraction(2, 2)})
     assert g.utility(A("P1"), run) == 1
+
+
+@pytest.mark.parametrize("value", [None, [1], "abc", float("nan"), "1/0", float("inf")])
+def test_a_utility_that_is_no_rational_is_a_coded_error(value):
+    edges = {(A(0), A(1)): A("a"), (A(0), A(2)): A("b")}
+    utilities = {(A("P1"), A(1)): 1, (A("P1"), A(2)): value}
+    with pytest.raises(ValidationError) as e:
+        build_game({A(0), A(1), A(2)}, edges, [{A(0)}], {A(0): A("P1")}, utilities)
+    assert (e.value.code, e.value.witness) == ("UtilityNotRational",
+                                               (A("P1"), frozenset({A(0), A(2)})))
+
+
+def test_every_value_fraction_accepts_is_a_utility():
+    edges = {(A(0), A(1)): A("a"), (A(0), A(2)): A("b"), (A(0), A(3)): A("c"),
+             (A(0), A(4)): A("d"), (A(0), A(5)): A("e")}
+    values = [3, "1/2", Decimal("0.25"), 0.5, True]
+    g = build_game({A(k) for k in range(6)}, edges, [{A(0)}], {A(0): A("P1")},
+                   {(A("P1"), A(k + 1)): v for k, v in enumerate(values)})
+    assert [g.utility(A("P1"), frozenset({A(0), A(k + 1)})) for k in range(5)] == [
+        3, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2), 1]
 
 
 def test_one_player_zero_game():
