@@ -51,6 +51,20 @@ def _read_text(path: str) -> str:
             raise ParseError(f"{path} is not UTF-8: bad byte at offset {e.start}") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text over path in place: open(path, "w") truncates the file to
+    0 first, which makes ext4 flush it on close (about 100 us). A longer
+    old file is cut after the write; a device or pipe has size 0."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except ValueError as e:  # a NUL character in the path
+        raise ParseError(f"cannot open {path!r}: {e}") from None
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if os.fstat(fd).st_size > len(text):  # tell() flushes and gives the length
+            os.ftruncate(fd, fh.tell())
+
+
 def _load_game(path: str):
     return parse_game_text(_read_text(path))
 
@@ -96,6 +110,8 @@ def _cmd_props(args, rep):
 
 def _cmd_strategies(args, rep):
     """strategies, nash or spe: each cell's "<encoding>=" is built once."""
+    if args.max_strategies < 1:  # a usage error, not a verdict on the game
+        raise ParseError(f"--max-strategies must be at least 1, not {args.max_strategies}")
     _, g = _load_game(args.game)
     prefixes = {cell: encode_set(cell) + "=" for cell in g.clt.cells}
     solver = {"strategies": strategies, "nash": nash, "spe": spe}[args.command]
@@ -145,8 +161,7 @@ def _cmd_convert(args, rep):
                                        result.certificate.node_map, g.tree.sorted_nodes),
              out_game: print_game(f"{name}.{args.to}", result.game)}
     for path, text in texts.items():
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(path, text)
     rep.line("game_file", out_game)
     rep.line("morphism_file", out_morph)
     return 0
@@ -210,10 +225,9 @@ def _cmd_iso(args, rep):
         rep.line("verdict", "not-isomorphic")
         return 1
     if args.emit_morphism:  # written before any output: a refused file is the only line
-        text = print_morphism(f"{name1}.iso.{name2}", os.path.abspath(args.game1),
-                              os.path.abspath(args.game2), m.node_map, g1.tree.sorted_nodes)
-        with open(args.emit_morphism, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.emit_morphism, print_morphism(
+            f"{name1}.iso.{name2}", os.path.abspath(args.game1), os.path.abspath(args.game2),
+            m.node_map, g1.tree.sorted_nodes))
     rep.line("verdict", "isomorphic")
     for x in g1.tree.sorted_nodes:
         rep.line("map", encode(x), "->", encode(m.node_map[x]))

@@ -196,6 +196,16 @@ def test_strategy_cap_flag(capsys, command):
     assert "error" not in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", ["strategies", "nash", "spe"])
+def test_a_strategy_cap_below_one_is_a_usage_error(capsys, command, cap):
+    # Refused before the game is read: a missing game is not reported.
+    for game in (fixture_path("trio_a.gm"), fixture_path("nope.gm")):
+        code, out = run(capsys, "--max-strategies", cap, command, game)
+        assert (code, out) == (2, f"error: SyntaxError (--max-strategies must be at least 1, "
+                                  f"not {cap})\n")
+
+
 def test_morphism_check_valid_shows_transformations(capsys):
     code, out = run(capsys, "morphism", "check", fixture_path("prefixed.gmm"))
     assert code == 0
@@ -282,6 +292,85 @@ def test_iso_emit_morphism(tmp_path, capsys):
     code, out = run(capsys, "morphism", "classify", str(out_path))
     assert code == 0
     assert "iso: true" in out
+
+
+_EMIT = ["iso", fixture_path("trio_a.gm"), fixture_path("trio_b.gm"), "--emit-morphism"]
+_OUTPUTS = ("g.sequence.gm", "g.sequence.gmm", "e.gmm")
+
+
+def _write_outputs(capsys, work):
+    """The bytes of _OUTPUTS after convert and iso --emit-morphism write them in work."""
+    shutil.copy(fixture_path("trio_a.gm"), work / "g.gm")
+    assert run(capsys, "convert", str(work / "g.gm"), "--to", "sequence")[0] == 0
+    assert run(capsys, *_EMIT, str(work / "e.gmm"))[0] == 0
+    return [(work / name).read_bytes() for name in _OUTPUTS]
+
+
+@pytest.mark.parametrize("old", [b"x" * 100_000, b"y"], ids=["longer", "shorter"])
+def test_outputs_are_overwritten_in_place(tmp_path, capsys, old):
+    # An existing output keeps its inode, mode and hard links and holds
+    # exactly the bytes a fresh write gives, whatever it held before.
+    fresh, work = tmp_path / "fresh", tmp_path / "work"
+    fresh.mkdir()
+    work.mkdir()
+    for name in _OUTPUTS:
+        (work / name).write_bytes(old)
+        (work / name).chmod(0o600)
+        os.link(work / name, work / f"{name}.link")
+    before = [os.stat(work / name) for name in _OUTPUTS]
+    expected = _write_outputs(capsys, fresh)
+    assert _write_outputs(capsys, work) == expected
+    assert [(work / f"{name}.link").read_bytes() for name in _OUTPUTS] == expected
+    after = [os.stat(work / name) for name in _OUTPUTS]
+    assert [(s.st_ino, s.st_mode, s.st_nlink) for s in after] == \
+        [(s.st_ino, s.st_mode, s.st_nlink) for s in before]
+
+
+def test_outputs_are_written_through_symlinks(tmp_path, capsys):
+    fresh, work, real = tmp_path / "fresh", tmp_path / "work", tmp_path / "real"
+    for d in (fresh, work, real):
+        d.mkdir()
+    for name in _OUTPUTS:
+        (real / name).write_text("x" * 10_000)
+        (work / name).symlink_to(real / name)
+    expected = _write_outputs(capsys, fresh)
+    assert _write_outputs(capsys, work) == expected
+    assert [(real / name).read_bytes() for name in _OUTPUTS] == expected
+    assert [os.readlink(work / name) for name in _OUTPUTS] == [str(real / n) for n in _OUTPUTS]
+
+
+def test_emit_morphism_to_dev_null(capsys):
+    code, out = run(capsys, *_EMIT, os.devnull)
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: isomorphic"
+    assert out.splitlines()[-1] == f"morphism_file: {os.devnull}"
+
+
+def test_a_fresh_output_gets_the_mode_open_gives(tmp_path, capsys):
+    for mask in (0o022, 0o077, 0o002):
+        old = os.umask(mask)
+        try:
+            with open(tmp_path / f"plain{mask}", "w") as fh:
+                fh.write("x")
+            out = tmp_path / f"e{mask}.gmm"
+            code, _ = run(capsys, *_EMIT, str(out))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert os.stat(out).st_mode == os.stat(tmp_path / f"plain{mask}").st_mode
+
+
+def test_an_output_in_a_missing_directory_is_a_file_error(tmp_path, capsys):
+    out = str(tmp_path / "no" / "e.gmm")
+    code, printed = run(capsys, *_EMIT, out)
+    assert (code, printed) == (2, f"error: FileError (No such file or directory: {out!r})\n")
+
+
+def test_a_nul_in_the_emitted_morphism_path_is_a_syntax_error(tmp_path, capsys):
+    out = str(tmp_path / "x\0y")
+    code, printed = run(capsys, *_EMIT, out)
+    assert (code, printed) == (2, f"error: SyntaxError (cannot open {out!r}: embedded null byte)\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_convert_writes_verifiable_pair(tmp_path, capsys):

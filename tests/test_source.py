@@ -63,3 +63,35 @@ def test_library_reads_no_derived_view():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in views]
     assert found == []
+
+
+def test_library_opens_files_for_writing_only_in_one_writer():
+    # open(path, "w") truncates with O_TRUNC, and ext4 flushes a file
+    # truncated to 0 when it is closed: every file the CLI writes goes
+    # through cli._write_text, which overwrites in place, and nothing else
+    # opens a file for writing or truncates one.
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gamecat.__file__), "*.py"))):
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        writers = [node for node in ast.walk(tree) if name == "cli.py"
+                   and isinstance(node, ast.FunctionDef) and node.name == "_write_text"]
+        inside = {id(node) for writer in writers for node in ast.walk(writer)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC":
+                found.append(f"{name}:{node.lineno}: O_TRUNC")
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            reads = called == "open" and isinstance(f, ast.Name) and (
+                mode is None or isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+            if not reads and called in ("open", "fdopen", "write_text", "write_bytes",
+                                        "truncate", "ftruncate"):
+                found.append(f"{name}:{node.lineno}: {called}")
+        if name == "cli.py" and len(writers) != 1:
+            found.append("cli.py: no _write_text")
+    assert found == []

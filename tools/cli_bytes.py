@@ -29,8 +29,12 @@ stderr is not compared.
 
 Each tree runs every call in its own subprocess (PYTHONPATH=TREE/src), in
 its own copy of the inputs, and absolute paths into that copy are written
-`<work>` before comparing. The report gives the calls made, their exit codes,
-and every call whose standard output, exit code or written files differ.
+`<work>` before comparing. Before each call, every file it may write is
+filled with a filler longer than any output, so a writer that overwrites
+in place and leaves the old tail writes a differing file; a call that
+writes nothing leaves the filler on both sides. The report gives the calls
+made, their exit codes, the files they wrote, and every call whose standard
+output, exit code or written files differ.
 Exit status: 0 when nothing differs, 1 otherwise.
 """
 
@@ -56,6 +60,8 @@ CONVERT = ["distinguished", "sequence", "action-set", "distinguished-sequence"]
 PIECES = ["(", ")", "{", "}", ",", '"', "\\", "\t", " ", "/", "->", "-", ">", "#", "x",
           "1/0", "--1", "infoset", "end", "run", "\\u12", "é", '""', '"a b"', "(a,"]
 NAMES = ["a b", 'x"y', "é", "q#r", "m\\n", "(", "{z}", "1/2", "end", "run", "-", "->"]
+# What every output path holds before a call; a longer output stops the run.
+FILLER = "an older and longer file\n" * 320
 # Terms that do not parse, for subgame --at, and valid ones with blanks around.
 BAD_ATS = ["(a, b c)", "(a,", '"x', "a b", '"\\u12"', " v0", "v0\t", " (v0, v1) "]
 # A game named a"b with a node named x#y: iso onto a copy named c"#d" would
@@ -219,6 +225,9 @@ def run_calls(calls_path, out_path):
         calls = json.load(fh)
     results = []
     for argv, writes in calls:
+        for path in writes:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(FILLER)
         buf = io.StringIO()
         try:  # usage on stderr is not compared
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
@@ -227,10 +236,13 @@ def run_calls(calls_path, out_path):
             code = "traceback: " + traceback.format_exc().strip().splitlines()[-1]
         files = {}
         for path in writes:
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    files[path] = fh.read().replace(work, "<work>")
-                os.remove(path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            os.remove(path)
+            if len(text) > len(FILLER):
+                sys.exit(f"gamecat {' '.join(argv)} wrote {len(text)} characters to {path}, "
+                         f"more than the filler's {len(FILLER)}")
+            files[path] = "<filler>" if text == FILLER else text.replace(work, "<work>")
         results.append([code, buf.getvalue().replace(work, "<work>"), files])
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({"library": gamecat.__file__, "results": results}, fh)
@@ -278,7 +290,7 @@ def main(argv=None):
                 print(f"{side} loaded {run['library']}, not its tree's library", file=sys.stderr)
                 return 2
             runs.append(run["results"])
-    written = sum(len(files) for _, _, files in runs[1])
+    written = sum(text != "<filler>" for _, _, files in runs[1] for text in files.values())
     codes = Counter(code for code, _, _ in runs[1])
     print(f"calls {len(calls)}  files written {written}  exit codes "
           + " ".join(f"{code}:{n}" for code, n in sorted(codes.items(), key=str)))
