@@ -52,17 +52,19 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write text over path in place: open(path, "w") truncates the file to
-    0 first, which makes ext4 flush it on close (about 100 us). A longer
-    old file is cut after the write; a device or pipe has size 0."""
+    """Write text over path: in place when the file is no longer than the
+    text, as open(path, "w") cuts it to 0 first and ext4 flushes a file cut
+    to 0 on close (about 100 us); a longer file is still cut to 0 first, so
+    a crash cannot leave its old text cut short. A device has size 0."""
+    data = text.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except ValueError as e:  # a NUL character in the path
         raise ParseError(f"cannot open {path!r}: {e}") from None
-    with open(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if os.fstat(fd).st_size > len(text):  # tell() flushes and gives the length
-            os.ftruncate(fd, fh.tell())
+    with open(fd, "wb") as fh:
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, 0)
+        fh.write(data)
 
 
 def _load_game(path: str):

@@ -326,6 +326,26 @@ def test_outputs_are_overwritten_in_place(tmp_path, capsys, old):
         [(s.st_ino, s.st_mode, s.st_nlink) for s in before]
 
 
+@pytest.mark.parametrize("old, cuts", [(b"x" * 100_000, [0]), (b"y", [])],
+                         ids=["longer", "shorter"])
+def test_only_a_longer_output_is_cut_and_before_the_write(tmp_path, capsys, monkeypatch, old,
+                                                          cuts):
+    # A longer output is cut to 0 before the new text goes in, as open(path,
+    # "w") cuts it, so it is never the old text cut to the new length; a
+    # shorter one is written over in place.
+    out, seen, ftruncate = tmp_path / "e.gmm", [], os.ftruncate
+    out.write_bytes(old)
+
+    def record(fd, length):
+        seen.append((length, out.read_bytes() == old))
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", record)
+    assert run(capsys, *_EMIT, str(out))[0] == 0
+    assert seen == [(length, True) for length in cuts]
+    assert out.read_bytes().startswith(b"morphism ")
+
+
 def test_outputs_are_written_through_symlinks(tmp_path, capsys):
     fresh, work, real = tmp_path / "fresh", tmp_path / "work", tmp_path / "real"
     for d in (fresh, work, real):

@@ -29,12 +29,14 @@ stderr is not compared.
 
 Each tree runs every call in its own subprocess (PYTHONPATH=TREE/src), in
 its own copy of the inputs, and absolute paths into that copy are written
-`<work>` before comparing. Before each call, every file it may write is
-filled with a filler longer than any output, so a writer that overwrites
-in place and leaves the old tail writes a differing file; a call that
-writes nothing leaves the filler on both sides. The report gives the calls
-made, their exit codes, the files they wrote, and every call whose standard
-output, exit code or written files differ.
+`<work>` before comparing. Before each call, each file it may write is,
+by a seeded draw, missing, or holds an old text shorter than any output,
+or one longer than any output, so new files, files written over and a
+writer that leaves a longer file's old tail are all compared; a file a
+call leaves as it was is compared as `<old>`, and one that it creates or
+removes against the other tree's. The report gives the calls made, their
+exit codes, the files they wrote by what each held before, and every call
+whose standard output, exit code or written files differ.
 Exit status: 0 when nothing differs, 1 otherwise.
 """
 
@@ -60,8 +62,9 @@ CONVERT = ["distinguished", "sequence", "action-set", "distinguished-sequence"]
 PIECES = ["(", ")", "{", "}", ",", '"', "\\", "\t", " ", "/", "->", "-", ">", "#", "x",
           "1/0", "--1", "infoset", "end", "run", "\\u12", "é", '""', '"a b"', "(a,"]
 NAMES = ["a b", 'x"y', "é", "q#r", "m\\n", "(", "{z}", "1/2", "end", "run", "-", "->"]
-# What every output path holds before a call; a longer output stops the run.
-FILLER = "an older and longer file\n" * 320
+# What an output path holds before a call: nothing, a shorter old text or a
+# longer one; an output longer than the last stops the run.
+OLD = (None, "old\n", "an older and longer file\n" * 320)
 # Terms that do not parse, for subgame --at, and valid ones with blanks around.
 BAD_ATS = ["(a, b c)", "(a,", '"x', "a b", '"\\u12"', " v0", "v0\t", " (v0, v1) "]
 # A game named a"b with a node named x#y: iso onto a copy named c"#d" would
@@ -109,7 +112,8 @@ def _mutant(rng, text):
 
 def build_inputs(inputs, n_games, seed):
     """Write the inputs under inputs; return the calls, each (argv, the
-    files it may write), with paths relative to inputs."""
+    files it may write, each with the index into OLD of what it holds
+    before the call), with paths relative to inputs."""
     sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
     from gamecat import (Atom, GameError, encode, parse_game_text, print_game, print_morphism,
                          pushforward)
@@ -212,8 +216,9 @@ def build_inputs(inputs, n_games, seed):
               (["convert", game], []),
               (["validate", "--no-such-option", game], []),
               (["--max-strategies", "x", "nash", game], [])]
-    return [(["--format", fmt, *argv], writes) for argv, writes in calls
-            for fmt in ("human", "machine")] + shapes
+    calls = [(["--format", fmt, *argv], writes) for argv, writes in calls
+             for fmt in ("human", "machine")] + shapes
+    return [(argv, [(path, rng.randrange(len(OLD))) for path in writes]) for argv, writes in calls]
 
 
 def run_calls(calls_path, out_path):
@@ -225,9 +230,10 @@ def run_calls(calls_path, out_path):
         calls = json.load(fh)
     results = []
     for argv, writes in calls:
-        for path in writes:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(FILLER)
+        for path, k in writes:
+            if OLD[k] is not None:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(OLD[k])
         buf = io.StringIO()
         try:  # usage on stderr is not compared
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
@@ -235,14 +241,16 @@ def run_calls(calls_path, out_path):
         except Exception:  # a traceback is an outcome to compare too
             code = "traceback: " + traceback.format_exc().strip().splitlines()[-1]
         files = {}
-        for path in writes:
+        for path, k in writes:
+            if not os.path.exists(path):
+                continue
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             os.remove(path)
-            if len(text) > len(FILLER):
+            if len(text) > len(OLD[-1]):
                 sys.exit(f"gamecat {' '.join(argv)} wrote {len(text)} characters to {path}, "
-                         f"more than the filler's {len(FILLER)}")
-            files[path] = "<filler>" if text == FILLER else text.replace(work, "<work>")
+                         f"more than the longer old text's {len(OLD[-1])}")
+            files[path] = "<old>" if text == OLD[k] else text.replace(work, "<work>")
         results.append([code, buf.getvalue().replace(work, "<work>"), files])
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({"library": gamecat.__file__, "results": results}, fh)
@@ -290,9 +298,11 @@ def main(argv=None):
                 print(f"{side} loaded {run['library']}, not its tree's library", file=sys.stderr)
                 return 2
             runs.append(run["results"])
-    written = sum(text != "<filler>" for _, _, files in runs[1] for text in files.values())
+    written = Counter(k for (_, writes), (_, _, files) in zip(calls, runs[1])
+                      for path, k in writes if files.get(path, "<old>") != "<old>")
     codes = Counter(code for code, _, _ in runs[1])
-    print(f"calls {len(calls)}  files written {written}  exit codes "
+    print(f"calls {len(calls)}  files written {sum(written.values())} (new {written[0]}, "
+          f"over a shorter file {written[1]}, over a longer one {written[2]})  exit codes "
           + " ".join(f"{code}:{n}" for code, n in sorted(codes.items(), key=str)))
     differing = 0
     for (argv, _), (c0, out0, f0), (c1, out1, f1) in zip(calls, *runs):
