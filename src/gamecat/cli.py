@@ -45,8 +45,8 @@ def _read_text(path: str) -> str:
     except ValueError as e:  # a NUL character in the path
         raise ParseError(f"cannot open {path!r}: {e}") from None
     with fh:
-        try:
-            return fh.read()
+        try:  # a leading byte-order mark is no part of the text
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as e:
             raise ParseError(f"{path} is not UTF-8: bad byte at offset {e.start}") from None
 

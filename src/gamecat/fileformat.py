@@ -15,19 +15,18 @@ from itertools import count
 
 from .errors import OperationError, ParseError, ValidationError
 from .game import Game, build_game
-from .terms import (_ATOMS, _BARE_ATOM, _END, _TOKENS, Atom, _quote, _read_tokens, _sorted,
-                    _unquote, encode)
+from .terms import (_ATOMS, _BARE_ATOM, _END, _LINE_BREAK, _OPEN_QUOTED, _QUOTED, _TOKENS, Atom,
+                    _quote, _read_tokens, _sorted, _unquote, encode)
 from .tree import _run
 
 # Everything before the first `#` that is outside a quoted atom.
-_BEFORE_COMMENT = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*(?=#)')
+_BEFORE_COMMENT = re.compile(rf'(?:[^"#]|{_OPEN_QUOTED}")*(?=#)')
 
-# A rational: [+-]digits, optionally /digits, ending where the run of sign,
-# slash and digit characters ends; any other such run is a bad token.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?(?![-+/0-9])|[-+/0-9]*")
-
-# One quoted atom, as a source or target line may give its file.
-_QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+# A rational: [+-]digits, optionally / and digits not all 0. _RATIONAL's
+# group 1 is one that ends where the run of sign, slash and digit
+# characters ends; any other such run is a bad token.
+_Q = r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?"
+_RATIONAL = re.compile(rf"({_Q})(?![-+/0-9])|[-+/0-9]*")
 
 # The bare-atom grammar of each declaration kind, written once: the block
 # reader checks every line of a file against it by one search.
@@ -37,7 +36,7 @@ _GM_KINDS = {
     "edge": rf"edge[ \t]+{_W}[ \t]+{_W}[ \t]+{_W}",
     "infoset": rf"infoset[ \t]+{_W}[ \t]*\{{[ \t]*(?:{_W}(?:[ \t]+{_W})*)?[ \t]*\}}",
     "player": rf"player[ \t]+{_W}[ \t]+infoset[ \t]+{_W}",
-    "utility": rf"utility[ \t]+{_W}[ \t]+end[ \t]+{_W}[ \t]+[+-]?[0-9]+(?:/0*[1-9][0-9]*)?",
+    "utility": rf"utility[ \t]+{_W}[ \t]+end[ \t]+{_W}[ \t]+{_Q}",
 }
 _GMM_KINDS = {"map": rf"map[ \t]+{_W}[ \t]+->[ \t]*{_W}"}
 
@@ -97,12 +96,11 @@ def _read_rational(toks) -> Fraction:
     """The rational that the tokens spell, which must be all of them."""
     text = "".join(["".join(t) for t in toks])
     m = _RATIONAL.match(text, len(toks[0][0]))
-    num, den = m.group(1), m.group(2)
-    if num is None or den is not None and not den.strip("0"):
-        raise ParseError(f"bad rational {m.group()!r}")
+    if m[1] is None:
+        raise ParseError(f"bad rational {m[0]!r}")
     if m.end() < len(text):
         raise ParseError("trailing input")
-    return _fraction(num, den)
+    return _fraction(*m[1].split("/"))
 
 
 def _lines(text: str):
@@ -299,7 +297,7 @@ def parse_game_text(text: str):
 def _head_line(head: str, name: str) -> str:
     """The `head name` line; OperationError UnprintableName unless it reads back
     as name: one line, no blank at either end or `#` outside quotes, nonempty for a game."""
-    if (name != name.strip() or len(name.splitlines()) > 1 or not name and head == "game"
+    if (name != name.strip() or _LINE_BREAK.search(name) or not name and head == "game"
             or "#" in name and _BEFORE_COMMENT.match(name)):
         raise OperationError("UnprintableName", detail=name)
     return f"{head} {name}"
@@ -389,8 +387,13 @@ def parse_morphism_text(text: str):
 def _print_ref(path: str) -> str:
     """path as a source or target line writes it: quoted when the line,
     read back, would not give it (a `#`, a leading quote, a line break, or
-    leading or trailing blanks)."""
-    if "#" in path or path[:1] == '"' or path != path.strip() or len(path.splitlines()) > 1:
+    leading or trailing blanks). A ParseError for a path that is not UTF-8,
+    which Python reads with its bad bytes as lone surrogates."""
+    try:
+        path.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"{path!r} is not UTF-8") from None
+    if "#" in path or path[:1] == '"' or path != path.strip() or _LINE_BREAK.search(path):
         return _quote(path)
     return path
 

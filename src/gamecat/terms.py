@@ -186,9 +186,13 @@ def _sorted(xs) -> list:
 _BARE_ATOM = re.compile(r"[A-Za-z0-9_.+-]+")
 # What str.splitlines breaks on; quoted atoms write these as \uXXXX.
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-# Four hex digits, not a surrogate (D800-DFFF): a lone surrogate could not
-# be encoded for comparison.
-_U_DIGITS = re.compile("(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}")
+# A quoted atom up to its closing quote, which _QUOTED adds; a _TOKENS
+# token may end at the text's end instead, or at a last backslash.
+_OPEN_QUOTED = r'"(?:[^"\\]|\\.)*'
+_QUOTED = re.compile(_OPEN_QUOTED + '"', re.S)
+# An escape: \u and four hex digits, not a surrogate (D800-DFFF), which could
+# not be encoded for comparison; \ and any other character; or, empty, neither.
+_ESCAPE = re.compile(r"\\(u(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}|[^u]|)")
 
 
 def _quote(name: str) -> str:
@@ -239,7 +243,7 @@ def encode(t: Term) -> str:
 # character. findall over a text gives its tokens as (blanks, bare, other)
 # triples; a triple with no token (_END, or the blanks that end the text)
 # is appended to mark the end.
-_TOKENS = re.compile(r'([ \t]*)(?:([A-Za-z0-9_.+-]+)|("(?:[^"\\]|\\.)*["\\]?|[^ \t]))', re.S)
+_TOKENS = re.compile(rf'([ \t]*)(?:({_BARE_ATOM.pattern})|({_OPEN_QUOTED}["\\]?|[^ \t]))', re.S)
 _END = ("", "", "")
 
 
@@ -303,31 +307,16 @@ def _unquote(tok: str):
     """(name, None) for a quoted-atom token, or (error message, offset of
     the error in tok). The token ends at the closing quote or at the end of
     the text, so an error found in it is the one the whole text has."""
-    out = []
-    pos = 1
-    while True:
-        if pos >= len(tok):
-            return "unterminated quoted atom", pos
-        ch = tok[pos]
-        if ch == "\\":
-            if pos + 1 >= len(tok):
-                return "dangling escape in quoted atom", pos
-            if tok[pos + 1] == "u":
-                digits = tok[pos + 2:pos + 6]
-                if not _U_DIGITS.fullmatch(digits):
-                    return "bad \\u escape in quoted atom", pos
-                out.append(chr(int(digits, 16)))
-                pos += 6
-                continue
-            out.append(tok[pos + 1])
-            pos += 2
-            continue
-        if ch == '"':
-            if not out:
-                return "empty quoted atom", pos + 1
-            return "".join(out), None
-        out.append(ch)
-        pos += 1
+    for m in _ESCAPE.finditer(tok):
+        if not m[1]:  # neither: dangling at the token's end, else a bad \u
+            what = "dangling" if m.end() == len(tok) else "bad \\u"
+            return what + " escape in quoted atom", m.start()
+    if not _QUOTED.fullmatch(tok):
+        return "unterminated quoted atom", len(tok)
+    if tok == '""':
+        return "empty quoted atom", 2
+    return _ESCAPE.sub(lambda m: chr(int(m[1][1:], 16)) if m[1][0] == "u" else m[1],
+                       tok[1:-1]), None
 
 
 def parse_term(s: str) -> Term:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -6,7 +8,7 @@ import sys
 import pytest
 
 import gamecat
-from gamecat import encode, is_iso, parse_game_text, validate_game_morphism
+from gamecat import encode, is_iso, parse_game_text, print_morphism, validate_game_morphism
 from gamecat.cli import main
 from conftest import FIXTURES, fixture_path
 import examplegames
@@ -81,6 +83,58 @@ def test_non_utf8_morphism_is_a_syntax_error(tmp_path, capsys):
     assert code == 2
     tgt = tmp_path / "tgt.gm"
     assert out == f"error: SyntaxError ({tgt} is not UTF-8: bad byte at offset 12)\n"
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    # Some editors start a UTF-8 file with U+FEFF. The reader drops one, and
+    # a bad byte's offset still counts the file's bytes, the mark's three too.
+    with open(fixture_path("trio_a.gm"), "rb") as fh:
+        text = fh.read()
+    (tmp_path / "g.gm").write_bytes(b"\xef\xbb\xbf" + text)
+    assert run(capsys, "validate", str(tmp_path / "g.gm")) == run(capsys, "validate",
+                                                                  fixture_path("trio_a.gm"))
+    _, g = parse_game_text(text.decode("utf-8"))
+    m = print_morphism("m", "g.gm", "g.gm", {x: x for x in g.tree.nodes})
+    (tmp_path / "m.gmm").write_bytes(b"\xef\xbb\xbf" + m.encode("utf-8"))
+    code, out = run(capsys, "morphism", "check", str(tmp_path / "m.gmm"))
+    assert (code, out.splitlines()[0]) == (0, "verdict: valid")
+    bad = tmp_path / "bad.gm"
+    bad.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + text)
+    assert run(capsys, "validate", str(bad)) == (
+        2, "error: SyntaxError (unknown declaration '\\ufeffgame' at line 1)\n")
+    bad.write_bytes(b"\xef\xbb\xbfgame g\nnode \xff\n")
+    assert run(capsys, "validate", str(bad)) == (
+        2, f"error: SyntaxError ({bad} is not UTF-8: bad byte at offset 15)\n")
+
+
+_NOT_UTF8 = "a" + os.fsdecode(b"\xff") + ".gm"  # the \xff byte read as a lone surrogate
+
+
+@pytest.mark.parametrize("command", ["convert", "iso"])
+def test_a_game_path_that_is_not_utf8_is_refused_before_any_output(tmp_path, capsys, command):
+    # A certificate cannot name such a path: the command prints one coded
+    # line and writes nothing, while validate, which names no path, reads it.
+    game = str(tmp_path / _NOT_UTF8)
+    shutil.copy(fixture_path("trio_a.gm"), game)
+    argv, named = {"convert": (["--to", "sequence"], _NOT_UTF8),
+                   "iso": ([game, "--emit-morphism", str(tmp_path / "o.gmm")], game)}[command]
+    code, out = run(capsys, command, game, *argv)
+    assert (code, out) == (2, f"error: SyntaxError ({named!r} is not UTF-8)\n")
+    assert os.listdir(tmp_path) == [_NOT_UTF8]
+    assert run(capsys, "validate", game)[0] == 0
+
+
+def test_a_game_in_a_directory_that_is_not_utf8_converts(tmp_path, capsys):
+    # convert's certificate names only the games' base names. The paths it
+    # prints keep the byte as a surrogate, which a console in UTF-8 mode
+    # writes back as the byte: a StringIO stands in for one.
+    (tmp_path / _NOT_UTF8).mkdir()
+    game = str(tmp_path / _NOT_UTF8 / "g.gm")
+    shutil.copy(fixture_path("trio_a.gm"), game)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["convert", game, "--to", "sequence"]) == 0
+    code, out = run(capsys, "morphism", "check", game[:-3] + ".sequence.gmm")
+    assert (code, out.splitlines()[0]) == (0, "verdict: valid")
 
 
 @pytest.mark.parametrize("ref, name", [("source", '"a\\u0000b.gm"'), ("source", "a\x00b.gm"),

@@ -23,6 +23,7 @@ import io
 import os
 import random
 import re
+import shutil
 from collections import Counter
 
 from gamecat import (GameError, encode, parse_game_text, parse_morphism_text, parse_term,
@@ -38,6 +39,7 @@ PIECES = ["(", ")", "{", "}", ",", '"', "\\", "\t", " ", "/", "->", "#", "x", "1
           "infoset", "end", "run", "\\u12", "é", '""', "(a,", "\n", "node", "0"]
 BAD_ATS = ["(a, b c)", "(a,", '"x', "a b", '"\\u12"', " v0", "v0\t", "", "-v0"]
 CONVERT = ["distinguished", "sequence", "action-set", "distinguished-sequence"]
+NOT_UTF8 = os.fsdecode(b"\xff")  # a byte that no UTF-8 name holds, as Python reads it
 # An error line: a taxonomy code (FileError for a file the OS refused).
 ERROR_LINE = re.compile(r"error:? [A-Z][A-Za-z]+(?: |$)")
 
@@ -123,6 +125,9 @@ def _build(rng, work, n_games, mutate=_mutate):
         calls += [([cmd, path], [], None) for cmd in
                   ("validate", "props", "strategies", "nash", "spe", "subgames")]
         calls += [(["subgame", path, f"--at={at}"], [], ("subgame", path, at)) for at in ats]
+        if rng.random() < 0.125:  # convert and iso get a copy at a name that is not UTF-8
+            stem += NOT_UTF8
+            path = shutil.copy(path, stem + ".gm")
         calls += [(["convert", path, "--to", to], [f"{stem}.{to}.gm", f"{stem}.{to}.gmm"],
                    ("convert", path, to)) for to in CONVERT]
         emit = f"{stem}.emitted.gmm"
@@ -173,7 +178,7 @@ def _check_output(check, out, written):
 def test_no_call_escapes_and_every_output_reads_back(tmp_path):
     rng = random.Random(22)
     calls, texts = _build(rng, str(tmp_path), 100)
-    codes = Counter()
+    codes, refused = Counter(), 0
     for argv, writes, check in calls:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
@@ -187,6 +192,9 @@ def test_no_call_escapes_and_every_output_reads_back(tmp_path):
         codes[code] += 1
         lines = out.splitlines()
         assert code in (0, 1, 2), argv
+        if NOT_UTF8 in argv[3]:  # refused, unless the game is not read or not converted
+            assert code, argv
+            refused += out.endswith(" is not UTF-8)\n")
         if code == 2:
             assert len(lines) == 1 and ERROR_LINE.match(lines[0]), (argv, out)
         elif code == 1:
@@ -205,8 +213,9 @@ def test_no_call_escapes_and_every_output_reads_back(tmp_path):
             except GameError:
                 continue
             _reads_back(print_morphism(*read), read[0], parse_morphism_text, print_morphism)
-    # A gate that only ever sees errors shows nothing: a quarter must pass.
-    assert codes[0] >= sum(codes.values()) / 4, codes
+    # A gate that only ever sees errors shows nothing: a quarter must pass,
+    # and some calls reach the refusal of a name that is not UTF-8.
+    assert codes[0] >= sum(codes.values()) / 4 and refused, (codes, refused)
 
 
 def _mutate_argv(rng, argv):

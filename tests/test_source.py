@@ -37,6 +37,23 @@ def test_term_order_is_defined_only_in_terms():
     assert found == []
 
 
+def test_each_word_grammar_is_written_once():
+    # The term parser, the block reader and the line reader read words by
+    # one set of rules: each rule is written on one line of the library and
+    # every pattern that needs it is built from that line.
+    rules = {"quoted atom": r'"(?:[^"\\]|\\.)*', "\\u escape": "(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}",
+             "bare atom": "[A-Za-z0-9_.+-]", "rational": "[+-]?[0-9]+",
+             "line break": r"\x85\u2028\u2029"}
+    found = {rule: [] for rule in rules}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gamecat.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                for rule, text in rules.items():
+                    if text in line:
+                        found[rule].append(f"{os.path.basename(path)}:{lineno}")
+    assert {rule: len(lines) for rule, lines in found.items()} == dict.fromkeys(rules, 1), found
+
+
 def test_file_reader_has_no_public_helpers():
     # perfbench's tracer wraps every public module-level function in a span,
     # so a public per-line helper would add a span and a wrapper call to each

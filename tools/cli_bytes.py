@@ -12,8 +12,9 @@ the files of tests/fixtures; seeded random games, every other one renamed to
 quoted, tuple and set names, each with a relabelled copy, the identity
 morphism, the certificate of the copy and a morphism that swaps two nodes;
 mutated copies of those files (a piece put in, a character dropped, a blank
-turned into a tab or dropped, a line repeated or dropped); and a game in a
-directory named `a#b`. Each game goes through validate, props, strategies,
+turned into a tab or dropped, a line repeated or dropped); a game in a
+directory named `a#b`; and one game for each error a utility value can
+give. Each game goes through validate, props, strategies,
 nash, spe, subgames, subgame --at (the least and the greatest node, the
 least with blanks around it, and one term that does not parse), convert to
 all four forms (reading the two files it writes) and iso against its copy
@@ -66,7 +67,9 @@ NAMES = ["a b", 'x"y', "é", "q#r", "m\\n", "(", "{z}", "1/2", "end", "run", "-"
 # longer one; an output longer than the last stops the run.
 OLD = (None, "old\n", "an older and longer file\n" * 320)
 # Terms that do not parse, for subgame --at, and valid ones with blanks around.
-BAD_ATS = ["(a, b c)", "(a,", '"x', "a b", '"\\u12"', " v0", "v0\t", " (v0, v1) "]
+BAD_ATS = ["(a, b c)", "(a,", '"x', "a b", '"\\u12"', " v0", "v0\t", " (v0, v1) ", '"x\\', '""']
+# Utility values that do not read, one for each error of the rational reader.
+BAD_VALUES = ["1/0", "--1", "1/2x", "1 2", "9" * 5000]
 # A game named a"b with a node named x#y: iso onto a copy named c"#d" would
 # name its morphism a"b.iso.c"#d", and subgame at "x#y" its game
 # a"b.at."x#y"; neither name reads back, so both are refused.
@@ -176,6 +179,8 @@ def build_inputs(inputs, n_games, seed):
     pairs += [(m, m) for m in morphisms if m.startswith("fixtures/")]
     games += ["a#b/collapse_src.gm", "a#b/x#y.gm"]
     named = [put("named_a.gm", NAMED), put("named_c.gm", NAMED.replace('game a"b', 'game c"#d"'))]
+    games += [put(f"value{j}.gm", NAMED.replace("end e 1", f"end e {v}"))
+              for j, v in enumerate(BAD_VALUES)]
 
     calls = [(["iso", *named, "--emit-morphism", "named.gmm"], ["named.gmm"]),
              (["iso", *named[::-1], "--emit-morphism", "named.gmm"], ["named.gmm"]),
