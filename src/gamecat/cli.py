@@ -3,8 +3,8 @@
 Exit codes: 0 for success / true verdicts, 1 for false verdicts (invalid
 game, invalid morphism, no isomorphism, no subgame) and for an output name
 that would not read back (UnprintableName: every text is built before any
-output), 2 for usage and syntax errors and for a file the OS refused
-(FileError).
+output), 2 for usage and syntax errors, for a file the OS refused
+(FileError) and, with nothing more written, for a closed standard output.
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ class _Report:
 
 
 def _read_text(path: str) -> str:
+    """The file's text; line breaks stay as written (the readers split lines at CRLF and CR)."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, "rb", buffering=0)
     except ValueError as e:  # a NUL character in the path
         raise ParseError(f"cannot open {path!r}: {e}") from None
     with fh:
         try:  # a leading byte-order mark is no part of the text
-            return fh.read().removeprefix("\ufeff")
+            return fh.read().decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as e:
             raise ParseError(f"{path} is not UTF-8: bad byte at offset {e.start}") from None
 
@@ -86,6 +87,20 @@ def _load_morphism(path: str):
     return name, src, tgt, node_map
 
 
+def _run_encodings(t) -> dict:
+    """end node -> the encoding of its run, as encode_set writes it, from one
+    preorder walk that keeps the term ranks of the path down to each node."""
+    encs = list(map(encode, t.sorted_nodes))
+    rank = {x: k for k, x in enumerate(t.sorted_nodes)}
+    out, path, depth = {}, [], t.depth
+    for y in t.order:
+        del path[depth[y]:]
+        path.append(rank[y])
+        if not t.children[y]:
+            out[y] = "{" + ",".join([encs[k] for k in sorted(path)]) + "}"
+    return out
+
+
 def _strategy_str(prefixes, s):
     return " ".join([prefixes[cell] + encode(a) for cell, a in s.choices])
 
@@ -97,8 +112,8 @@ def _cmd_validate(args, rep):
     rep.line("root", encode(g.tree.root))
     rep.line("actions", " ".join(encode(a) for a in _sorted(set(g.clt.act.values()))))
     rep.line("players", " ".join(encode(i) for i in _sorted(g.players)))
-    for z in g.runs():
-        rep.line("run", encode_set(z))
+    for z in map(_run_encodings(g.tree).__getitem__, g.tree.ends):
+        rep.line("run", z)
     return 0
 
 
@@ -183,10 +198,13 @@ def _check_morphism(path, rep, classify=False):
         return 1
     rep.line("verdict", "valid")
     for cell, table in gm.clt_morphism.alpha.items():  # in encoding order
+        cell = encode_set(cell)
         for a, image in table.items():  # in term order
-            rep.line("alpha", encode_set(cell), encode(a), "->", encode(image))
-    for z, image in gm.zeta.items():
-        rep.line("zeta", encode_set(z), "->", encode_set(image))
+            rep.line("alpha", cell, encode(a), "->", encode(image))
+    runs = _run_encodings(src.tree)  # zeta: each run goes to the run through its end's image
+    images = runs if tgt is src else _run_encodings(tgt.tree)
+    for e in src.tree.ends:
+        rep.line("zeta", runs[e], "->", images[gm.node_map[e]])
     for i in _sorted(gm.iota):
         rep.line("iota", encode(i), "->", encode(gm.iota[i]))
     if classify:
@@ -343,7 +361,17 @@ def _read_args(words):
 
 def main(argv=None) -> int:
     try:
-        args = _read_args(sys.argv[1:] if argv is None else list(argv))
+        code = _main(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()  # so that a closed standard output shows here, not at exit
+        return code
+    except BrokenPipeError:  # dropped, the closed output is not flushed again at exit
+        sys.stdout = None
+        return 2
+
+
+def _main(words) -> int:
+    try:
+        args = _read_args(words)
     except SystemExit as e:
         return e.code
     rep = _Report(args.format)

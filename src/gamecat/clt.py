@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import OperationError, ValidationError
 from .terms import Term, _sorted, encode_set
@@ -58,58 +59,63 @@ def _not_constant(cells, value):
 
 
 def validate_clt(tree: OutTree, infosets, label) -> CLT:
-    label, pred, children = dict(label), tree.pred, tree.children
-    # Parents are unique, so each edge is its target's entry in pred.
-    act = {y: a for (x, y), a in label.items() if y in pred and pred[y] is x}
-    if len(act) != len(label) or len(act) != len(pred):
-        edges = {(x, y) for y, x in pred.items()}
-        raise ValidationError("LabelBad", witness=min(label.keys() ^ edges),
-                              detail="labeling must cover exactly the edge set")
-
+    label, pred, children, w = dict(label), tree.pred, tree.children, tree.decision_nodes
+    act = {y: a for (_, y), a in label.items()}
     cells = tuple(sorted((frozenset(c) for c in infosets), key=encode_set))
-    w = tree.decision_nodes
-    seen: dict = {}
-    for cell in cells:
-        if not cell:
-            raise ValidationError("PartitionBad", detail="empty information set")
-        if not cell <= w:
-            raise ValidationError("PartitionBad", witness=min(cell - w),
-                                  detail="information set contains a non-decision node")
-        for x in cell:
-            if x in seen and seen[x] != cell:
-                raise ValidationError("PartitionBad", witness=x,
-                                      detail="node in two information sets")
-            seen[x] = cell
-    if w - seen.keys():
+    info_of = {x: cell for cell in cells for x in cell}
+    # Validity is decided first, by set-level checks: the labeling is the edge
+    # map itself (its keys' targets are distinct and each is keyed with its
+    # parent), and the cells are nonempty, cover exactly the decision nodes and
+    # are disjoint unless equal. Only a rejection runs the scans that follow.
+    if not (len(act) == len(label) and {y: x for x, y in label} == pred
+            and info_of.keys() == w and sum(map(len, set(cells))) == len(w)
+            and frozenset() not in cells):
+        # They choose the rejection's code and witness, in this order.
+        edges = {(x, y) for y, x in pred.items()}
+        if label.keys() != edges:
+            raise ValidationError("LabelBad", witness=min(label.keys() ^ edges),
+                                  detail="labeling must cover exactly the edge set")
+        seen: dict = {}
+        for cell in cells:
+            if not cell:
+                raise ValidationError("PartitionBad", detail="empty information set")
+            if not cell <= w:
+                raise ValidationError("PartitionBad", witness=min(cell - w),
+                                      detail="information set contains a non-decision node")
+            for x in cell:
+                if x in seen and seen[x] != cell:
+                    raise ValidationError("PartitionBad", witness=x,
+                                          detail="node in two information sets")
+                seen[x] = cell
         raise ValidationError("PartitionBad", witness=min(w - seen.keys()),
                               detail="decision node in no information set")
 
-    # Each decision node's actions in child order. Each distinct list is
-    # sorted once and its sort held once, as the list itself when it is
-    # already in term order: then the node's children are its succ too.
-    acts = {x: tuple(map(act.__getitem__, children[x])) for x in w}
-    pools: dict = {}
-    for key in acts.values():
-        if key not in pools:
-            pool = tuple(_sorted(key))
-            pools[key] = key if pool == key else pool
-    if any(len(set(key)) < len(key) for key in pools):
+    # Each decision node's actions in child order. Each distinct tuple is
+    # sorted once, with what picks a node's children in the sorted order:
+    # None when the tuple is already in term order, as then the children are.
+    get = act.__getitem__
+    acts = {x: tuple(map(get, children[x])) for x in w}
+    sorts = {}
+    for key in set(acts.values()):
+        pool = tuple(_sorted(key))
+        sorts[key] = (key, None) if pool == key else (pool, itemgetter(*map(key.index, pool)))
+    if any(len(set(key)) < len(key) for key in sorts):
         # The witness is the first repeated (x, a) in the edges' term order.
         x = next(x for x in tree.sorted_nodes if x in w and len(set(acts[x])) < len(acts[x]))
         a = next(a for k, a in enumerate(acts[x]) if a in acts[x][:k])
         raise ValidationError("NonDeterministic", witness=(x, a))
 
-    # Sorted action lists are equal exactly when the action sets are.
-    feasible = {x: pools[key] for x, key in acts.items()}
+    # Sorted action tuples are equal exactly when the action sets are.
+    feasible, succ = {}, {}
+    for x, key in acts.items():
+        feasible[x], pick = sorts[key]
+        succ[x] = children[x] if pick is None else pick(children[x])
     split = _not_constant(cells, feasible)
     if split is not None:
         raise ValidationError("FeasibilityNotConstant", witness=split)
 
-    succ = {x: children[x] if feasible[x] == key
-            else tuple([children[x][key.index(a)] for a in feasible[x]])
-            for x, key in acts.items()}
     cell_actions = {cell: feasible[next(iter(cell))] for cell in cells}
-    return CLT(tree=tree, cells=cells, info_of=seen, act=act,
+    return CLT(tree=tree, cells=cells, info_of=info_of, act=act,
                cell_actions=cell_actions, succ=succ)
 
 

@@ -128,8 +128,8 @@ def _atoms(names: list) -> list:
     if all(xs):
         return xs
     # New names are built once each, in the order met. A block's names are
-    # sorted, and a set of atoms iterates about in the order they were built
-    # (an atom's hash is its address), so the validator's node sort is cheap.
+    # sorted, which the validator's node sort reuses, and a set of atoms
+    # iterates about in the order they were built (an atom's hash is its address).
     for name in dict.fromkeys(names):
         if name not in _ATOMS:
             Atom(name)
@@ -159,7 +159,7 @@ def _game_blocks(text: str):
     b = _blocks(text, *_GM_BLOCKS)
     if b is None:
         return None
-    nodes = set(_atoms(b["node"].split()[1::2]))
+    nodes = _atoms(b["node"].split()[1::2])  # in text order, which for bare names is term order
     w = b["edge"].split()
     edges = dict(zip(zip(_atoms(w[1::4]), _atoms(w[2::4])), _atoms(w[3::4])))
     if len(edges) != len(w) // 4:
@@ -313,11 +313,14 @@ def print_game(name: str, g: Game) -> str:
     lines += [f"player {encode(g.mover[next(iter(cell))])} infoset i{k}"
               for k, cell in enumerate(cells)]
     ends = [x for x in t.sorted_nodes if x in t.end_nodes]
+    texts: dict = {}  # by id, as Fractions hash in Python; a read game shares equal values
     try:
         for i in _sorted(g.players):
-            table = g.payoffs[i]
+            table, who = g.payoffs[i], encode(i)
             for end in ends:
-                lines.append(f"utility {encode(i)} end {encode(end)} {table[end]}")
+                v = table[end]
+                text = texts.get(id(v)) or texts.setdefault(id(v), str(v))
+                lines.append(f"utility {who} end {encode(end)} {text}")
     except ValueError:  # str() of a value past the interpreter's digit limit
         raise OperationError("UtilityTooLong", witness=(i, _run(t, end))) from None
     return "\n".join(lines) + "\n"

@@ -77,9 +77,24 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
 
     players = frozenset(mover.values())
     tree = clt.tree
+    items = list(utilities.items() if hasattr(utilities, "items") else utilities)
 
+    # (player, end node) pairs with Fraction values are valid when they fill each
+    # player's table over the end nodes once. Any other form (run keys, other values,
+    # a key given twice) and any rejection take the loop, which picks the witness.
     payoffs: dict = {i: {} for i in players}
-    for (i, end), value in utilities.items() if hasattr(utilities, "items") else utilities:
+    try:
+        for (i, end), value in items:
+            payoffs[i][end] = value
+        if sum(map(len, payoffs.values())) == len(items) and all(
+                t.keys() == tree.end_nodes and set(map(type, t.values())) == {Fraction}
+                for t in payoffs.values()):
+            return Game(clt=clt, mover=mover, players=players, payoffs=payoffs)
+    except (KeyError, TypeError, ValueError):  # no player, no pair, or a set
+        pass
+
+    payoffs = {i: {} for i in players}
+    for (i, end), value in items:
         if isinstance(end, (frozenset, set)):
             try:
                 end = run_end(tree, end)

@@ -73,8 +73,21 @@ class OutTree:
 
 
 def validate_out_tree(nodes, edges) -> OutTree:
-    node_set = frozenset(nodes)
+    """Validity is decided first, by set-level checks; only a rejection runs
+    the scans after them, which choose its code and witness."""
+    listed = dict.fromkeys(nodes)  # each node once, in the order given, which the sort reuses
+    node_set = frozenset(listed)
     edge_set = frozenset((x, y) for x, y in edges)
+    pred = {y: x for x, y in edge_set}
+    roots = node_set - pred.keys()
+    # With unique parents, every edge end a node and one root, the walk down from the
+    # root misses a node exactly when parents loop: no cycle, self-loops too, is reached.
+    if (len(pred) == len(edge_set) > 0 and len(roots) == 1 and pred.keys() <= node_set
+            and node_set.issuperset(pred.values())):
+        tree = _indexed(node_set, *roots, pred, listed=listed)
+        if len(tree.order) == len(node_set):
+            return tree
+
     if not node_set:
         raise ValidationError("NoRoot", detail="empty node set")
 
@@ -91,37 +104,32 @@ def validate_out_tree(nodes, edges) -> OutTree:
     if not edge_set:
         raise ValidationError("Trivial")
 
-    pred = {y: x for x, y in edge_set}
     if len(pred) < len(edge_set):
         incoming = Counter(y for _, y in edge_set)
         raise ValidationError("HasCycle", witness=min(y for y, n in incoming.items() if n > 1),
                               detail="node has two incoming edges")
 
-    roots = node_set - pred.keys()
     if not roots:
         raise ValidationError("NoRoot")
     if len(roots) > 1:
         raise ValidationError("MultipleRoots", witness=tuple(_sorted(roots)))
-    (root,) = roots
 
-    tree = _indexed(node_set, root, pred)
-    if len(tree.order) != len(node_set):
-        # An unreached node has a parent (roots were unique), and the parent
-        # is unreached too, as the walk takes every child; so parents loop.
-        x, seen = min(node_set - set(tree.order)), set()
-        while x not in seen:
-            seen.add(x)
-            x = pred[x]
-        raise ValidationError("HasCycle", witness=x)
-    return tree
+    # The walk missed a node. It has a parent (roots are unique), and the
+    # parent is missed too, as the walk takes every child; so parents loop.
+    x, seen = min(node_set - set(tree.order)), set()
+    while x not in seen:
+        seen.add(x)
+        x = pred[x]
+    raise ValidationError("HasCycle", witness=x)
 
 
-def _indexed(nodes, root, pred, order=None) -> OutTree:
-    """The tree with these parts and its index: the nodes sorted once, in
-    term order, and each node's children, in term order, read off them;
-    order, when not given, from a walk down from the root, which meets each
-    node reached once since parents are unique."""
-    sorted_nodes = tuple(_sorted(nodes))
+def _indexed(nodes, root, pred, order=None, listed=None) -> OutTree:
+    """The tree with these parts and its index: the nodes (or listed, which
+    holds each of them once) sorted once, in term order, and each node's
+    children, in term order, read off them; order, when not given, from a
+    walk down from the root, which meets each node reached once since
+    parents are unique."""
+    sorted_nodes = tuple(_sorted(nodes if listed is None else listed))
     children: dict = {x: [] for x in sorted_nodes}
     for y in sorted_nodes:
         if y in pred:
@@ -134,10 +142,10 @@ def _indexed(nodes, root, pred, order=None) -> OutTree:
             order.append(x)
             stack += children[x]
     decision = frozenset(pred.values())
+    ends = sorted([x for x in sorted_nodes if x not in decision], key=encode)
     return OutTree(nodes=nodes, root=root, pred=pred, children=children,
                    decision_nodes=decision, end_nodes=nodes - decision,
-                   ends=tuple(sorted(nodes - decision, key=encode)), sorted_nodes=sorted_nodes,
-                   order=tuple(order))
+                   ends=tuple(ends), sorted_nodes=sorted_nodes, order=tuple(order))
 
 
 def _check_node(t: OutTree, x: Term):

@@ -107,6 +107,71 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
         2, f"error: SyntaxError ({bad} is not UTF-8: bad byte at offset 15)\n")
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_files_saved_with_crlf_or_cr_line_breaks_read_as_with_lf(tmp_path, capsys, newline):
+    # Files are read as bytes and decoded as they are, with no newline
+    # translation: the readers split lines at CRLF and at a lone CR too.
+    texts = {name: open(fixture_path(name), encoding="utf-8").read()
+             for name in ("trio_a.gm", "relabel.gmm", "relabel_src.gm", "relabel_tgt.gm")}
+    texts["comment.gm"] = texts["trio_a.gm"].replace("\n", " # c\n", 3)  # the line reader's
+    texts["bad.gm"] = texts["trio_a.gm"].replace("\nnode ", "\nnode (", 2)
+    for folder, nl in (("lf", "\n"), ("other", newline)):
+        (tmp_path / folder).mkdir()
+        for name, text in texts.items():
+            (tmp_path / folder / name).write_bytes(text.replace("\n", nl).encode("utf-8"))
+    for *argv, name, code in (["validate", "trio_a.gm", 0], ["validate", "comment.gm", 0],
+                              ["validate", "bad.gm", 2], ["morphism", "classify", "relabel.gmm", 0]):
+        want = run(capsys, *argv, str(tmp_path / "lf" / name))
+        assert want[0] == code and run(capsys, *argv, str(tmp_path / "other" / name)) == want
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_a_closed_standard_output_ends_the_command_quietly(buffered):
+    # `gamecat validate g.gm | (exec 0<&-; true)`: the reader is gone before
+    # the first line. The command writes nothing more, prints no traceback,
+    # and nothing at exit, and ends with code 2.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamecat.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gamecat.cli", "validate",
+                               fixture_path("trio_a.gm")], stdout=w, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (2, b"")
+
+
+class _ClosedPipe:
+    """A standard output whose reader is gone: writing (or, buffered,
+    flushing) raises BrokenPipeError."""
+
+    def __init__(self, buffered):
+        self.buffered, self.written = buffered, []
+
+    def write(self, text):
+        if not self.buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.written.append(text)
+
+    def flush(self):
+        if self.written:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_main_returns_2_and_drops_a_closed_standard_output(monkeypatch, buffered):
+    out = _ClosedPipe(buffered)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["validate", fixture_path("trio_a.gm")]) == 2
+    assert sys.stdout is None  # so that nothing is flushed to it at exit
+    # Buffered, the command ran to its end; unbuffered, its first line failed.
+    assert len(out.written) == (10 if buffered else 0)
+
+
 _NOT_UTF8 = "a" + os.fsdecode(b"\xff") + ".gm"  # the \xff byte read as a lone surrogate
 
 

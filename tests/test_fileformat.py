@@ -717,6 +717,23 @@ def test_printing_a_utility_with_more_digits_than_str_writes_is_a_coded_error(va
     assert err.value.witness == (p, frozenset({r, e}))
 
 
+def test_printing_writes_each_value_once_and_names_the_first_end_too_long_to_write():
+    # The printer writes one text per value object; a value used at several
+    # ends is written alike at each, and a too-long one is named at the
+    # first end, in the printed order, that holds it.
+    r, e, f, h, p = A("r"), A("e"), A("f"), A("h"), A("P")
+    half, big = Fraction(1, 2), 10 ** 5000
+    g = build_game({r, e, f, h}, {(r, e): A("a"), (r, f): A("b"), (r, h): A("c")}, [{r}],
+                   {r: p}, {(p, e): half, (p, f): Fraction(-3), (p, h): half})
+    assert print_game("g", g).splitlines()[-3:] == [
+        "utility P end e 1/2", "utility P end f -3", "utility P end h 1/2"]
+    g = build_game({r, e, f, h}, {(r, e): A("a"), (r, f): A("b"), (r, h): A("c")}, [{r}],
+                   {r: p}, {(p, e): 1, (p, f): big, (p, h): big})
+    with pytest.raises(OperationError) as err:
+        print_game("g", g)
+    assert err.value.witness == (p, frozenset({r, f}))
+
+
 _BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
