@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 for success / true verdicts, 1 for false verdicts (invalid
-game, invalid morphism, no isomorphism, no subgame) and for an output name
-that would not read back (UnprintableName: every text is built before any
-output), 2 for usage and syntax errors, for a file the OS refused
-(FileError) and, with nothing more written, for a closed standard output.
+Exit codes: 0 for success / true verdicts, 1 for false verdicts (invalid game,
+invalid morphism, no isomorphism, no subgame) and for an output name that would
+not read back (UnprintableName: every text is built before any output), 2 for
+usage and syntax errors, for a file the OS refused (FileError) and, with nothing
+more written, for a closed standard output, `--help` included.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ class _Report:
 
     def line(self, key: str, *values):
         text = " ".join(map(str, values))
-        if self.machine:
-            sys.stdout.write(f"{key} {text}".rstrip() + "\n")
-        else:
-            sys.stdout.write(f"{key}: {text}\n" if text else key + "\n")
+        text = f"{key} {text}".rstrip() if self.machine else f"{key}: {text}" if text else key
+        try:
+            sys.stdout.write(text + "\n")
+        except UnicodeEncodeError:  # a path's bytes as the OS gave them, not UTF-8
+            sys.stdout.flush()
+            sys.stdout.buffer.write(os.fsencode(text + "\n"))
 
 
 def _read_text(path: str) -> str:
@@ -327,6 +329,9 @@ def _parser():
         def error(self, message):  # a command's parser too names gamecat
             self.print_usage(sys.stderr)
             self.exit(2, f"gamecat: error: {message}\n")
+
+        def _print_message(self, message, file=None):  # argparse's own drops an OSError
+            file.write(message)
 
     top = Parser(prog="gamecat")
     commands = top.add_subparsers(dest="command", required=True)

@@ -5,12 +5,13 @@ sets and a deterministic edge labeling. "Continuous" always means constant on
 partition cells, so the feasibility requirement is that two nodes in one
 information set offer the same actions.
 
-Each fact is stored once, at validation: the cells by encoding (`cells`) and
-each decision node's cell (`info_of`); each edge's action on its target
-(`act`), as a non-root node has one incoming edge; each cell's actions in
-term order (`cell_actions`), which validation proves are every member's; and
-each decision node's children by action index (`succ`). `infosets`, `label`,
-`actions` and `feasible` are views for callers outside the library.
+Each fact is stored once, by `_laid_out`, which validation and transport
+both end in: the cells by encoding (`cells`) and each decision node's cell
+(`info_of`); each edge's action on its target (`act`), as a non-root node has
+one incoming edge; each cell's actions in term order (`cell_actions`), which
+are every member's; and each decision node's children by action index
+(`succ`). `infosets`, `label`, `actions` and `feasible` are views for callers
+outside the library.
 """
 
 from __future__ import annotations
@@ -59,37 +60,43 @@ def _not_constant(cells, value):
 
 
 def validate_clt(tree: OutTree, infosets, label) -> CLT:
-    label, pred, children, w = dict(label), tree.pred, tree.children, tree.decision_nodes
+    label, pred, w = dict(label), tree.pred, tree.decision_nodes
     act = {y: a for (_, y), a in label.items()}
-    cells = tuple(sorted((frozenset(c) for c in infosets), key=encode_set))
-    info_of = {x: cell for cell in cells for x in cell}
+    cells = [frozenset(c) for c in infosets]
     # Validity is decided first, by set-level checks: the labeling is the edge
     # map itself (its keys' targets are distinct and each is keyed with its
-    # parent), and the cells are nonempty, cover exactly the decision nodes and
-    # are disjoint unless equal. Only a rejection runs the scans that follow.
+    # parent), and every decision node lies in exactly one listed cell, and no
+    # cell is empty. Only a rejection runs the scans that follow.
     if not (len(act) == len(label) and {y: x for x, y in label} == pred
-            and info_of.keys() == w and sum(map(len, set(cells))) == len(w)
+            and sum(map(len, cells)) == len(w) and frozenset().union(*cells) == w
             and frozenset() not in cells):
         # They choose the rejection's code and witness, in this order.
         edges = {(x, y) for y, x in pred.items()}
         if label.keys() != edges:
             raise ValidationError("LabelBad", witness=min(label.keys() ^ edges),
                                   detail="labeling must cover exactly the edge set")
-        seen: dict = {}
-        for cell in cells:
+        seen: set = set()
+        for cell in sorted(cells, key=encode_set):
             if not cell:
                 raise ValidationError("PartitionBad", detail="empty information set")
             if not cell <= w:
                 raise ValidationError("PartitionBad", witness=min(cell - w),
                                       detail="information set contains a non-decision node")
-            for x in cell:
-                if x in seen and seen[x] != cell:
-                    raise ValidationError("PartitionBad", witness=x,
-                                          detail="node in two information sets")
-                seen[x] = cell
-        raise ValidationError("PartitionBad", witness=min(w - seen.keys()),
+            if not seen.isdisjoint(cell):
+                raise ValidationError("PartitionBad", witness=min(cell & seen),
+                                      detail="node in two information sets")
+            seen |= cell
+        raise ValidationError("PartitionBad", witness=min(w - seen),
                               detail="decision node in no information set")
+    return _laid_out(tree, cells, act)
 
+
+def _laid_out(tree: OutTree, cells, act) -> CLT:
+    """The CLT of tree with the cells, a partition of its decision nodes, and
+    act, each non-root node's action; raises when they are no CLT."""
+    children, w = tree.children, tree.decision_nodes
+    cells = tuple(sorted(cells, key=encode_set))
+    info_of = {x: cell for cell in cells for x in cell}
     # Each decision node's actions in child order. Each distinct tuple is
     # sorted once, with what picks a node's children in the sorted order:
     # None when the tuple is already in term order, as then the children are.

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .clt import CLT, _not_constant, validate_clt
+from .clt import CLT, _laid_out, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .game import Game, build_game
-from .terms import Atom, Term, _sorted, encode_set
+from .terms import Atom, Term, _sorted
 from .tree import (_indexed, _run, _runs, run_end, strict_predecessors,
                    validate_out_tree)
 
@@ -281,10 +281,9 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     is a valid game, and an isomorphism in Gm onto it whose alpha is each
     cell's action map and whose iota is the player map. So both are built
     by transport, with no validator: every field maps through the
-    bijections, `order` stays a preorder with contiguous subtrees, and only
-    what the names order is sorted: the nodes, once, as validation does
-    (children are read off them), the ends, the cells and each cell's
-    actions.
+    bijections, `order` stays a preorder with contiguous subtrees, the
+    renamed nodes are sorted once, as validation sorts them, and the CLT is
+    laid out by `clt` from the renamed cells and actions, as validation's is.
     """
     nb, pb = dict(node_bij), dict(player_bij)
     for bij, domain, what in ((nb, g.tree.nodes, "node map"), (pb, g.players, "player map")):
@@ -306,20 +305,8 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     image = nb.__getitem__
     tree = _indexed(frozenset(nb.values()), nb[t.root],
                     {nb[y]: nb[x] for y, x in t.pred.items()}, map(image, t.order))
-    cell_actions, succ = {}, {}
-    for cell in c.cells:
-        # The images of the cell's actions, sorted, and where each was.
-        table = action_bijs[next(iter(cell))]
-        images = [table[a] for a in c.cell_actions[cell]]
-        pool = tuple(_sorted(images))
-        at = [images.index(b) for b in pool]
-        cell_actions[frozenset(map(image, cell))] = pool
-        for x in cell:
-            succ[nb[x]] = tuple([nb[c.succ[x][k]] for k in at])
-    cells = tuple(sorted(cell_actions, key=encode_set))
-    clt = CLT(tree=tree, cells=cells, info_of={x: cell for cell in cells for x in cell},
-              act={nb[y]: action_bijs[t.pred[y]][a] for y, a in c.act.items()},
-              cell_actions=cell_actions, succ=succ)
+    clt = _laid_out(tree, [frozenset(map(image, cell)) for cell in c.cells],
+                    {nb[y]: action_bijs[t.pred[y]][a] for y, a in c.act.items()})
     g2 = Game(clt=clt, mover={nb[x]: pb[i] for x, i in g.mover.items()},
               players=frozenset(pb.values()),
               payoffs={pb[i]: {nb[e]: v for e, v in table.items()}

@@ -205,3 +205,46 @@ def driver3():
     utilities = {**{("P1", e): v for e, v in p1.items()},
                  **{("P2", e): v for e, v in p2.items()}}
     return make_game(edges, [{0}, {1, 2, 3}, {7}], mover, utilities)
+
+
+# Information sets that are no partition, as .gm text. In REPEATED_CELL the
+# one decision node r is listed in two cells, both for P; in
+# REPEATED_CELL_TWO_PLAYERS one is for P and one for Q. In OVERLAP the cells
+# {c, b, a} and {b, a} share a and b.
+REPEATED_CELL = """game repeated
+node r
+node x
+node y
+edge r x L
+edge r y R
+infoset i0 { r }
+infoset i1 { r }
+player P infoset i0
+player P infoset i1
+utility P end x 1
+utility P end y 0
+"""
+REPEATED_CELL_TWO_PLAYERS = REPEATED_CELL.replace("player P infoset i1", "player Q infoset i1")
+OVERLAP = """game overlap
+node a
+node b
+node c
+node w
+node x
+node y
+node z
+edge c b L
+edge c x R
+edge b a L
+edge b y R
+edge a z L
+edge a w R
+infoset i1 { c b a }
+infoset i0 { b a }
+player P infoset i0
+player P infoset i1
+utility P end w 0
+utility P end x 0
+utility P end y 0
+utility P end z 0
+"""

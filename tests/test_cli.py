@@ -47,6 +47,20 @@ def test_validate_rejects_conflicting_utilities(tmp_path, capsys):
     assert "error: UtilityConflict P {0,1} (line 11)" in out
 
 
+@pytest.mark.parametrize("text, witness", [(examplegames.REPEATED_CELL, "r"),
+                                           (examplegames.REPEATED_CELL_TWO_PLAYERS, "r"),
+                                           (examplegames.OVERLAP, "a")],
+                         ids=["repeated", "repeated-two-players", "overlap"])
+def test_information_sets_that_are_no_partition_are_refused(tmp_path, capsys, text, witness):
+    # A cell listed twice once gave strategies two choices at it, and with
+    # two players the reader kept the second and reported P's utilities.
+    game = tmp_path / "g.gm"
+    game.write_text(text, encoding="utf-8")
+    for command in ("validate", "strategies", "nash", "spe"):
+        assert run(capsys, "--format", "machine", command, str(game)) == (
+            1, f"verdict invalid\nerror PartitionBad {witness} (node in two information sets)\n")
+
+
 def test_syntax_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.gm"
     bad.write_text("game b\nnode (0\n")
@@ -125,11 +139,9 @@ def test_files_saved_with_crlf_or_cr_line_breaks_read_as_with_lf(tmp_path, capsy
         assert want[0] == code and run(capsys, *argv, str(tmp_path / "other" / name)) == want
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
-def test_a_closed_standard_output_ends_the_command_quietly(buffered):
-    # `gamecat validate g.gm | (exec 0<&-; true)`: the reader is gone before
-    # the first line. The command writes nothing more, prints no traceback,
-    # and nothing at exit, and ends with code 2.
+def _into_a_closed_output(argv, buffered):
+    """(exit code, stderr) of `gamecat argv | (exec 0<&-; true)` in a
+    subprocess: the reader is gone before the first line."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamecat.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
@@ -137,12 +149,26 @@ def test_a_closed_standard_output_ends_the_command_quietly(buffered):
     r, w = os.pipe()
     os.close(r)
     try:
-        done = subprocess.run([sys.executable, "-m", "gamecat.cli", "validate",
-                               fixture_path("trio_a.gm")], stdout=w, stderr=subprocess.PIPE,
-                              env=env, timeout=60)
+        done = subprocess.run([sys.executable, "-m", "gamecat.cli", *argv], stdout=w,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(w)
-    assert (done.returncode, done.stderr) == (2, b"")
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_a_closed_standard_output_ends_the_command_quietly(buffered):
+    # The command writes nothing more, prints no traceback, and nothing at
+    # exit, and ends with code 2.
+    assert _into_a_closed_output(["validate", fixture_path("trio_a.gm")], buffered) == (2, b"")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_help_into_a_closed_standard_output_ends_like_a_command(buffered):
+    # argparse drops an OSError of its help write, which would end with
+    # code 0 when unbuffered.
+    for argv in (["--help"], ["validate", "-h"]):
+        assert _into_a_closed_output(argv, buffered) == (2, b""), argv
 
 
 class _ClosedPipe:
@@ -189,17 +215,40 @@ def test_a_game_path_that_is_not_utf8_is_refused_before_any_output(tmp_path, cap
     assert run(capsys, "validate", game)[0] == 0
 
 
-def test_a_game_in_a_directory_that_is_not_utf8_converts(tmp_path, capsys):
+def test_a_game_in_a_directory_that_is_not_utf8_converts(tmp_path, capsysbinary):
     # convert's certificate names only the games' base names. The paths it
-    # prints keep the byte as a surrogate, which a console in UTF-8 mode
-    # writes back as the byte: a StringIO stands in for one.
+    # prints are the OS's bytes, which the capture's strict UTF-8 could not
+    # encode as text.
     (tmp_path / _NOT_UTF8).mkdir()
     game = str(tmp_path / _NOT_UTF8 / "g.gm")
     shutil.copy(fixture_path("trio_a.gm"), game)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["convert", game, "--to", "sequence"]) == 0
-    code, out = run(capsys, "morphism", "check", game[:-3] + ".sequence.gmm")
-    assert (code, out.splitlines()[0]) == (0, "verdict: valid")
+    assert main(["convert", game, "--to", "sequence"]) == 0
+    stem = os.fsencode(game[:-3])
+    assert capsysbinary.readouterr().out == (b"game_file: %s.sequence.gm\n"
+                                             b"morphism_file: %s.sequence.gmm\n" % (stem, stem))
+    assert main(["morphism", "check", game[:-3] + ".sequence.gmm"]) == 0
+    assert capsysbinary.readouterr().out.splitlines()[0] == b"verdict: valid"
+
+
+@pytest.mark.parametrize("command", ["convert", "iso"])
+def test_a_written_path_that_is_not_utf8_prints_as_its_bytes(tmp_path, command):
+    # Under a strict error handler on standard output, the lines that name a
+    # written file print the path's bytes as the OS gave them.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamecat.__file__)),
+               PYTHONIOENCODING="utf-8:strict")
+    os.mkdir(os.fsencode(tmp_path) + b"/d\xff")
+    for game in (b"g.gm", b"d\xff/g.gm"):
+        shutil.copy(fixture_path("trio_a.gm"), os.fsencode(tmp_path) + b"/" + game)
+    argv, last = {"convert": ([b"d\xff/g.gm", "--to", "sequence"],
+                              b"morphism_file: d\xff/g.sequence.gmm\n"),
+                  "iso": (["g.gm", "g.gm", "--emit-morphism", b"o\xff.gmm"],
+                          b"morphism_file: o\xff.gmm\n")}[command]
+    done = subprocess.run([sys.executable, "-m", "gamecat.cli", command, *argv], cwd=tmp_path,
+                          capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.endswith(last)
+    if command == "convert":
+        assert done.stdout == b"game_file: d\xff/g.sequence.gm\n" + last
 
 
 @pytest.mark.parametrize("ref, name", [("source", '"a\\u0000b.gm"'), ("source", "a\x00b.gm"),

@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 
-from gamecat import (Atom, OperationError, ValidationError, next_node, to_distinguished,
-                     to_sequence, validate_clt, validate_out_tree)
+from gamecat import (Atom, OperationError, ValidationError, next_node, parse_game_text,
+                     to_distinguished, to_sequence, validate_clt, validate_out_tree)
 from gamecat.clt import _not_constant
-from examplegames import A, relabel, mixedalpha, make_clt
+from examplegames import A, OVERLAP, relabel, mixedalpha, make_clt
 from genrandom import random_game
 
 
@@ -41,6 +42,31 @@ def test_partition_errors():
     with pytest.raises(ValidationError) as e:
         validate_clt(tree2, [frozenset({A(0), A(1)}), frozenset({A(1)})], edges2)
     assert e.value.code == "PartitionBad"
+
+
+def test_a_cell_listed_twice_is_partition_bad():
+    # Every decision node lies in exactly one listed cell: a cell listed
+    # twice would let a strategy choose twice at one information set.
+    edges = {(A("r"), A("x")): A("L"), (A("r"), A("y")): A("R")}
+    tree = validate_out_tree({A("r"), A("x"), A("y")}, set(edges))
+    with pytest.raises(ValidationError) as e:
+        validate_clt(tree, [{A("r")}, {A("r")}], edges)
+    assert (e.value.code, e.value.witness, e.value.detail) == (
+        "PartitionBad", A("r"), "node in two information sets")
+
+
+def test_the_overlap_witness_is_the_least_shared_node_in_any_line_order():
+    # A set of atoms iterates in the order of their addresses (an atom's
+    # hash is its id). Each line order gets fresh names, so that its atoms
+    # are built anew; the cells {c, b, a} and {b, a} share a and b.
+    game, *lines = OVERLAP.splitlines()
+    rng = random.Random(0)
+    for k in range(30):
+        rng.shuffle(lines)
+        text = re.sub(r"\b[abc]\b", lambda m: f"o{k}{m[0]}", "\n".join([game, *lines]))
+        with pytest.raises(ValidationError) as e:
+            parse_game_text(text)
+        assert (e.value.code, e.value.witness) == ("PartitionBad", Atom(f"o{k}a")), text
 
 
 def test_label_must_cover_edges():

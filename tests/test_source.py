@@ -112,3 +112,18 @@ def test_library_opens_files_for_writing_only_in_one_writer():
         if name == "cli.py" and len(writers) != 1:
             found.append("cli.py: no _write_text")
     assert found == []
+
+
+def test_only_clt_lays_out_a_clt():
+    # A CLT's stored layout (the cells in encoding order, info_of, each
+    # cell's actions in term order and succ) is built in one place,
+    # clt._laid_out, which validation and pushforward both end in: no other
+    # module calls CLT(...), and clt.py calls it once.
+    calls = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gamecat.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        calls += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "CLT" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None))]
+    assert [call.split(":")[0] for call in calls] == ["clt.py"], calls

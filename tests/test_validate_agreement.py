@@ -1,5 +1,7 @@
 """The three validators against a reference: the versions that ran every
-witness scan on every input, before validity was decided first.
+witness scan on every input, before validity was decided first, with one
+rule since changed: a node in two listed cells, equal ones included, is
+rejected, and the witness is the least shared node.
 
 Each validator, on random games and on mutations of their parts, must
 return an object equal to the reference's in every field, or raise the
@@ -76,11 +78,13 @@ def ref_validate_clt(tree, infosets, label):
         if not cell <= w:
             raise ValidationError("PartitionBad", witness=min(cell - w),
                                   detail="information set contains a non-decision node")
-        for x in cell:
-            if x in seen and seen[x] != cell:
-                raise ValidationError("PartitionBad", witness=x,
-                                      detail="node in two information sets")
-            seen[x] = cell
+        # A node of an earlier cell, an equal cell's too, is shared: the
+        # witness is the least.
+        shared = [x for x in cell if x in seen]
+        if shared:
+            raise ValidationError("PartitionBad", witness=min(shared),
+                                  detail="node in two information sets")
+        seen.update(dict.fromkeys(cell, cell))
     if w - seen.keys():
         raise ValidationError("PartitionBad", witness=min(w - seen.keys()),
                               detail="decision node in no information set")

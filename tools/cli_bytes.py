@@ -7,26 +7,28 @@ PARENT and TREE are checkouts holding src/gamecat; TREE defaults to the
 checkout this script is in, and PARENT can be made with, for example,
 `git worktree add /tmp/parent HEAD~1`.
 
-The inputs are built once, with this checkout's library and tests/genrandom:
-the files of tests/fixtures; seeded random games, every other one renamed to
-quoted, tuple and set names, each with a relabelled copy, the identity
-morphism, the certificate of the copy and a morphism that swaps two nodes;
-mutated copies of those files (a piece put in, a character dropped, a blank
-turned into a tab or dropped, a line repeated or dropped); a game in a
-directory named `a#b`; and one game for each error a utility value can
-give. Each game goes through validate, props, strategies,
-nash, spe, subgames, subgame --at (the least and the greatest node, the
-least with blanks around it, and one term that does not parse), convert to
-all four forms (reading the two files it writes) and iso against its copy
-with --emit-morphism (reading the file); each morphism through morphism
-check, classify and compose; every call in both output formats. Two games
-whose names cannot be joined into a printable one (`a"b` and `c"#d"`) go
-through iso both ways and through subgame at a node named `x#y`. Ten more
-calls try the forms of the command line once each: an option cut to a
-prefix, `--option=value`, an option before the positionals, `--` before a
-positional, and four usage errors (a bad --format, a missing --to, an
-unknown option, a --max-strategies that is no number); their usage text on
-stderr is not compared.
+The inputs are built once, with this checkout's library and
+tests/genrandom: the files of tests/fixtures; seeded random games, every
+other one renamed to quoted, tuple and set names, each with a relabelled
+copy, the identity morphism, the certificate of the copy and a morphism
+that swaps two nodes; mutated copies of those files (a piece put in, a
+character dropped, a blank turned into a tab or dropped, a line repeated or
+dropped); a game in a directory named `a#b`; one game for each error a
+utility value can give; and the games of tests/examplegames whose
+information sets are no partition: a cell listed twice, for one player and
+for two, and two cells that overlap, in two line orders. Each game goes
+through validate, props, strategies, nash, spe, subgames, subgame --at (the
+least and the greatest node, the least with blanks around it, and one term
+that does not parse), convert to all four forms (reading the two files it
+writes) and iso against its copy with --emit-morphism (reading the file);
+each morphism through morphism check, classify and compose; every call in
+both output formats. Two games whose names cannot be joined into a
+printable one (`a"b` and `c"#d"`) go through iso both ways and through
+subgame at a node named `x#y`. Ten more calls try the forms of the command
+line once each: an option cut to a prefix, `--option=value`, an option
+before the positionals, `--` before a positional, and four usage errors (a
+bad --format, a missing --to, an unknown option, a --max-strategies that is
+no number); their usage text on stderr is not compared.
 
 Each tree runs every call in its own subprocess (PYTHONPATH=TREE/src), in
 its own copy of the inputs, and absolute paths into that copy are written
@@ -121,6 +123,7 @@ def build_inputs(inputs, n_games, seed):
     from gamecat import (Atom, GameError, encode, parse_game_text, print_game, print_morphism,
                          pushforward)
     from gamecat.terms import FinSet, Tup
+    from examplegames import OVERLAP, REPEATED_CELL, REPEATED_CELL_TWO_PLAYERS
     from genrandom import random_game
 
     rng = random.Random(seed)
@@ -181,6 +184,9 @@ def build_inputs(inputs, n_games, seed):
     named = [put("named_a.gm", NAMED), put("named_c.gm", NAMED.replace('game a"b', 'game c"#d"'))]
     games += [put(f"value{j}.gm", NAMED.replace("end e 1", f"end e {v}"))
               for j, v in enumerate(BAD_VALUES)]
+    head, *lines = OVERLAP.splitlines()
+    games += [put("repeated.gm", REPEATED_CELL), put("repeated2.gm", REPEATED_CELL_TWO_PLAYERS),
+              put("overlap.gm", OVERLAP), put("overlap2.gm", "\n".join([head, *lines[::-1]]))]
 
     calls = [(["iso", *named, "--emit-morphism", "named.gmm"], ["named.gmm"]),
              (["iso", *named[::-1], "--emit-morphism", "named.gmm"], ["named.gmm"]),
