@@ -4,7 +4,9 @@ Exit codes: 0 for success / true verdicts, 1 for false verdicts (invalid game,
 invalid morphism, no isomorphism, no subgame) and for an output name that would
 not read back (UnprintableName: every text is built before any output), 2 for
 usage and syntax errors, for a file the OS refused (FileError) and, with nothing
-more written, for a closed standard output, `--help` included.
+more written, for a closed standard output, `--help` included. A standard output
+closed before the start ends the command at once with 2: it reads and writes no
+file.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from .terms import _sorted, encode, encode_set, parse_term
 
 class _Report:
     def __init__(self, fmt: str):
-        self.machine = fmt == "machine"
+        self.sep = " " if fmt == "machine" else ": "
 
     def line(self, key: str, *values):
+        """key, then the values as given: a path keeps a trailing blank."""
         text = " ".join(map(str, values))
-        text = f"{key} {text}".rstrip() if self.machine else f"{key}: {text}" if text else key
+        text = f"{key}{self.sep}{text}" if text else key
         try:
             sys.stdout.write(text + "\n")
         except UnicodeEncodeError:  # a path's bytes as the OS gave them, not UTF-8
@@ -365,6 +368,8 @@ def _read_args(words):
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # Python's stdout when descriptor 1 was closed at start
+        return 2
     try:
         code = _main(sys.argv[1:] if argv is None else list(argv))
         sys.stdout.flush()  # so that a closed standard output shows here, not at exit

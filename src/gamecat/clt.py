@@ -108,7 +108,7 @@ def _laid_out(tree: OutTree, cells, act) -> CLT:
         sorts[key] = (key, None) if pool == key else (pool, itemgetter(*map(key.index, pool)))
     if any(len(set(key)) < len(key) for key in sorts):
         # The witness is the first repeated (x, a) in the edges' term order.
-        x = next(x for x in tree.sorted_nodes if x in w and len(set(acts[x])) < len(acts[x]))
+        x = min(x for x in w if len(set(acts[x])) < len(acts[x]))
         a = next(a for k, a in enumerate(acts[x]) if a in acts[x][:k])
         raise ValidationError("NonDeterministic", witness=(x, a))
 

@@ -4,7 +4,8 @@ A tree-level morphism is a node map that preserves edges, never splits an
 information set, and transforms actions identically across each information
 set. A game morphism additionally preserves ends, movers (via a derived
 player transformation), and the ordinal content of utilities. Validation
-reports the first violated condition, in a fixed order, with a witness.
+reports the first violated condition, in a fixed order, with a witness:
+each condition's least offender.
 """
 
 from __future__ import annotations
@@ -52,28 +53,22 @@ class GameMorphism:
         return {src[e]: tgt[tau[e]] for e in ends}
 
 
-def _decision_nodes(t) -> list:
-    """The decision nodes in term order."""
-    return [x for x in t.sorted_nodes if x in t.decision_nodes]
-
-
 def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
     node_map = dict(node_map)
-    for x in src.tree.sorted_nodes:
-        if x not in node_map:
-            raise OperationError("BadNodeMap", witness=x, detail="node unmapped")
-        if node_map[x] not in tgt.tree.nodes:
-            raise OperationError("BadNodeMap", witness=x,
-                                 detail="image is not a target node")
+    get, nodes = node_map.get, tgt.tree.nodes
+    bad = [x for x in src.tree.nodes if get(x) not in nodes]
+    if bad:
+        x = min(bad)
+        raise OperationError("BadNodeMap", witness=x, detail="image is not a target node"
+                             if x in node_map else "node unmapped")
     extra = set(node_map) - src.tree.nodes
     if extra:
         raise OperationError("BadNodeMap", witness=min(extra), detail="map key is not a source node")
 
-    tgt_pred = tgt.tree.pred
-    for x in src.tree.sorted_nodes:
-        for y in src.tree.children[x]:
-            if tgt_pred.get(node_map[y]) is not node_map[x]:
-                raise ValidationError("EdgeNotPreserved", witness=(x, y))
+    tgt_pred = tgt.tree.pred  # the least pair: x first, then y among x's children
+    bad = [(x, y) for y, x in src.tree.pred.items() if tgt_pred.get(node_map[y]) is not node_map[x]]
+    if bad:
+        raise ValidationError("EdgeNotPreserved", witness=min(bad))
 
     cells = src.cells
     for cell in cells:
@@ -83,7 +78,7 @@ def validate_clt_morphism(src: CLT, tgt: CLT, node_map) -> CltMorphism:
         if target_cell is None or not images <= target_cell:
             raise ValidationError("InfosetSplit", witness=cell)
 
-    alpha_at = {x: _alpha_at(src, tgt, node_map, x) for x in _decision_nodes(src.tree)}
+    alpha_at = {x: _alpha_at(src, tgt, node_map, x) for x in src.info_of}
     split = _not_constant(cells, alpha_at)
     if split is not None:
         raise ValidationError("ActionTransformNotConstant", witness=split)
@@ -113,20 +108,17 @@ def validate_game_morphism(src: Game, tgt: Game, node_map) -> GameMorphism:
     cm = validate_clt_morphism(src.clt, tgt.clt, node_map)
     node_map = cm.node_map
 
-    for x in src.tree.sorted_nodes:
-        if x in src.tree.end_nodes and node_map[x] not in tgt.tree.end_nodes:
-            raise ValidationError("NotEndPreserving", witness=x)
+    bad = [x for x in src.tree.end_nodes if node_map[x] not in tgt.tree.end_nodes]
+    if bad:
+        raise ValidationError("NotEndPreserving", witness=min(bad))
 
     iota: dict = {}
-    chosen_at: dict = {}
-    for x in _decision_nodes(src.tree):
-        i = src.mover[x]
-        i2 = tgt.mover[node_map[x]]
-        if i in iota and iota[i] != i2:
+    chosen_at: dict = {}  # player -> the least node that fixed its image
+    for x in filter(src.tree.decision_nodes.__contains__, src.tree.sorted_nodes):
+        i, i2 = src.mover[x], tgt.mover[node_map[x]]
+        if iota.setdefault(i, i2) != i2:
             raise ValidationError("NoPlayerTransform", witness=(chosen_at[i], x))
-        if i not in iota:
-            iota[i] = i2
-            chosen_at[i] = x
+        chosen_at.setdefault(i, x)
 
     for i, a, b in _utility_orders(src, tgt, node_map, iota):
         bad = _order_violation(src.tree.ends, a, b)
@@ -293,11 +285,10 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     if set(action_bijs) != set(g.tree.decision_nodes):
         raise OperationError("NotBijective", detail="action maps must cover decision nodes")
     t, c = g.tree, g.clt
-    for x in _decision_nodes(t):
-        table = action_bijs[x]
-        if table.keys() != set(c.cell_actions[c.info_of[x]]) \
-                or len(set(table.values())) != len(table):
-            raise OperationError("NotBijective", witness=x, detail="action map at node")
+    bad = [x for x, table in action_bijs.items() if table.keys() != set(
+        c.cell_actions[c.info_of[x]]) or len(set(table.values())) != len(table)]
+    if bad:
+        raise OperationError("NotBijective", witness=min(bad), detail="action map at node")
     split = _not_constant(c.cells, action_bijs)
     if split is not None:
         raise OperationError("ActionBijsNotConstantOnInfoset", witness=split)

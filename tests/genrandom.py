@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from gamecat import (Atom, build_game, pushforward, term_key,
                      validate_game_morphism)
+from gamecat.terms import FinSet, Tup
 
 ACTION_POOL = list("abcdefghijkl")
 
@@ -88,6 +89,23 @@ def relabel_iso(rng, g, prefix=None):
     rng.shuffle(porder)
     player_bij = {i: Atom(f"{prefix}p{k}") for i, k in zip(players, porder)}
     return pushforward(g, node_bij, action_bijs, player_bij)
+
+
+def random_bijections(rng, g):
+    """Nodes renamed to quoted, tuple and set names in a shuffled order,
+    each cell's actions permuted, the players permuted: the bijections
+    pushforward takes."""
+    nodes = list(g.tree.sorted_nodes)
+    rng.shuffle(nodes)
+    styles = [lambda k: Atom(f"n {k}"), lambda k: Tup((Atom("n"), Atom(str(k)))),
+              lambda k: FinSet((Atom(str(k)), Tup(())))]
+    node_bij = {x: rng.choice(styles)(k) for k, x in enumerate(nodes)}
+    action_bijs = {}
+    for cell in g.clt.cells:
+        acts = g.clt.cell_actions[cell]
+        action_bijs.update(dict.fromkeys(cell, dict(zip(acts, rng.sample(acts, len(acts))))))
+    players = sorted(g.players, key=term_key)
+    return node_bij, action_bijs, dict(zip(players, rng.sample(players, len(players))))
 
 
 def extend_under_new_root(rng, g):

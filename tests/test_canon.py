@@ -17,7 +17,7 @@ from gamecat import (Atom, ConversionResult, OperationError, ValidationError, bu
 from gamecat.terms import FinSet, Tup
 from conftest import FIXTURES
 from examplegames import A, make_game, trio_a, trio_undist, relabel, split, refine
-from genrandom import random_game
+from genrandom import random_bijections, random_game
 
 
 def tup(*names):
@@ -381,27 +381,10 @@ def test_converter_results_equal_their_revalidation():
     assert converted >= 4 * 240
 
 
-def _random_bijections(rng, g):
-    """Nodes renamed to quoted, tuple and set names in a shuffled order,
-    each cell's actions permuted, the players permuted."""
-    nodes = list(g.tree.sorted_nodes)
-    rng.shuffle(nodes)
-    styles = [lambda k: Atom(f"n {k}"), lambda k: Tup((Atom("n"), Atom(str(k)))),
-              lambda k: FinSet((Atom(str(k)), Tup(())))]
-    node_bij = {x: rng.choice(styles)(k) for k, x in enumerate(nodes)}
-    action_bijs = {}
-    for cell in g.clt.infosets:
-        acts = sorted(g.clt.feasible[next(iter(cell))])
-        images = rng.sample(acts, len(acts))
-        action_bijs.update(dict.fromkeys(cell, dict(zip(acts, images))))
-    players = sorted(g.players)
-    return node_bij, action_bijs, dict(zip(players, rng.sample(players, len(players))))
-
-
 def test_pushforward_on_random_bijections_equals_its_revalidation():
     rng = random.Random(83)
     for g in reference_inputs():
-        node_bij, action_bijs, player_bij = _random_bijections(rng, g)
+        node_bij, action_bijs, player_bij = random_bijections(rng, g)
         g2, cert = pushforward(g, node_bij, action_bijs, player_bij)
         _assert_transported(g, g2, cert)
 
@@ -416,7 +399,7 @@ def test_pushforward_errors_keep_their_codes_and_witnesses():
     rng = random.Random(89)
     seen = set()
     for g in itertools.islice(reference_inputs(), 200):
-        node_bij, action_bijs, player_bij = _random_bijections(rng, g)
+        node_bij, action_bijs, player_bij = random_bijections(rng, g)
         args = (node_bij, action_bijs, player_bij)
         x, y = rng.sample(sorted(g.tree.nodes), 2)
         for bad in ({**node_bij, x: node_bij[y]}, {k: v for k, v in node_bij.items() if k != x}):

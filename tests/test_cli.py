@@ -9,7 +9,7 @@ import pytest
 
 import gamecat
 from gamecat import encode, is_iso, parse_game_text, print_morphism, validate_game_morphism
-from gamecat.cli import main
+from gamecat.cli import _Report, main
 from conftest import FIXTURES, fixture_path
 import examplegames
 
@@ -196,6 +196,43 @@ def test_main_returns_2_and_drops_a_closed_standard_output(monkeypatch, buffered
     assert sys.stdout is None  # so that nothing is flushed to it at exit
     # Buffered, the command ran to its end; unbuffered, its first line failed.
     assert len(out.written) == (10 if buffered else 0)
+
+
+@pytest.mark.parametrize("argv", [["validate", "g.gm"], ["convert", "g.gm", "--to", "sequence"],
+                                  ["--help"]], ids=["validate", "convert", "help"])
+def test_a_standard_output_closed_at_start_ends_the_command_at_once(tmp_path, argv):
+    # Python's sys.stdout is None when descriptor 1 is closed: the command
+    # exits 2, prints nothing on stderr and writes no file.
+    shutil.copy(fixture_path("trio_a.gm"), tmp_path / "g.gm")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamecat.__file__)))
+    done = subprocess.run([sys.executable, "-m", "gamecat.cli", *argv], cwd=tmp_path,
+                          stderr=subprocess.PIPE, env=env, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (2, b"")
+    assert os.listdir(tmp_path) == ["g.gm"]
+
+
+def test_main_returns_2_when_standard_output_is_none(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(fixture_path("trio_a.gm"), "g.gm")
+    assert main(["convert", "g.gm", "--to", "sequence"]) == 2
+    assert main(["--help"]) == 2
+    assert os.listdir(tmp_path) == ["g.gm"]
+
+
+@pytest.mark.parametrize("fmt, sep", [("human", ": "), ("machine", " ")])
+def test_a_written_path_that_ends_in_a_blank_prints_whole(tmp_path, capsys, monkeypatch,
+                                                          fmt, sep):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(fixture_path("trio_a.gm"), "g.gm")
+    for name in ("o.gmm ", " "):
+        code, out = run(capsys, "--format", fmt, "iso", "g.gm", "g.gm", "--emit-morphism", name)
+        assert code == 0 and out.endswith(f"\nmorphism_file{sep}{name}\n")
+    assert sorted(os.listdir(tmp_path)) == [" ", "g.gm", "o.gmm "]
+    # A line with no values prints only its key.
+    _Report(fmt).line("key", "")
+    assert capsys.readouterr().out == "key\n"
 
 
 _NOT_UTF8 = "a" + os.fsdecode(b"\xff") + ".gm"  # the \xff byte read as a lone surrogate

@@ -13,10 +13,11 @@ other one renamed to quoted, tuple and set names, each with a relabelled
 copy, the identity morphism, the certificate of the copy and a morphism
 that swaps two nodes; mutated copies of those files (a piece put in, a
 character dropped, a blank turned into a tab or dropped, a line repeated or
-dropped); a game in a directory named `a#b`; one game for each error a
-utility value can give; and the games of tests/examplegames whose
-information sets are no partition: a cell listed twice, for one player and
-for two, and two cells that overlap, in two line orders. Each game goes
+dropped); the first identity morphism with a key that is no source node; a
+game in a directory named `a#b`; one game for each error a utility value
+can give; and the games of tests/examplegames whose information sets are no
+partition: a cell listed twice, for one player and for two, and two cells
+that overlap, in two line orders. Each game goes
 through validate, props, strategies, nash, spe, subgames, subgame --at (the
 least and the greatest node, the least with blanks around it, and one term
 that does not parse), convert to all four forms (reading the two files it
@@ -24,11 +25,12 @@ writes) and iso against its copy with --emit-morphism (reading the file);
 each morphism through morphism check, classify and compose; every call in
 both output formats. Two games whose names cannot be joined into a
 printable one (`a"b` and `c"#d"`) go through iso both ways and through
-subgame at a node named `x#y`. Ten more calls try the forms of the command
+subgame at a node named `x#y`. Eleven more calls try the forms of the command
 line once each: an option cut to a prefix, `--option=value`, an option
-before the positionals, `--` before a positional, and four usage errors (a
-bad --format, a missing --to, an unknown option, a --max-strategies that is
-no number); their usage text on stderr is not compared.
+before the positionals, `--` before a positional, a machine-format
+--emit-morphism path that ends in a blank, and four usage errors (a bad
+--format, a missing --to, an unknown option, a --max-strategies that is no
+number); their usage text on stderr is not compared.
 
 Each tree runs every call in its own subprocess (PYTHONPATH=TREE/src), in
 its own copy of the inputs, and absolute paths into that copy are written
@@ -38,8 +40,9 @@ or one longer than any output, so new files, files written over and a
 writer that leaves a longer file's old tail are all compared; a file a
 call leaves as it was is compared as `<old>`, and one that it creates or
 removes against the other tree's. The report gives the calls made, their
-exit codes, the files they wrote by what each held before, and every call
-whose standard output, exit code or written files differ.
+exit codes, the files they wrote by what each held before, the error codes
+that the `morphism` calls print (with a detail that is words), and every
+call whose standard output, exit code or written files differ.
 Exit status: 0 when nothing differs, 1 otherwise.
 """
 
@@ -52,6 +55,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -176,6 +180,10 @@ def build_inputs(inputs, n_games, seed):
             text = fh.read()
         out = put(f"mutant{j}{ext}", _mutant(rng, text))
         (games if ext == ".gm" else morphisms).append(out)
+    # The identity with a key that is no source node: the one BadNodeMap
+    # detail that neither the random morphisms nor the mutants reach.
+    with open(os.path.join(inputs, "r0.id.gmm"), encoding="utf-8") as fh:
+        morphisms.append(put("r0.extra.gmm", fh.read() + "map zz -> v0\n"))
     fixtures = sorted(os.listdir(os.path.join(inputs, "fixtures")))
     games += [f"fixtures/{f}" for f in fixtures if f.endswith(".gm")]
     morphisms += [f"fixtures/{f}" for f in fixtures if f.endswith(".gmm")]
@@ -222,6 +230,7 @@ def build_inputs(inputs, n_games, seed):
               (["convert", "--to=sequence", game], written),
               (["convert", "--to", "sequence", game], written),
               (["iso", "--emit-morphism", "o.gmm", game, copy], ["o.gmm"]),
+              (["--format", "machine", "iso", game, copy, "--emit-morphism", "o.gmm "], ["o.gmm "]),
               (["iso", game, "--", copy], []),
               (["--format", "xml", "validate", game], []),
               (["convert", game], []),
@@ -265,6 +274,17 @@ def run_calls(calls_path, out_path):
         results.append([code, buf.getvalue().replace(work, "<work>"), files])
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({"library": gamecat.__file__, "results": results}, fh)
+
+
+def _error_code(out):
+    """The code of an output's error line, with its detail when the detail
+    is words (`BadNodeMap (node unmapped)`); None when it has none."""
+    for line in out.splitlines():
+        if line.startswith(("error: ", "error ")):
+            code = line.split()[1]
+            detail = re.search(r" (\([a-z]+(?: [a-z]+)+\))$", line)
+            return f"{code} {detail.group(1)}" if detail else code
+    return None
 
 
 def _difference(a, b, label):
@@ -315,6 +335,10 @@ def main(argv=None):
     print(f"calls {len(calls)}  files written {sum(written.values())} (new {written[0]}, "
           f"over a shorter file {written[1]}, over a longer one {written[2]})  exit codes "
           + " ".join(f"{code}:{n}" for code, n in sorted(codes.items(), key=str)))
+    reached = Counter(_error_code(out) for (argv, _), (_, out, _) in zip(calls, runs[1])
+                      if "morphism" in argv)
+    print("morphism calls' errors: " + ", ".join(
+        f"{code} {n}" for code, n in sorted(reached.items(), key=str) if code))
     differing = 0
     for (argv, _), (c0, out0, f0), (c1, out1, f1) in zip(calls, *runs):
         report = []
