@@ -85,11 +85,11 @@ def _load_morphism(path: str):
     # join keeps an absolute reference as it is.
     src_path, tgt_path = os.path.join(base, src_ref), os.path.join(base, tgt_ref)
     _, src = _load_game(src_path)
-    # realpath raises on a NUL, which _read_text reports as a coded error.
-    if "\0" not in tgt_path and os.path.realpath(tgt_path) == os.path.realpath(src_path):
-        return name, src, src, node_map
-    _, tgt = _load_game(tgt_path)
-    return name, src, tgt, node_map
+    try:  # one stat of each path; a target the OS refuses is reported by loading it
+        same = "\0" not in tgt_path and os.path.samefile(tgt_path, src_path)
+    except OSError:
+        same = False
+    return name, src, src if same else _load_game(tgt_path)[1], node_map
 
 
 def _run_encodings(t) -> dict:

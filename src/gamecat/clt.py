@@ -5,13 +5,13 @@ sets and a deterministic edge labeling. "Continuous" always means constant on
 partition cells, so the feasibility requirement is that two nodes in one
 information set offer the same actions.
 
-Each fact is stored once, by `_laid_out`, which validation and transport
-both end in: the cells by encoding (`cells`) and each decision node's cell
-(`info_of`); each edge's action on its target (`act`), as a non-root node has
-one incoming edge; each cell's actions in term order (`cell_actions`), which
-are every member's; and each decision node's children by action index
-(`succ`). `infosets`, `label`, `actions` and `feasible` are views for callers
-outside the library.
+Each fact is stored once, by `_laid_out`, the core that validation
+(`validate_clt`, the .gm block reader) and transport (`pushforward`) end
+in: the cells by encoding (`cells`) and each decision node's cell
+(`info_of`); each edge's action on its target (`act`), as a non-root node
+has one incoming edge; each cell's actions, every member's, in term order
+(`cell_actions`); and each decision node's children by action index
+(`succ`). `infosets`, `label`, `actions` and `feasible` are views.
 """
 
 from __future__ import annotations
@@ -60,23 +60,27 @@ def _not_constant(cells, value):
 
 
 def validate_clt(tree: OutTree, infosets, label) -> CLT:
-    label, pred, w = dict(label), tree.pred, tree.decision_nodes
+    label = dict(label)
     act = {y: a for (_, y), a in label.items()}
-    cells = [frozenset(c) for c in infosets]
-    # Validity is decided first, by set-level checks: the labeling is the edge
-    # map itself (its keys' targets are distinct and each is keyed with its
-    # parent), and every decision node lies in exactly one listed cell, and no
-    # cell is empty. Only a rejection runs the scans that follow.
-    if not (len(act) == len(label) and {y: x for x, y in label} == pred
-            and sum(map(len, cells)) == len(w) and frozenset().union(*cells) == w
+    # The labeling must be the edge map itself: its keys' targets are
+    # distinct and each is keyed with its parent. The rest is _laid_out's.
+    if not (len(act) == len(label) and {y: x for x, y in label} == tree.pred):
+        edges = {(x, y) for y, x in tree.pred.items()}
+        raise ValidationError("LabelBad", witness=min(label.keys() ^ edges),
+                              detail="labeling must cover exactly the edge set")
+    return _laid_out(tree, [frozenset(c) for c in infosets], act)
+
+
+def _laid_out(tree: OutTree, cells, act) -> CLT:
+    """The CLT of tree with the cells and act, each non-root node's action; raises
+    when they are no CLT. A set-level partition test and one loop over the cells'
+    members decide; only a rejection runs the scans, which choose code and witness."""
+    children, w = tree.children, tree.decision_nodes
+    cells = tuple(sorted(cells, key=encode_set))
+    if not (sum(map(len, cells)) == len(w) and frozenset().union(*cells) == w
             and frozenset() not in cells):
-        # They choose the rejection's code and witness, in this order.
-        edges = {(x, y) for y, x in pred.items()}
-        if label.keys() != edges:
-            raise ValidationError("LabelBad", witness=min(label.keys() ^ edges),
-                                  detail="labeling must cover exactly the edge set")
         seen: set = set()
-        for cell in sorted(cells, key=encode_set):
+        for cell in cells:
             if not cell:
                 raise ValidationError("PartitionBad", detail="empty information set")
             if not cell <= w:
@@ -88,40 +92,32 @@ def validate_clt(tree: OutTree, infosets, label) -> CLT:
             seen |= cell
         raise ValidationError("PartitionBad", witness=min(w - seen),
                               detail="decision node in no information set")
-    return _laid_out(tree, cells, act)
 
-
-def _laid_out(tree: OutTree, cells, act) -> CLT:
-    """The CLT of tree with the cells, a partition of its decision nodes, and
-    act, each non-root node's action; raises when they are no CLT."""
-    children, w = tree.children, tree.decision_nodes
-    cells = tuple(sorted(cells, key=encode_set))
-    info_of = {x: cell for cell in cells for x in cell}
-    # Each decision node's actions in child order. Each distinct tuple is
-    # sorted once, with what picks a node's children in the sorted order:
-    # None when the tuple is already in term order, as then the children are.
-    get = act.__getitem__
-    acts = {x: tuple(map(get, children[x])) for x in w}
-    sorts = {}
-    for key in set(acts.values()):
-        pool = tuple(_sorted(key))
-        sorts[key] = (key, None) if pool == key else (pool, itemgetter(*map(key.index, pool)))
+    # Each decision node's actions in child order; each distinct tuple is sorted once, with
+    # what picks the children in the sorted order: None when the tuple is in term order, as
+    # then the children are. Sorted tuples are equal exactly when the action sets are.
+    get, sorts, info_of, succ, cell_actions, split = act.__getitem__, {}, {}, {}, {}, False
+    for cell in cells:
+        for x in cell:
+            kids = children[x]
+            key = tuple(map(get, kids))
+            found = sorts.get(key)
+            if found is None:
+                pool = tuple(_sorted(key))
+                found = sorts[key] = (pool, None if pool == key else itemgetter(*map(key.index, pool)))
+            pool, pick = found
+            info_of[x] = cell
+            succ[x] = kids if pick is None else pick(kids)
+            split |= cell_actions.setdefault(cell, pool) != pool
     if any(len(set(key)) < len(key) for key in sorts):
         # The witness is the first repeated (x, a) in the edges' term order.
+        acts = {x: tuple(map(get, children[x])) for x in w}
         x = min(x for x in w if len(set(acts[x])) < len(acts[x]))
         a = next(a for k, a in enumerate(acts[x]) if a in acts[x][:k])
         raise ValidationError("NonDeterministic", witness=(x, a))
-
-    # Sorted action tuples are equal exactly when the action sets are.
-    feasible, succ = {}, {}
-    for x, key in acts.items():
-        feasible[x], pick = sorts[key]
-        succ[x] = children[x] if pick is None else pick(children[x])
-    split = _not_constant(cells, feasible)
-    if split is not None:
-        raise ValidationError("FeasibilityNotConstant", witness=split)
-
-    cell_actions = {cell: feasible[next(iter(cell))] for cell in cells}
+    if split:
+        raise ValidationError("FeasibilityNotConstant", witness=_not_constant(
+            cells, {x: frozenset(map(get, children[x])) for x in w}))
     return CLT(tree=tree, cells=cells, info_of=info_of, act=act,
                cell_actions=cell_actions, succ=succ)
 

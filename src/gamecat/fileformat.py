@@ -13,11 +13,12 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import count
 
+from .clt import _laid_out
 from .errors import OperationError, ParseError, ValidationError
-from .game import Game, build_game
+from .game import Game, _game, build_game
 from .terms import (_ATOMS, _BARE_ATOM, _END, _LINE_BREAK, _OPEN_QUOTED, _QUOTED, _TOKENS, Atom,
                     _quote, _read_tokens, _sorted, _unquote, encode)
-from .tree import _run
+from .tree import _out_tree, _run
 
 # Everything before the first `#` that is outside a quoted atom.
 _BEFORE_COMMENT = re.compile(rf'(?:[^"#]|{_OPEN_QUOTED}")*(?=#)')
@@ -154,16 +155,16 @@ def _blocks(text: str, plain, heads: tuple, bounds: tuple):
 def _game_blocks(text: str):
     """(name, Game) for a text of plain declarations that the line reader
     reads without error; None for any other text, which is left to it.
-    Line order decides only which error the line reader reports, so the
-    game read from the sorted blocks is the one it reads."""
+    Line order decides only which error the line reader reports, so the game
+    read from the sorted blocks, as the parent and action maps, cells, mover
+    and payoff tables that the validators' cores decide on, is the one it reads."""
     b = _blocks(text, *_GM_BLOCKS)
     if b is None:
         return None
     nodes = _atoms(b["node"].split()[1::2])  # in text order, which for bare names is term order
     w = b["edge"].split()
-    edges = dict(zip(zip(_atoms(w[1::4]), _atoms(w[2::4])), _atoms(w[3::4])))
-    if len(edges) != len(w) // 4:
-        return None
+    targets = _atoms(w[2::4])
+    pred, act = dict(zip(targets, _atoms(w[1::4]))), dict(zip(targets, _atoms(w[3::4])))
     # Each line is "infoset id {" members "}": split at the braces, the
     # pieces alternate between the two (and one empty piece ends them).
     parts = b["infoset"].replace("{", "}").split("}")
@@ -172,25 +173,31 @@ def _game_blocks(text: str):
     get = _ATOMS.get
     cells = dict(zip(_atoms(" ".join(parts[::2]).split()[1::2]),
                      [frozenset(map(get, ws.split())) for ws in members]))
-    w = b["player"].split()
-    cell_player = dict(zip(_atoms(w[3::4]), _atoms(w[1::4])))
-    if len(cells) != len(members) or len(cell_player) != len(w) // 4 \
-            or cell_player.keys() != cells.keys():
-        return None
     w = b["utility"].split()
     texts = w[4::5]
     try:  # one Fraction per distinct value text
         value = {v: _fraction(*v.split("/")) for v in set(texts)}
     except ParseError:  # past int()'s digit limit
         return None
-    utilities = list(zip(zip(_atoms(w[1::5]), _atoms(w[3::5])), map(value.__getitem__, texts)))
+    payoffs: dict = {}
+    for i, end, v in zip(_atoms(w[1::5]), _atoms(w[3::5]), map(value.__getitem__, texts)):
+        payoffs.setdefault(i, {})[end] = v
+    w = b["player"].split()
+    cell_player = dict(zip(_atoms(w[3::4]), _atoms(w[1::4])))
+    # A key twice (an edge's target, an infoset id, a player line's infoset, a utility's
+    # player and end) and a player line for no infoset or none for one are the line reader's.
+    if (len(pred) < len(targets) or len(cells) < len(members) or len(cell_player) < len(w) // 4
+            or sum(map(len, payoffs.values())) < len(texts) or cell_player.keys() != cells.keys()):
+        return None
     mover = {x: cell_player[ident] for ident, cell in cells.items() for x in cell}
     name = b["game"][5:].strip()
-    del b, w, texts, parts, members  # the text's pieces, freed before validation builds the game
+    del b, w, texts, parts, members  # the text's pieces, freed before the game is built
     try:
-        return name, build_game(nodes, edges, cells.values(), mover, utilities)
+        tree = _out_tree(dict.fromkeys(nodes), pred)
+        game = None if tree is None else _game(_laid_out(tree, cells.values(), act), mover, payoffs)
     except ValidationError:
         return None
+    return None if game is None else (name, game)
 
 
 def parse_game_text(text: str):

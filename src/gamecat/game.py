@@ -1,10 +1,10 @@
 """Games: a CLT plus a move assignment and exact-rational utilities.
 
 The mover map must be constant on information sets and its image is the
-player set; utilities assign each player an exact rational on every run.
-They are stored as one table per player keyed by end node (`payoffs`), since
-runs of a finite tree biject with end nodes; `utilities`, keyed by (player,
-end node), is a view for callers outside the library.
+player set; utilities assign each player an exact rational on every run,
+stored as one table per player keyed by end node (`payoffs`), as runs biject
+with end nodes. `_game`, the core that `validate_game` and the .gm block
+reader end in, decides on the tables and mover; `utilities` is a view.
 """
 
 from __future__ import annotations
@@ -61,11 +61,35 @@ class Game:
         return out
 
 
+def _game(clt: CLT, mover: dict, payoffs: dict):
+    """The game, or None unless mover maps the decision nodes, constant on each cell,
+    and payoffs holds for each player it names one table of Fractions by end node."""
+    players, ends = frozenset(mover.values()), clt.tree.end_nodes
+    if (mover.keys() == clt.tree.decision_nodes and payoffs.keys() == players
+            and all(t.keys() == ends and set(map(type, t.values())) == {Fraction}
+                    for t in payoffs.values()) and _not_constant(clt.cells, mover) is None):
+        return Game(clt=clt, mover=mover, players=players, payoffs=payoffs)
+    return None
+
+
 def validate_game(clt: CLT, mover, utilities) -> Game:
     """utilities gives values by (player, end node or run), as a mapping or
     as pairs, which may repeat a run with one value but not with two."""
-    w = clt.tree.decision_nodes
     mover = dict(mover)
+    items = list(utilities.items() if hasattr(utilities, "items") else utilities)
+    # (player, end node) pairs, each given once, fill the tables _game decides on; any other
+    # form (run keys, other values, a key twice) and any rejection take the scans below.
+    payoffs: dict = {i: {} for i in mover.values()}
+    try:
+        for (i, end), value in items:
+            payoffs[i][end] = value
+    except (KeyError, TypeError, ValueError):  # no player, no pair, or a set
+        pass
+    if sum(map(len, payoffs.values())) == len(items) and \
+            (game := _game(clt, mover, payoffs)) is not None:
+        return game
+
+    tree, w = clt.tree, clt.tree.decision_nodes
     if w - mover.keys():
         raise ValidationError("MoverMissing", witness=min(w - mover.keys()))
     if mover.keys() - w:
@@ -75,25 +99,7 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
     if split is not None:
         raise ValidationError("MoverNotConstant", witness=split)
 
-    players = frozenset(mover.values())
-    tree = clt.tree
-    items = list(utilities.items() if hasattr(utilities, "items") else utilities)
-
-    # (player, end node) pairs with Fraction values are valid when they fill each
-    # player's table over the end nodes once. Any other form (run keys, other values,
-    # a key given twice) and any rejection take the loop, which picks the witness.
-    payoffs: dict = {i: {} for i in players}
-    try:
-        for (i, end), value in items:
-            payoffs[i][end] = value
-        if sum(map(len, payoffs.values())) == len(items) and all(
-                t.keys() == tree.end_nodes and set(map(type, t.values())) == {Fraction}
-                for t in payoffs.values()):
-            return Game(clt=clt, mover=mover, players=players, payoffs=payoffs)
-    except (KeyError, TypeError, ValueError):  # no player, no pair, or a set
-        pass
-
-    payoffs = {i: {} for i in players}
+    payoffs = {i: {} for i in mover.values()}
     for (i, end), value in items:
         if isinstance(end, (frozenset, set)):
             try:
@@ -119,7 +125,7 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
         i, end = min(gaps)
         raise ValidationError("UtilityMissing", witness=(i, _run(tree, end)))
 
-    return Game(clt=clt, mover=mover, players=players, payoffs=payoffs)
+    return _game(clt, mover, payoffs)
 
 
 def one_player_zero_game(clt: CLT, player: Term = Atom("P1")) -> Game:

@@ -6,17 +6,17 @@ with outgoing edges; runs are root-to-end paths, identified with their node
 sets but held as their end nodes (`OutTree.ends`), which biject with them.
 
 Each edge is stored once, as its target's parent (`pred`): (u, v) is an
-edge exactly when `pred.get(v) is u`. Validation sorts the nodes once
-(`sorted_nodes`) and reads each node's children in term order off them
-(`children`), so the edges in term order are `(x, y) for x in sorted_nodes
-for y in children[x]`. `edges`, the set of pairs, is a view for callers
-outside the library. Validation's walk from the root is kept as an index,
-the nodes in a preorder (`order`); each node's position in it (`pos`), the
-position of the last node of its subtree (`last`) and its depth are derived
-on first read. The subtree below x is `order[pos[x]:last[x] + 1]`, so
-`tree_leq` is an O(1) interval test and `descendants` an O(output) slice.
-Only a preorder with contiguous subtree intervals is promised, in no
-sibling order.
+edge exactly when `pred.get(v) is u`. `_out_tree`, the core that
+`validate_out_tree` and the .gm block reader end in, decides on the nodes
+and `pred`. It sorts the nodes once (`sorted_nodes`) and reads each node's
+children in term order off them (`children`), so the edges in term order
+are `(x, y) for x in sorted_nodes for y in children[x]`; `edges`, the set
+of pairs, is a view. Its walk from the root is kept as an index, the nodes
+in a preorder (`order`); each node's position in it (`pos`), the position
+of the last node of its subtree (`last`) and its depth are derived on first
+read. The subtree below x is `order[pos[x]:last[x] + 1]`, so `tree_leq` is
+an O(1) interval test and `descendants` an O(output) slice. Only a preorder
+with contiguous subtree intervals is promised, in no sibling order.
 """
 
 from __future__ import annotations
@@ -73,21 +73,14 @@ class OutTree:
 
 
 def validate_out_tree(nodes, edges) -> OutTree:
-    """Validity is decided first, by set-level checks; only a rejection runs
-    the scans after them, which choose its code and witness."""
+    """_out_tree decides; only a rejection runs the scans after it, which pick code and witness."""
     listed = dict.fromkeys(nodes)  # each node once, in the order given, which the sort reuses
-    node_set = frozenset(listed)
     edge_set = frozenset((x, y) for x, y in edges)
     pred = {y: x for x, y in edge_set}
-    roots = node_set - pred.keys()
-    # With unique parents, every edge end a node and one root, the walk down from the
-    # root misses a node exactly when parents loop: no cycle, self-loops too, is reached.
-    if (len(pred) == len(edge_set) > 0 and len(roots) == 1 and pred.keys() <= node_set
-            and node_set.issuperset(pred.values())):
-        tree = _indexed(node_set, *roots, pred, listed=listed)
-        if len(tree.order) == len(node_set):
-            return tree
+    if len(pred) == len(edge_set) and (tree := _out_tree(listed, pred)) is not None:
+        return tree
 
+    node_set = frozenset(listed)
     if not node_set:
         raise ValidationError("NoRoot", detail="empty node set")
 
@@ -109,6 +102,7 @@ def validate_out_tree(nodes, edges) -> OutTree:
         raise ValidationError("HasCycle", witness=min(y for y, n in incoming.items() if n > 1),
                               detail="node has two incoming edges")
 
+    roots = node_set - pred.keys()
     if not roots:
         raise ValidationError("NoRoot")
     if len(roots) > 1:
@@ -116,11 +110,23 @@ def validate_out_tree(nodes, edges) -> OutTree:
 
     # The walk missed a node. It has a parent (roots are unique), and the
     # parent is missed too, as the walk takes every child; so parents loop.
-    x, seen = min(node_set - set(tree.order)), set()
+    x, seen = min(node_set - set(_indexed(node_set, *roots, pred).order)), set()
     while x not in seen:
         seen.add(x)
         x = pred[x]
     raise ValidationError("HasCycle", witness=x)
+
+
+def _out_tree(listed, pred: dict):
+    """The out-tree on listed's nodes (each once) with parents pred, or None. With one root and
+    every edge end a node, the walk from it misses a node exactly when parents loop."""
+    node_set = frozenset(listed)
+    roots = node_set - pred.keys()
+    if pred and len(roots) == 1 and pred.keys() <= node_set and node_set.issuperset(pred.values()):
+        tree = _indexed(node_set, *roots, pred, listed=listed)
+        if len(tree.order) == len(node_set):
+            return tree
+    return None
 
 
 def _indexed(nodes, root, pred, order=None, listed=None) -> OutTree:

@@ -2,9 +2,11 @@
 
 Morphisms are generated constructively (relabelings, extensions under a new
 root, end-merging quotients) so that validity holds by construction and the
-suites exercise both injective and non-injective node/run maps.
+suites exercise both injective and non-injective node/run maps. `fields`
+lays a result out field by field, for comparing results in every field.
 """
 
+import dataclasses
 from fractions import Fraction
 
 from gamecat import (Atom, build_game, pushforward, term_key,
@@ -12,6 +14,15 @@ from gamecat import (Atom, build_game, pushforward, term_key,
 from gamecat.terms import FinSet, Tup
 
 ACTION_POOL = list("abcdefghijkl")
+
+
+def fields(r):
+    """Every field of r, of the dataclasses in it and of each in a tuple."""
+    if isinstance(r, tuple):
+        return tuple(map(fields, r))
+    if not dataclasses.is_dataclass(r):
+        return r
+    return {f.name: fields(getattr(r, f.name)) for f in dataclasses.fields(r)}
 
 
 def random_game(rng, max_nodes=10, max_players=4, max_actions=None,

@@ -733,16 +733,27 @@ def test_identity_morphism_loads_its_game_once(tmp_path, capsys, monkeypatch, ac
     shutil.copy(fixture_path("trio_a.gm"), tmp_path / "copy.gm")
     _, g = parse_game_text((tmp_path / "g.gm").read_text(encoding="utf-8"))
     maps = "".join(f"map {encode(x)} -> {encode(x)}\n" for x in sorted(g.tree.nodes))
+    # A symlink to the source and a hard link to it are the source's file.
+    (tmp_path / "link.gm").symlink_to("g.gm")
+    os.link(tmp_path / "g.gm", tmp_path / "hard.gm")
     outs = []
-    for name, target in [("id.gmm", "g.gm"), ("dot.gmm", "./g.gm"), ("copy.gmm", "copy.gm")]:
+    for name, target in [("id.gmm", "g.gm"), ("dot.gmm", "./g.gm"), ("copy.gmm", "copy.gm"),
+                         ("link.gmm", "link.gm"), ("hard.gmm", "hard.gm")]:
         (tmp_path / name).write_text(f"morphism id\nsource g.gm\ntarget {target}\n{maps}",
                                      encoding="utf-8")
         calls.clear()
         outs.append(run(capsys, "--format", "machine", "morphism", action, str(tmp_path / name)))
         assert len(calls) == (2 if name == "copy.gmm" else 1)
     # One load or two, the same bytes.
-    assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0
+    assert all(out == outs[0] for out in outs) and outs[0][0] == 0
     assert "verdict valid" in outs[0][1]
+    # A missing target is reported by loading it, after the source.
+    (tmp_path / "gone.gmm").write_text(f"morphism id\nsource g.gm\ntarget gone.gm\n{maps}",
+                                       encoding="utf-8")
+    calls.clear()
+    assert run(capsys, "--format", "machine", "morphism", action, str(tmp_path / "gone.gmm")) == \
+        (2, f"error FileError (No such file or directory: {str(tmp_path / 'gone.gm')!r})\n")
+    assert len(calls) == 1
 
 
 def test_validate_accepts_end_nodes_nested_2000_deep(tmp_path, capsys):
@@ -873,11 +884,14 @@ def test_load_and_print_sort_the_nodes_once_and_no_pairs(monkeypatch):
                                 "distinguished-sequence"])
 def test_convert_validates_only_its_input(tmp_path, capsys, monkeypatch, to):
     # The converted game and its certificate are built by transport: the
-    # only validation is the input's, and no morphism is validated.
-    names = ["validate_out_tree", "validate_clt", "validate_game", "validate_game_morphism"]
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(gamecat, name)
+    # only validation is the input's, and no morphism is validated. Every
+    # load ends in the cores that decide a tree and a game, whichever
+    # reader it takes, so they are what is counted.
+    cores = {"_out_tree": gamecat.tree, "_game": gamecat.game,
+             "validate_game_morphism": gamecat.morphism}
+    calls = dict.fromkeys(cores, 0)
+    for name, home in cores.items():
+        original = getattr(home, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
@@ -890,5 +904,4 @@ def test_convert_validates_only_its_input(tmp_path, capsys, monkeypatch, to):
     path = tmp_path / "b.gm"
     path.write_text(_binary_text(7), encoding="utf-8")
     assert run(capsys, "convert", str(path), "--to", to)[0] == 0
-    assert calls == {"validate_out_tree": 1, "validate_clt": 1, "validate_game": 1,
-                     "validate_game_morphism": 0}
+    assert calls == {"_out_tree": 1, "_game": 1, "validate_game_morphism": 0}

@@ -2,6 +2,7 @@ import glob
 import os
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from gamecat import (Atom, OperationError, ParseError, ValidationError, build_game, encode,
                      parse_game_text, parse_morphism_text, parse_term,
                      print_game, print_morphism, pushforward)
+from gamecat.fileformat import _game_blocks
 from gamecat.terms import FinSet, Tup
 from conftest import FIXTURES
 from examplegames import A, trio_a
-from genrandom import random_game
+from genrandom import fields, random_game
 
 
 def all_game_fixtures():
@@ -504,12 +506,15 @@ def ref_parse_morphism_text(text):
 
 
 def _parsed(parse, text):
+    """An error's type, code, witness, detail, line and column; a game's
+    every field and printed text; a morphism file's parts and printed text."""
     try:
         result = parse(text)
     except (ParseError, ValidationError) as e:
-        return type(e).__name__, str(e), getattr(e, "line", None), getattr(e, "col", None)
+        return (type(e).__name__, e.code, e.witness, e.detail, getattr(e, "line", None),
+                getattr(e, "col", None))
     if len(result) == 2:
-        return "game", result, print_game(*result)
+        return "game", fields(result), print_game(*result)
     return "morphism", result, print_morphism(*result)
 
 
@@ -625,9 +630,75 @@ def _boundary_variants(line):
     return out
 
 
+def _validation_variants(rng, text):
+    """Plain rewrites of a printed game that each break one validation
+    condition, or keep the game valid (a cell split, a cell merged): a node
+    with two parents, an edge repeated, a cycle, a second root, a cell split,
+    two cells merged, a cell listed twice, two edges from one node with one
+    action, members of one cell offering different actions, a utility
+    missing, an extra utility (at a decision node and for a player who has no
+    cell) and a player with no utility line."""
+    _, g = parse_game_text(text)
+    t, name = g.tree, encode
+    lines = text.rstrip("\n").split("\n")
+    edges = {line.split()[2]: line for line in lines if line.startswith("edge ")}
+    cells = [line for line in lines if line.startswith("infoset ")]
+    players = {line.split()[3]: line for line in lines if line.startswith("player ")}
+    utilities = [line for line in lines if line.startswith("utility ")]
+
+    def joined(*extra, drop=()):
+        return "\n".join([line for line in lines if line not in drop] + list(extra)) + "\n"
+
+    out = []
+    y = rng.choice([x for x in t.sorted_nodes if x != t.root])
+    x, _, a = edges[name(y)].split()[1:]
+    z = rng.choice([v for v in t.sorted_nodes if v not in (y, t.pred[y])] or [y])
+    out += [joined(f"edge {name(z)} {name(y)} a2"), joined(f"edge {x} {name(y)} {a}"),
+            joined(f"edge {x} {name(y)} a2"), joined("node zz9")]
+    inner = [v for v in t.decision_nodes if v != t.root]
+    if inner:  # y's parent moved below y: the walk from the root misses y
+        y = rng.choice(sorted(inner))
+        below = [e for e in t.order[t.pos[y]:t.last[y] + 1] if e in t.end_nodes]
+        line = edges[name(y)]
+        out.append(joined(line.replace(f" {line.split()[1]} ", f" {name(below[0])} ", 1),
+                          drop=[line]))
+    else:
+        out.append(joined(f"edge {name(t.root)} {name(t.root)} a2"))
+    big = [line for line in cells if len(line.split()) > 5]
+    if big:
+        line = rng.choice(big)
+        _, ident, _, first, *rest, _ = line.split()
+        who = players[ident].split()[1]
+        out.append(joined(f"infoset {ident} {{ {first} }}", f"infoset j0 {{ {' '.join(rest)} }}",
+                          f"player {who} infoset j0", drop=[line]))
+        member = rng.choice(rest)
+        kid = next(line for line in edges.values() if line.split()[1] == member)
+        out.append(joined(kid.rsplit(" ", 1)[0] + " zz", drop=[kid]))
+    if len(cells) > 1:
+        one, two = rng.sample(cells, 2)
+        members = one.split()[3:-1] + two.split()[3:-1]
+        out.append(joined(f"infoset {one.split()[1]} {{ {' '.join(members)} }}",
+                          drop=[one, two, players[two.split()[1]]]))
+    line = rng.choice(cells)
+    out.append(joined(line.replace(f"infoset {line.split()[1]} ", "infoset j1 ", 1),
+                      f"player {players[line.split()[1]].split()[1]} infoset j1"))
+    wide = [v for v in t.decision_nodes if len(t.children[v]) > 1]
+    if wide:
+        v = rng.choice(sorted(wide))
+        first, second = (edges[name(k)] for k in t.children[v][:2])
+        out.append(joined(second.rsplit(" ", 1)[0] + " " + first.split()[3], drop=[second]))
+    who = rng.choice(sorted(g.players))
+    out += [joined(drop=[rng.choice(utilities)]),
+            joined(f"utility {name(who)} end {name(t.root)} 0"),
+            joined(f"utility Q9 end {name(t.ends[0])} 0"),
+            joined(drop=[u for u in utilities if u.split()[1] == name(who)])]
+    return out
+
+
 def test_readers_agree_with_the_cursor_reader_at_the_bare_grammar_edges():
     rng = random.Random(12)
     kinds = {"game": 0, "ParseError": 0, "ValidationError": 0, "morphism": 0}
+    codes = Counter()
     for game, morphism in _bare_texts(rng, 40):
         for text, parse, ref in ((game, parse_game_text, ref_parse_game_text),
                                  (morphism, parse_morphism_text, ref_parse_morphism_text)):
@@ -647,7 +718,76 @@ def test_readers_agree_with_the_cursor_reader_at_the_bare_grammar_edges():
                 got = _parsed(parse, case)
                 assert got == _parsed(ref, case), case
                 kinds[got[0]] += 1
+            if parse is parse_game_text:
+                # Texts that read but do not validate, and valid ones the
+                # block reader builds itself: equal in every field.
+                for case in _validation_variants(rng, text):
+                    want = _parsed(ref, case)
+                    assert _parsed(parse, case) == want, case
+                    codes[want[1] if want[0] != "game" else "game"] += 1
+                    if want[0] == "game":
+                        assert _parsed(lambda _: _game_blocks(case), case) == want, case
     assert min(kinds.values()) >= 100, kinds
+    assert {"game", "HasCycle", "MultipleRoots", "PartitionBad", "NonDeterministic",
+            "FeasibilityNotConstant", "UtilityMissing", "UtilityExtraneous",
+            "SyntaxError"} <= codes.keys(), codes
+
+
+PLAIN_GAME = """game g
+node r
+node x
+node z
+node e
+node f
+node v
+node w
+edge r x a
+edge r z b
+edge x e a
+edge x f b
+edge z v a
+edge z w b
+infoset i0 { r }
+infoset i1 { x z }
+player P infoset i0
+player Q infoset i1
+utility P end e 1
+utility P end f 0
+utility P end v 0
+utility P end w 0
+utility Q end e 0
+utility Q end f 1
+utility Q end v 2
+utility Q end w 2
+"""
+
+
+@pytest.mark.parametrize("old, new, code", [
+    ("edge z w b\n", "edge z w b\nedge f w c\n", "HasCycle"),
+    ("edge z w b\n", "edge z w b\nedge z w c\n", "SyntaxError"),
+    ("edge r x a\n", "edge e x a\n", "NotAntisymmetric"),
+    ("node w\n", "node w\nnode y\n", "MultipleRoots"),
+    ("infoset i1 { x z }", "infoset i1 { x z e }", "PartitionBad"),
+    ("edge x f b", "edge x f a", "NonDeterministic"),
+    ("edge z w b", "edge z w c", "FeasibilityNotConstant"),
+    ("utility Q end w 2\n", "", "UtilityMissing"),
+    ("utility Q end e 0\nutility Q end f 1\nutility Q end v 2\nutility Q end w 2\n", "",
+     "UtilityMissing"),
+    ("utility Q end w 2\n", "utility Q end w 2\nutility R end w 2\n", "UtilityExtraneous"),
+    ("utility Q end w 2\n", "utility Q end w 2\nutility Q end w 3\n", "UtilityConflict"),
+], ids=["second parent", "edge repeated", "walk misses a node", "second root",
+        "partition rejected", "layout rejected", "cell members differ in actions",
+        "table misses an end", "table misses a player", "table for no player",
+        "utility in conflict"])
+def test_the_block_reader_leaves_each_rejection_to_the_line_reader(old, new, code):
+    # The block reader gives up at its first failed check, before or inside
+    # the validators' cores, and the line reader reports the error.
+    text = PLAIN_GAME.replace(old, new)
+    assert _game_blocks(PLAIN_GAME) is not None and _game_blocks(text) is None
+    got = _parsed(parse_game_text, text)
+    assert got[1] == code, got
+    if code != "UtilityConflict":  # the reference reader keeps a utility's last value
+        assert got == _parsed(ref_parse_game_text, text)
 
 
 def test_bare_atom_lines_pass_the_plain_line_gate():

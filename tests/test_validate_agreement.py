@@ -15,7 +15,6 @@ independent predicate: the witness fails its condition, and no lesser
 element does.
 """
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,8 +31,8 @@ from gamecat.morphism import (CltMorphism, GameMorphism, _alpha_at, _order_viola
                               _utility_orders)
 from gamecat.terms import Tup, _sorted, encode_set
 from gamecat.tree import _indexed, _run, run_end
-from genrandom import (extend_under_new_root, merge_two_ends, random_bijections, random_game,
-                       relabel_iso)
+from genrandom import (extend_under_new_root, fields, merge_two_ends, random_bijections,
+                       random_game, relabel_iso)
 
 
 # The reference validators.
@@ -251,15 +250,6 @@ def ref_pushforward(g, node_bij, action_bijs, player_bij):
 
 # Comparing outcomes.
 
-def _fields(r):
-    """Every field of r, of the dataclasses in it and of each in a pair."""
-    if isinstance(r, tuple):
-        return tuple(map(_fields, r))
-    if not dataclasses.is_dataclass(r):
-        return r
-    return {f.name: _fields(getattr(r, f.name)) for f in dataclasses.fields(r)}
-
-
 def _outcome(f, *args):
     """("ok", every field of the result), ("error", the error's code,
     witness, detail and type) or ("raised", the type of another exception)."""
@@ -269,7 +259,7 @@ def _outcome(f, *args):
         return "error", (e.code, e.witness, e.detail, type(e))
     except Exception as e:  # noqa: BLE001 - the type is what is compared
         return "raised", type(e)
-    return "ok", _fields(r)
+    return "ok", fields(r)
 
 
 def _agree(ref, new, *args, kinds):
@@ -438,6 +428,10 @@ def _game_cases(rng, clt, mover, utilities):
     yield {k: p for k, p in mover.items() if k != x}, utilities  # a mover missing
     yield {**mover, e: players[0]}, utilities  # a mover at an end node
     yield {**mover, x: Atom("other")}, utilities  # a cell split between movers
+    big = [c for c in clt.cells if len(c) > 1]
+    if big and len(players) > 1:  # the same between two players who both have utilities
+        y = min(big[0])
+        yield {**mover, y: next(p for p in players if p != mover[y])}, utilities
 
 
 @pytest.mark.parametrize("seed", range(4))

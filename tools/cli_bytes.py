@@ -17,7 +17,11 @@ dropped); the first identity morphism with a key that is no source node; a
 game in a directory named `a#b`; one game for each error a utility value
 can give; and the games of tests/examplegames whose information sets are no
 partition: a cell listed twice, for one player and for two, and two cells
-that overlap, in two line orders. Each game goes
+that overlap, in two line orders; a game of bare names, which the block
+reader reads, and copies of it that it leaves to the line reader: a node
+with two parents, a utility missing and a player with no utility line; and
+an identity morphism of that game whose target is a symlink to its source
+(the inputs are copied with their symlinks). Each game goes
 through validate, props, strategies, nash, spe, subgames, subgame --at (the
 least and the greatest node, the least with blanks around it, and one term
 that does not parse), convert to all four forms (reading the two files it
@@ -96,6 +100,28 @@ player P infoset i1
 utility P end e 1
 utility P end f 0
 utility P end z 0
+"""
+# A game of bare names only, which the block reader reads.
+PLAIN = """game p
+node r
+node x
+node e
+node f
+node z
+edge r x a
+edge r z b
+edge x e a
+edge x f b
+infoset i0 { r }
+infoset i1 { x }
+player P infoset i0
+player Q infoset i1
+utility P end e 1
+utility P end f 0
+utility P end z 0
+utility Q end e 0
+utility Q end f 1
+utility Q end z 2
 """
 
 
@@ -195,6 +221,13 @@ def build_inputs(inputs, n_games, seed):
     head, *lines = OVERLAP.splitlines()
     games += [put("repeated.gm", REPEATED_CELL), put("repeated2.gm", REPEATED_CELL_TWO_PLAYERS),
               put("overlap.gm", OVERLAP), put("overlap2.gm", "\n".join([head, *lines[::-1]]))]
+    plain = PLAIN.splitlines(keepends=True)
+    games += [put("plain.gm", PLAIN), put("plain.parents.gm", PLAIN + "edge f z c\n"),
+              put("plain.missing.gm", PLAIN.replace("utility Q end z 2\n", "")),
+              put("plain.unpaid.gm", "".join(line for line in plain if "utility Q" not in line))]
+    os.symlink("plain.gm", os.path.join(inputs, "plain.link.gm"))
+    morphisms.append(put("plain.link.gmm", "morphism link\nsource plain.gm\ntarget plain.link.gm\n"
+                         + "".join(f"map {x} -> {x}\n" for x in "rxefz")))
 
     calls = [(["iso", *named, "--emit-morphism", "named.gmm"], ["named.gmm"]),
              (["iso", *named[::-1], "--emit-morphism", "named.gmm"], ["named.gmm"]),
@@ -313,7 +346,7 @@ def main(argv=None):
         procs = []
         for side, tree in zip(("parent", "tree"), trees):
             work = os.path.join(tmp, side)
-            shutil.copytree(inputs, work)
+            shutil.copytree(inputs, work, symlinks=True)
             env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
             procs.append(subprocess.Popen(
                 [sys.executable, os.path.abspath(__file__), "--child", calls_path,
