@@ -8,17 +8,14 @@ tag actions by information set, then name nodes by their root path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
 from .game import Game
 from .morphism import GameMorphism, pushforward
-from .terms import FinSet, Tup, encode
+from .terms import FinSet, Tup, _Record, encode
 from .tree import _above
 
 
-@dataclass(frozen=True)
-class GameProperties:
+class GameProperties(_Record):
     distinguished_actions: bool
     uses_sequences: bool
     uses_action_sets: bool
@@ -26,8 +23,7 @@ class GameProperties:
     perfect_information: bool
 
 
-@dataclass(frozen=True)
-class ConversionResult:
+class ConversionResult(_Record):
     game: Game
     certificate: GameMorphism
 

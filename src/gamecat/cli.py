@@ -11,7 +11,6 @@ file.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import os
 import sys
@@ -125,8 +124,8 @@ def _cmd_validate(args, rep):
 def _cmd_props(args, rep):
     _, g = _load_game(args.game)
     p = properties(g)
-    for f in dataclasses.fields(p):
-        rep.line(f.name, str(getattr(p, f.name)).lower())
+    for f in p._fields:
+        rep.line(f, str(getattr(p, f)).lower())
     return 0
 
 

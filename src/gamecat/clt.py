@@ -16,23 +16,21 @@ has one incoming edge; each cell's actions, every member's, in term order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
 from .errors import OperationError, ValidationError
-from .terms import Term, _sorted, encode_set
+from .terms import Term, _Record, _sorted, encode_set
 from .tree import OutTree
 
 
-@dataclass(frozen=True)
-class CLT:
+class CLT(_Record, compare=("tree", "cells", "act"), shown=("tree", "cells")):
     tree: OutTree
     cells: tuple  # the information sets, by encoding
-    info_of: dict = field(repr=False, compare=False)  # decision node -> its cell
-    act: dict = field(repr=False)  # non-root node -> action on its incoming edge
-    cell_actions: dict = field(repr=False, compare=False)  # cell -> its actions in term order
-    succ: dict = field(repr=False, compare=False)  # decision node -> children, by action index
+    info_of: dict  # decision node -> its cell
+    act: dict  # non-root node -> action on its incoming edge
+    cell_actions: dict  # cell -> its actions in term order
+    succ: dict  # decision node -> children, by action index
 
     __hash__ = None
 

@@ -10,22 +10,20 @@ reader end in, decides on the tables and mover; `utilities` is a view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
 from .clt import CLT, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
-from .terms import Atom, Term
+from .terms import Atom, Term, _Record
 from .tree import _run, _runs, run_end, runs, validate_out_tree
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(_Record, compare=("clt", "mover", "payoffs"), shown=("clt", "mover")):
     clt: CLT
-    mover: dict                      # decision node -> player
-    players: frozenset = field(repr=False, compare=False)  # image of mover
-    payoffs: dict = field(repr=False)       # player -> end node -> Fraction
+    mover: dict        # decision node -> player
+    players: frozenset  # image of mover
+    payoffs: dict      # player -> end node -> Fraction
 
     __hash__ = None
 

@@ -10,33 +10,30 @@ each condition's least offender.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .clt import CLT, _laid_out, _not_constant, validate_clt
 from .errors import OperationError, ValidationError
 from .game import Game, build_game
-from .terms import Atom, Term, _sorted
+from .terms import Atom, Term, _Record, _sorted
 from .tree import (_indexed, _run, _runs, run_end, strict_predecessors,
                    validate_out_tree)
 
 
-@dataclass(frozen=True)
-class CltMorphism:
+class CltMorphism(_Record, compare=("source", "target", "node_map")):
     source: CLT
     target: CLT
     node_map: dict
-    alpha: dict = field(repr=False, compare=False)  # cell -> {action -> action}, by encoding
+    alpha: dict  # cell -> {action -> action}, by encoding
 
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class GameMorphism:
+class GameMorphism(_Record, compare=("source", "target", "clt_morphism")):
     source: Game
     target: Game
     clt_morphism: CltMorphism
-    iota: dict = field(repr=False, compare=False)  # player -> player
+    iota: dict  # player -> player
 
     __hash__ = None
 

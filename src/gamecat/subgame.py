@@ -8,18 +8,15 @@ original utilities of the completed runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .clt import CLT, validate_clt
 from .errors import OperationError, ValidationError
 from .game import Game, validate_game
 from .morphism import GameMorphism, validate_game_morphism
-from .terms import Term
+from .terms import Term, _Record
 from .tree import descendants, validate_out_tree
 
 
-@dataclass(frozen=True)
-class SeltenResult:
+class SeltenResult(_Record):
     root: Term
     subgame: Game
     inclusion: GameMorphism

@@ -142,6 +142,36 @@ class FinSet(_Term):
 Term = Atom | Tup | FinSet
 
 
+class _Record:
+    """An immutable record of the fields its subclass annotates (_fields), given by
+    position or keyword; == and hash read compare (default all), repr shown (default compare)."""
+
+    def __init_subclass__(cls, compare=None, shown=None):
+        cls._fields = tuple(cls.__annotations__)
+        cls._compare = compare or cls._fields
+        cls._shown = shown or cls._compare
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs) if args else kwargs
+        if values.keys() != self.__annotations__.keys() or len(args) + len(kwargs) != len(values):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(self._fields)}, each once")
+        self.__dict__.update(values)
+
+    __setattr__ = __delattr__ = _Term.__setattr__  # views, copy and pickle write __dict__
+
+    _key = property(lambda self: tuple(map(self.__dict__.__getitem__, self._compare)))
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+
 def term_key(t: Term) -> tuple:
     """The structural key that orders terms: atoms < tuples < sets. A term
     _DEEP or more levels deep has none (ValueError); < orders any terms."""

@@ -22,24 +22,22 @@ with contiguous subtree intervals is promised, in no sibling order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import OperationError, ValidationError
-from .terms import Term, _sorted, encode
+from .terms import Term, _Record, _sorted, encode
 
 
-@dataclass(frozen=True)
-class OutTree:
+class OutTree(_Record, compare=("nodes", "pred"), shown=("nodes",)):
     nodes: frozenset
-    root: Term = field(repr=False, compare=False)
-    pred: dict = field(repr=False)      # node -> parent, on nodes - {root}
-    children: dict = field(repr=False, compare=False)  # node -> children in term order
-    decision_nodes: frozenset = field(repr=False, compare=False)
-    end_nodes: frozenset = field(repr=False, compare=False)
-    ends: tuple = field(repr=False, compare=False)  # end nodes by encoding, in run order
-    order: tuple = field(repr=False, compare=False)  # the nodes in a preorder
-    sorted_nodes: tuple = field(repr=False, compare=False)  # nodes in term order
+    root: Term
+    pred: dict      # node -> parent, on nodes - {root}
+    children: dict  # node -> children in term order
+    decision_nodes: frozenset
+    end_nodes: frozenset
+    ends: tuple  # end nodes by encoding, in run order
+    order: tuple  # the nodes in a preorder
+    sorted_nodes: tuple  # nodes in term order
 
     __hash__ = None
 

@@ -6,23 +6,22 @@ suites exercise both injective and non-injective node/run maps. `fields`
 lays a result out field by field, for comparing results in every field.
 """
 
-import dataclasses
 from fractions import Fraction
 
 from gamecat import (Atom, build_game, pushforward, term_key,
                      validate_game_morphism)
-from gamecat.terms import FinSet, Tup
+from gamecat.terms import FinSet, Tup, _Record
 
 ACTION_POOL = list("abcdefghijkl")
 
 
 def fields(r):
-    """Every field of r, of the dataclasses in it and of each in a tuple."""
+    """Every field of r, of the records in it and of each in a tuple."""
     if isinstance(r, tuple):
         return tuple(map(fields, r))
-    if not dataclasses.is_dataclass(r):
+    if not isinstance(r, _Record):
         return r
-    return {f.name: fields(getattr(r, f.name)) for f in dataclasses.fields(r)}
+    return {f: fields(getattr(r, f)) for f in r._fields}
 
 
 def random_game(rng, max_nodes=10, max_players=4, max_actions=None,

@@ -1,4 +1,3 @@
-import dataclasses
 import glob
 import itertools
 import os
@@ -352,9 +351,9 @@ def _is_preorder_with_contiguous_subtrees(t):
 def _assert_transported(source, g, cert):
     v = _revalidated(g)
     for got, want in ((g.tree, v.tree), (g.clt, v.clt), (g, v)):
-        for f in dataclasses.fields(got):
-            if f.name != "order":
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        for f in got._fields:
+            if f != "order":
+                assert getattr(got, f) == getattr(want, f), f
     t = g.tree
     assert _is_preorder_with_contiguous_subtrees(t)
     for x in t.nodes:

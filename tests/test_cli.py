@@ -339,8 +339,10 @@ def test_morphism_term_error_names_its_line(tmp_path, capsys):
 def test_props_output(capsys):
     code, out = run(capsys, "props", fixture_path("trio_a.gm"))
     assert code == 0
-    assert "distinguished_actions: true" in out
-    assert "perfect_information: false" in out
+    # One line per field of GameProperties, in field order.
+    assert out == ("distinguished_actions: true\nuses_sequences: false\n"
+                   "uses_action_sets: false\nno_absentmindedness: true\n"
+                   "perfect_information: false\n")
 
 
 def test_machine_format(capsys):
@@ -717,6 +719,18 @@ def test_importing_the_cli_leaves_argparse_unloaded():
                           "print('argparse' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_a_validate_process_leaves_dataclasses_and_its_imports_unloaded():
+    """The records are plain classes, so a process is spared dataclasses'
+    import and the modules it pulls in."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamecat.__file__)))
+    script = ("import sys, gamecat.cli; code = gamecat.cli.main(['validate', sys.argv[1]]); "
+              "print(code, [m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
+              "if m in sys.modules], file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", script, fixture_path("trio_a.gm")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.startswith("game: trio_a\n") and done.stderr == "0 []\n"
 
 
 @pytest.mark.parametrize("action", ["check", "classify"])

@@ -156,17 +156,20 @@ utility P end b 0
 @pytest.mark.parametrize("later", ["utility P end a 2", "utility P run { r a } 2"])
 def test_a_second_value_for_one_run_is_a_conflict_naming_its_line(later):
     # An identical repeat in between is read again and agrees.
+    text = UTILITY_BASE + "utility P end a 1\n" + later + "\n"
     with pytest.raises(ValidationError) as e:
-        parse_game_text(UTILITY_BASE + "utility P end a 1\n" + later + "\n")
+        parse_game_text(text)
     run = frozenset({A("r"), A("a")})
     assert (e.value.code, e.value.witness) == ("UtilityConflict", (A("P"), run))
     assert e.value.detail == "line 12"
+    assert _parsed(ref_parse_game_text, text) == _parsed(parse_game_text, text)
 
 
 def test_repeated_utility_lines_with_one_value_are_read_again():
     text = UTILITY_BASE + "utility P end a 1\nutility P run { r a } 1\nutility P end a 1/1\n"
     _, g = parse_game_text(text)
     assert g.utility(A("P"), frozenset({A("r"), A("a")})) == 1
+    assert _parsed(ref_parse_game_text, text) == _parsed(parse_game_text, text)
 
 
 def test_infoset_without_player_line():
@@ -396,7 +399,7 @@ def _ref_rational(r, lineno):
 
 def ref_parse_game_text(text):
     name, nodes, edges, edge_lines = None, set(), {}, {}
-    cells, cell_player, utilities = {}, {}, {}
+    cells, cell_player, utilities = {}, {}, []
     for lineno, head, r in _ref_lines(text):
         try:
             if head == "game":
@@ -439,7 +442,7 @@ def ref_parse_game_text(text):
                     raise ParseError("expected 'end' or 'run'", line=lineno)
                 value = _ref_rational(r, lineno)
                 _ref_expect_end(r, lineno)
-                utilities[(pid, where)] = value
+                utilities.append(((pid, where), value, lineno))
             else:
                 raise ParseError(f"unknown declaration {head!r}", line=lineno)
         except ParseError as e:
@@ -457,7 +460,7 @@ def ref_parse_game_text(text):
         raise ParseError(f"player line for unknown infoset {encode(min(stray))}")
     mover = {x: cell_player[ident] for ident, cell in cells.items() for x in cell}
     try:
-        game = build_game(nodes, edges, cells.values(), mover, utilities)
+        game = build_game(nodes, edges, cells.values(), mover, [u[:2] for u in utilities])
     except ValidationError as e:
         if e.code == "NonDeterministic" and isinstance(e.witness, tuple):
             x, a = e.witness
@@ -465,6 +468,15 @@ def ref_parse_game_text(text):
                            if s == x and edges[(s, t)] == a)
             if where:
                 raise ValidationError(e.code, e.witness, detail=f"line {where[-1]}") from None
+        if e.code == "UtilityConflict":
+            # A line names the run by its node set or by its end, the one
+            # member no edge leaves; the first value that differs from the
+            # first named is the line in conflict.
+            i, run = e.witness
+            end = next(x for x in run if all(s != x for s, _ in edges))
+            named = [(v, n) for (j, where), v, n in utilities if j == i and where in (end, run)]
+            line = next(n for v, n in named if v != named[0][0])
+            raise ValidationError(e.code, e.witness, detail=f"line {line}") from None
         raise
     return name, game
 
@@ -786,8 +798,7 @@ def test_the_block_reader_leaves_each_rejection_to_the_line_reader(old, new, cod
     assert _game_blocks(PLAIN_GAME) is not None and _game_blocks(text) is None
     got = _parsed(parse_game_text, text)
     assert got[1] == code, got
-    if code != "UtilityConflict":  # the reference reader keeps a utility's last value
-        assert got == _parsed(ref_parse_game_text, text)
+    assert got == _parsed(ref_parse_game_text, text)
 
 
 def test_bare_atom_lines_pass_the_plain_line_gate():

@@ -1,13 +1,12 @@
-import dataclasses
 import glob
 import os
 import random
 
 import pytest
 
-from gamecat import (Atom, FinSet, OperationError, Tup, ValidationError, descendants,
-                     parse_game_text, run_end, runs, strict_predecessors, to_sequence,
-                     tree_leq, validate_out_tree)
+from gamecat import (Atom, FinSet, OperationError, OutTree, Tup, ValidationError,
+                     descendants, parse_game_text, run_end, runs, strict_predecessors,
+                     to_sequence, tree_leq, validate_out_tree)
 from conftest import FIXTURES
 from genrandom import random_game
 
@@ -233,7 +232,7 @@ def test_tree_index_agrees_with_parent_climbs_and_stack_walks():
             x = stack.pop()
             other.append(x)
             stack.extend(reversed(t.children[x]))
-        _check_index(dataclasses.replace(t, order=tuple(other)))
+        _check_index(OutTree(**{f: getattr(t, f) for f in t._fields} | {"order": tuple(other)}))
         count += 1
     assert count >= 240 + 20
 
