@@ -12,13 +12,14 @@ file.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
 from types import SimpleNamespace
 
 from .canon import (properties, to_action_set, to_distinguished,
                     to_distinguished_sequence, to_sequence)
-from .equilibrium import nash, outcome, spe, strategies
+from .equilibrium import _end, _index, _nash_profiles, _sizes, _spe_profiles
 from .errors import OperationError, ParseError, ValidationError
 from .fileformat import (parse_game_text, parse_morphism_text, print_game,
                          print_morphism)
@@ -105,10 +106,6 @@ def _run_encodings(t) -> dict:
     return out
 
 
-def _strategy_str(prefixes, s):
-    return " ".join([prefixes[cell] + encode(a) for cell, a in s.choices])
-
-
 def _cmd_validate(args, rep):
     name, g = _load_game(args.game)
     rep.line("game", name)
@@ -130,17 +127,22 @@ def _cmd_props(args, rep):
 
 
 def _cmd_strategies(args, rep):
-    """strategies, nash or spe: each cell's "<encoding>=" is built once."""
+    """strategies, nash or spe: each "<cell>=<action>" is built once."""
     if args.max_strategies < 1:  # a usage error, not a verdict on the game
         raise ParseError(f"--max-strategies must be at least 1, not {args.max_strategies}")
     _, g = _load_game(args.game)
-    prefixes = {cell: encode_set(cell) + "=" for cell in g.clt.cells}
-    solver = {"strategies": strategies, "nash": nash, "spe": spe}[args.command]
-    for s in solver(g, args.max_strategies):
-        if solver is strategies:
-            rep.line("strategy", _strategy_str(prefixes, s), "outcome", encode_set(outcome(g, s)))
-        else:
-            rep.line(args.command, _strategy_str(prefixes, s))
+    cols = [[prefix + encode(a) for a in g.clt.cell_actions[c]]
+            for c in g.clt.cells for prefix in [encode_set(c) + "="]]
+    if args.command == "strategies":
+        profiles = itertools.product(*map(range, _sizes(g, args.max_strategies)))
+        at, runs = _index(g, range(len(cols)))[0], _run_encodings(g.tree)
+        for p in profiles:
+            rep.line("strategy", " ".join(map(list.__getitem__, cols, p)),
+                     "outcome", runs[_end(at, g.tree.root, p)])
+    else:
+        solver = _nash_profiles if args.command == "nash" else _spe_profiles
+        for p in solver(g, args.max_strategies):
+            rep.line(args.command, " ".join(map(list.__getitem__, cols, p)))
     return 0
 
 

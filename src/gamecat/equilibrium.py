@@ -14,11 +14,12 @@ only at the cells met twice, those with a member strictly below another
 (absentmindedness): nowhere else can one run meet a cell twice. The payoff
 depends only on the other players' actions, so it is computed once per tuple
 of them: a profile is Nash when no player's best payoff beats what the
-player gets at its outcome. `nash` runs this check over the strategy space,
-one profile at a time. `spe` never goes through the strategy space: it
-builds the profiles that are Nash in every subgame bottom up over the
-subgame roots (Selten 1965/1975). A strategy passed in is NotAStrategy when
-it picks an action its game lacks, or, unless pushed, skips a cell.
+player gets at its outcome. `nash` checks only the best responses of a
+pivot, the player with the most strategies of its own (Nash 1951): one walk
+per profile of the others, one check per best response. `spe` builds
+the profiles that are Nash in every subgame bottom up over the subgame
+roots (Selten 1965/1975). A strategy passed in is NotAStrategy when it
+picks an action its game lacks, or, unless pushed, skips a cell.
 """
 
 from __future__ import annotations
@@ -46,70 +47,77 @@ def strategy_space_size(g: Game) -> int:
     return math.prod(map(len, g.clt.cell_actions.values()))
 
 
-def _check_cap(g: Game, cap: int):
-    size = strategy_space_size(g)
-    if size > cap:
+def _sizes(g: Game, cap: int) -> list:
+    """Each cell's number of actions, once the strategy space is within cap."""
+    if (size := strategy_space_size(g)) > cap:
         raise OperationError("StrategySpaceTooLarge", witness=None, detail=str(size))
+    return [len(g.clt.cell_actions[cell]) for cell in g.clt.cells]
 
 
 def _strategy(g: Game, p) -> GrandStrategy:
     """The grand strategy of a profile over all cells in order."""
-    c = g.clt
-    return GrandStrategy(tuple((cell, c.cell_actions[cell][a]) for cell, a in zip(c.cells, p)))
+    return GrandStrategy(tuple((c, g.clt.cell_actions[c][a]) for c, a in zip(g.clt.cells, p)))
 
 
-def _nash_among(g: Game, start, order, profiles) -> list:
-    """The profiles that are Nash in play from start, in the order given.
-
-    A profile holds one action index for each cell g.clt.cells[k], k in
-    order; these must be all the cells met below start. Each player's best
-    payoff rank (ranks order ends as the utilities do) is computed once per
-    tuple of the other players' actions."""
-    cells, ends = g.clt.cells, g.tree.end_nodes
-    at = {x: (j, g.clt.succ[x]) for j, k in enumerate(order) for x in cells[k]}
-    twice = {j for j, k in enumerate(order) if len(cells[k]) > 1 and _above(g.tree, cells[k])}
+def _index(g: Game, order) -> tuple:
+    """For profiles over the cells g.clt.cells[k], k in order: each decision
+    node's position and children by action index, each position's owner,
+    and the positions of the cells met twice."""
+    cells, succ = g.clt.cells, g.clt.succ
+    at = {x: (j, succ[x]) for j, k in enumerate(order) for x in cells[k]}
     owner = [g.mover[next(iter(cells[k]))] for k in order]
+    twice = {j for j, k in enumerate(order) if len(cells[k]) > 1 and _above(g.tree, cells[k])}
+    return at, owner, twice
+
+
+def _end(at, x, p):
+    """The end node reached from x when every position plays p."""
+    while (here := at.get(x)) is not None:
+        x = here[1][p[here[0]]]
+    return x
+
+
+def _checks(g: Game, index, ks, skip=None) -> list:
+    """Per owner but skip of a position in ks: the key of the other positions
+    in ks, its own, those met twice, its ranks and a memo of its best rank."""
+    _, owner, twice = index
     checks = []
-    for i in dict.fromkeys(owner):
-        mine = frozenset(j for j, o in enumerate(owner) if o == i)
-        others = [j for j in range(len(owner)) if j not in mine]
+    for i in dict.fromkeys(owner[j] for j in ks if owner[j] != skip):
+        mine = frozenset(j for j in ks if owner[j] == i)
+        others = [j for j in ks if j not in mine]
         key = itemgetter(*others) if others else (lambda p: ())
         checks.append((key, mine, mine & twice, g.ranks[i], {}))
-    out = []
-    for p in profiles:
-        x = start
-        while x not in ends:
-            j, succ = at[x]
-            x = succ[p[j]]
-        for key, mine, again, pay, memo in checks:
-            k = key(p)
-            best = memo.get(k)
-            if best is None:
-                best = memo[k] = _best_payoff(at, pay, start, p, mine, again)
-            if best > pay[x]:
-                break
-        else:
-            out.append(p)
-    return out
+    return checks
 
 
-def _best_payoff(at, pay, start, p, mine, again):
-    """The best payoff in pay among the end nodes reachable from start when
-    the positions in mine are free and every other position plays p.
+def _unbeaten(at, checks, p, start, x) -> bool:
+    """No player of checks, the others playing p, can reach from start an
+    end node it ranks above x, the end of p's play from start."""
+    for key, mine, again, pay, memo in checks:
+        if (k := key(p)) not in memo:
+            memo[k] = _best_payoff(at, pay, start, p, mine, again)
+        if memo[k] > pay[x]:
+            return False
+    return True
 
-    An iterative DFS: at a node whose position is not in mine it follows p;
-    at one in mine it branches over the actions. A stack entry carries the
-    actions fixed on its path at the positions in again, those in mine met
-    twice (absentmindedness), where a later node keeps the fixed action.
-    Each node is visited at most once."""
+
+def _best_payoff(at, pay, start, p, mine, again, runs=None):
+    """The best payoff in pay reachable from start when the positions in
+    mine are free and every other plays p, by an iterative DFS that visits
+    each node once. A path keeps the action it took at a position in again,
+    which must hold those in mine met twice (absentmindedness). Each end
+    node paying at least the best so far goes to runs, if given, with the
+    actions its path took at those positions."""
     best = -1  # ranks are at least 0
     stack = [(start, ())]
     while stack:
         x, fixed = stack.pop()
         here = at.get(x)
         if here is None:  # an end node
-            if pay[x] > best:
+            if pay[x] >= best:
                 best = pay[x]
+                if runs is not None:
+                    runs.append((fixed, x))
             continue
         j, succ = here
         if j not in mine:
@@ -125,10 +133,7 @@ def _best_payoff(at, pay, start, p, mine, again):
 
 def strategies(g: Game, cap: int = 1_000_000):
     """All grand strategies in lexicographic (infoset, action) order."""
-    _check_cap(g, cap)
-    c = g.clt
-    return [GrandStrategy(tuple(zip(c.cells, combo)))
-            for combo in itertools.product(*map(c.cell_actions.__getitem__, c.cells))]
+    return [_strategy(g, p) for p in itertools.product(*map(range, _sizes(g, cap)))]
 
 
 def _choices(g: Game, s: GrandStrategy, complete: bool = True) -> dict:
@@ -144,47 +149,60 @@ def _choices(g: Game, s: GrandStrategy, complete: bool = True) -> dict:
     return choice
 
 
-def _play(g: Game, choice: dict, x):
-    """The end node reached from x when every cell plays choice."""
-    c, ends = g.clt, g.tree.end_nodes
-    while x not in ends:
-        cell = c.info_of[x]
-        x = c.succ[x][c.cell_actions[cell].index(choice[cell])]
-    return x
+def _profile(g: Game, s: GrandStrategy) -> tuple:
+    """s's profile over all cells, NotAStrategy as _choices finds."""
+    choice, c = _choices(g, s), g.clt
+    return tuple(c.cell_actions[cell].index(choice[cell]) for cell in c.cells)
 
 
 def outcome(g: Game, s: GrandStrategy) -> frozenset:
-    return _run(g.tree, _play(g, _choices(g, s), g.tree.root))
+    return _run(g.tree, _end(_index(g, range(len(g.clt.cells)))[0], g.tree.root, _profile(g, s)))
 
 
 def is_nash(g: Game, s: GrandStrategy) -> bool:
     """No player gains by a unilateral deviation from s."""
-    choice, c = _choices(g, s), g.clt
-    p = tuple(c.cell_actions[cell].index(choice[cell]) for cell in c.cells)
-    return bool(_nash_among(g, g.tree.root, range(len(p)), [p]))
+    p, root, index = _profile(g, s), g.tree.root, _index(g, ks := range(len(g.clt.cells)))
+    return _unbeaten(index[0], _checks(g, index, ks), p, root, _end(index[0], root, p))
+
+
+def _nash_profiles(g: Game, cap: int) -> list:
+    """The Nash equilibria as profiles over all cells, sorted: the pivot's
+    best responses to each profile of the others that no other player can
+    beat. A run to the pivot's best payoff fixes its actions at the cells
+    the run meets; each completion at its other cells ends the same run."""
+    sizes, root, space = _sizes(g, cap), g.tree.root, {}
+    at, owner, _ = index = _index(g, range(len(sizes)))
+    for i, m in zip(owner, sizes):
+        space[i] = space.get(i, 1) * m
+    pivot = max(space, key=space.get)  # the first in cell order on a tie
+    mine = {j for j, i in enumerate(owner) if i == pivot}
+    pay, checks, out = g.ranks[pivot], _checks(g, index, range(len(sizes)), pivot), []
+    for q in itertools.product(*[(0,) if j in mine else range(m) for j, m in enumerate(sizes)]):
+        best = _best_payoff(at, pay, root, q, mine, mine, runs := [])
+        for fixed, x in runs:
+            if pay[x] == best:
+                held = dict(fixed)
+                options = [(held[j],) if j in held else range(m) if j in mine else (q[j],)
+                           for j, m in enumerate(sizes)]
+                out += [p for p in itertools.product(*options) if _unbeaten(at, checks, p, root, x)]
+    return sorted(out)
 
 
 def nash(g: Game, cap: int = 1_000_000):
-    """The Nash equilibria in lexicographic (infoset, action) order. The
-    strategy space is walked one index tuple at a time and never stored;
-    only the equilibria become GrandStrategy objects."""
-    _check_cap(g, cap)
-    sizes = [len(g.clt.cell_actions[cell]) for cell in g.clt.cells]
-    profiles = itertools.product(*map(range, sizes))
-    return [_strategy(g, p) for p in _nash_among(g, g.tree.root, range(len(sizes)), profiles)]
+    """The Nash equilibria in lexicographic (infoset, action) order."""
+    return [_strategy(g, p) for p in _nash_profiles(g, cap)]
 
 
-def spe(g: Game, cap: int = 1_000_000):
-    """The strategies that are Nash in every subgame, in lexicographic
-    (infoset, action) order, built bottom up over the subgame roots.
+def _spe_profiles(g: Game, cap: int) -> list:
+    """The strategies that are Nash in every subgame, as profiles over all
+    cells, sorted, built bottom up over the subgame roots.
 
     No cell straddles a subgame root, so each cell belongs to the nearest
     subgame root above its members, and the roots form a tree. The profiles
     on the cells below a root r that are Nash from r and from every root
     below it are r's own choices joined with one such profile per child
     root, kept when Nash from r. At the tree's root they are the SPE."""
-    _check_cap(g, cap)
-    roots, tree, cells = subgame_roots(g), g.tree, g.clt.cells
+    sizes, roots, tree, cells = _sizes(g, cap), subgame_roots(g), g.tree, g.clt.cells
     # The root is a subgame root; in preorder each node's parent comes first.
     nearest, children = {tree.root: tree.root}, {r: [] for r in roots}
     for x in tree.order[1:]:
@@ -192,20 +210,30 @@ def spe(g: Game, cap: int = 1_000_000):
         if x in roots:
             children[above].append(x)
         nearest[x] = x if x in roots else above
-    own = {r: [] for r in roots}
+    own = {x: [] for x in tree.order if x in roots}
     for k, cell in enumerate(cells):
         own[nearest[next(iter(cell))]].append(k)
-    # order[r] lists the cells below r: r's own, then each child's order.
-    order, found = {}, {}
-    for r in reversed([x for x in tree.order if x in roots]):
+    # The roots' own cells in preorder: those below r are lo[r] up to hi[r].
+    layout = [k for ks in own.values() for k in ks]
+    lo = dict(zip(own, itertools.accumulate(map(len, own.values()), initial=0)))
+    index, hi, found = _index(g, layout), {}, {}
+    for r in reversed(own):
         kids = children[r]
-        order[r] = own[r] + [k for c in kids for k in order.pop(c)]
-        choices = itertools.product(*(range(len(g.clt.cell_actions[cells[k]])) for k in own[r]))
+        hi[r] = hi[kids[-1]] if kids else lo[r] + len(own[r])
+        choices = itertools.product(*(range(sizes[k]) for k in own[r]))
         joined = (sum(parts, ()) for parts in
-                  itertools.product(choices, *(found.pop(c) for c in kids)))
-        found[r] = _nash_among(g, r, order[r], joined)
-    back = sorted(range(len(cells)), key=order[tree.root].__getitem__)
-    return [_strategy(g, p) for p in sorted(tuple(p[j] for j in back) for p in found[tree.root])]
+                  itertools.product([(0,) * lo[r]], choices, *(found.pop(c) for c in kids)))
+        checks = _checks(g, index, range(lo[r], hi[r]))
+        found[r] = [p[lo[r]:] for p in joined
+                    if _unbeaten(index[0], checks, p, r, _end(index[0], r, p))]
+    back = sorted(range(len(cells)), key=layout.__getitem__)
+    return sorted(tuple(p[j] for j in back) for p in found[tree.root])
+
+
+def spe(g: Game, cap: int = 1_000_000):
+    """The strategies that are Nash in every subgame, in lexicographic
+    (infoset, action) order."""
+    return [_strategy(g, p) for p in _spe_profiles(g, cap)]
 
 
 def push_strategy(iso: GameMorphism, s: GrandStrategy) -> GrandStrategy:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from gamecat import encode, is_iso, parse_game_text, print_morphism, validate_ga
 from gamecat.cli import _Report, main
 from conftest import FIXTURES, fixture_path
 import examplegames
+from genrandom import random_bijections, random_game
 
 
 def run(capsys, *argv):
@@ -390,6 +392,32 @@ def test_strategy_lines_of_a_cell_met_three_times(tmp_path, capsys, command):
     assert (code, out.splitlines()) == (0, machine)
     code, out = run(capsys, command, str(path))
     assert (code, out.splitlines()) == (0, [line.replace(" ", ": ", 1) for line in machine])
+
+
+def test_equilibrium_lines_equal_the_library_on_random_games(tmp_path, capsys):
+    # Every strategies, nash and spe line equals the line formatted here from
+    # the library's records; every other game is renamed to quoted, tuple
+    # and set names, and absent-minded cells are among the games.
+    rng, absent_minded, quoted = random.Random(89), 0, 0
+    for k in range(300):
+        g = random_game(rng, max_nodes=9, max_players=3, max_actions=3)
+        if k % 2:
+            g, _ = gamecat.pushforward(g, *random_bijections(rng, g))
+        absent_minded += not gamecat.properties(g).no_absentmindedness
+        path = tmp_path / f"g{k}.gm"
+        path.write_text(gamecat.print_game(f"g{k}", g), encoding="utf-8")
+
+        def text(s):
+            return " ".join(f"{gamecat.encode_set(cell)}={encode(a)}" for cell, a in s.choices)
+        want = {"strategies": [f"strategy {text(s)} outcome {gamecat.encode_set(gamecat.outcome(g, s))}"
+                               for s in gamecat.strategies(g)],
+                "nash": [f"nash {text(s)}" for s in gamecat.nash(g)],
+                "spe": [f"spe {text(s)}" for s in gamecat.spe(g)]}
+        for command, lines in want.items():
+            code, out = run(capsys, "--format", "machine", command, str(path))
+            assert (code, out.splitlines()) == (0, lines), (k, command)
+            quoted += sum('"' in line for line in lines)
+    assert absent_minded > 30 and quoted > 500
 
 
 @pytest.mark.parametrize("command", ["strategies", "nash", "spe"])

@@ -7,8 +7,9 @@ from gamecat import (Atom, OperationError, identity_morphism, is_nash, nash,
                      next_node, outcome, properties, push_strategy, spe,
                      strategies, strategy_space_size, subgame_roots,
                      to_distinguished)
-from gamecat.equilibrium import GrandStrategy, _play
+from gamecat.equilibrium import GrandStrategy
 from gamecat.terms import FinSet, Tup
+import examplegames
 from examplegames import A, driver3, nested, trio_a, make_game
 from genrandom import random_game, relabel_iso
 from oracles import (as_strategy_set, backward_induction, oracle_nash,
@@ -114,6 +115,29 @@ def test_driver_meeting_one_cell_three_times_matches_the_oracles():
     assert [s for s in strategies(g) if is_nash(g, s)] == equilibria
 
 
+def test_pivot_meeting_its_cell_three_times_matches_the_oracles(monkeypatch):
+    # driver3 with P1 also moving at 7: P1 has 4 strategies and P2 2, so
+    # P1 is the pivot, and its walk must keep one action at 1, 2 and 3.
+    edges = {(0, 1): "L", (0, 9): "R",
+             (1, 4): "E", (1, 2): "C", (2, 5): "E", (2, 3): "C",
+             (3, 6): "E", (3, 7): "C", (7, 10): "a", (7, 11): "b"}
+    mover = {0: "P2", 1: "P1", 2: "P1", 3: "P1", 7: "P1"}
+    p1 = {4: 0, 5: 3, 6: 3, 9: 0, 10: 1, 11: -1}
+    p2 = {4: 0, 5: 0, 6: 0, 9: 1, 10: 2, 11: 0}
+    g = make_game(edges, [{0}, {1, 2, 3}, {7}], mover,
+                  {**{("P1", e): v for e, v in p1.items()}, **{("P2", e): v for e, v in p2.items()}})
+    assert own_spaces(g) == {A("P1"): 4, A("P2"): 2}
+    walks = pivot_walks(monkeypatch)
+    ns = nash(g)
+    assert walks == [g.ranks[A("P1")]] * 2
+    assert as_strategy_set(ns) == oracle_nash(g)
+    assert as_strategy_set(spe(g)) == oracle_spe(g)
+    assert [s for s in strategies(g) if is_nash(g, s)] == ns
+    # All-C never exits at 5 or 6; it meets 7, where a pays P1 more.
+    assert {s.as_dict()[runset(1, 2, 3)] for s in ns if s.as_dict()[runset(0)] == A("L")} \
+        == {A("C")}
+
+
 def binary_game(depth, seed):
     """The full binary tree of the given depth, nodes numbered heap-style
     from 1; P1 moves at even depths and P2 at odd ones, and each player's
@@ -186,8 +210,15 @@ def _ref_deviation_gains(g, choice, start, i, base):
     return False
 
 
+def _ref_play(g, choice, x):
+    """The end node reached from x when every cell plays choice."""
+    while x not in g.tree.end_nodes:
+        x = next_node(g.clt, x, choice[g.clt.info_of[x]])
+    return x
+
+
 def _ref_nash_from(g, choice, start):
-    end = _play(g, choice, start)
+    end = _ref_play(g, choice, start)
     return not any(_ref_deviation_gains(g, choice, start, i, g.utilities[(i, end)])
                    for i in g.players)
 
@@ -326,3 +357,95 @@ def test_push_along_distinguishing_certificate_tags_actions():
     pushed = push_strategy(res.certificate, s)
     cell0 = frozenset({A(0)})
     assert pushed.as_dict()[cell0] == Tup((FinSet((A(0),)), A("b")))
+
+
+def own_spaces(g):
+    """Each player's number of strategies of its own."""
+    space = {}
+    for cell in g.clt.cells:
+        i = g.mover[next(iter(cell))]
+        space[i] = space.get(i, 1) * len(g.clt.cell_actions[cell])
+    return space
+
+
+def pivot_walks(monkeypatch):
+    """The payoff table of every walk nash makes for its pivot, as a list
+    that fills while nash runs: the walks that collect runs."""
+    from gamecat import equilibrium
+    walks, walk = [], equilibrium._best_payoff
+
+    def counted(at, pay, start, p, mine, again, runs=None):
+        if runs is not None:
+            walks.append(pay)
+        return walk(at, pay, start, p, mine, again, runs)
+    monkeypatch.setattr(equilibrium, "_best_payoff", counted)
+    return walks
+
+
+def test_nash_of_one_player_games_matches_the_oracle():
+    # The pivot owns every cell: no other player is checked.
+    rng = random.Random(73)
+    for _ in range(60):
+        g = random_game(rng, max_nodes=10, max_players=1, max_actions=3)
+        assert as_strategy_set(nash(g)) == oracle_nash(g)
+
+
+def test_nash_with_ties_at_the_pivots_best_rank_matches_the_oracle():
+    # Utilities 0 or 1 tie often, so the pivot reaches its best rank by
+    # several runs; with every utility 0 every strategy is Nash.
+    rng = random.Random(79)
+    several = 0
+    for _ in range(150):
+        g = random_game(rng, max_nodes=10, max_players=3, max_actions=3, util_range=(0, 1))
+        several += len(nash(g)) > 1
+        assert as_strategy_set(nash(g)) == oracle_nash(g)
+    assert several > 50
+    g = make_game(examplegames.TRIO_EDGES, examplegames.TRIO_INFOSETS, examplegames.TRIO_MOVER,
+                  {(i, e): 0 for i in ("P1", "P2", "P3") for e in (2, 5, 6, 7, 8)})
+    assert nash(g) == strategies(g)
+
+
+def test_nash_when_players_tie_for_the_most_strategies_matches_the_oracle(monkeypatch):
+    # In trio_a each player has two strategies; the pivot is P1, the owner
+    # of the first cell in encoding order.
+    g = trio_a()
+    assert set(own_spaces(g).values()) == {2}
+    walks = pivot_walks(monkeypatch)
+    assert as_strategy_set(nash(g)) == oracle_nash(g)
+    assert walks == [g.ranks[A("P1")]] * 4
+    rng, tied = random.Random(83), 0
+    while tied < 60:
+        g = random_game(rng, max_nodes=12, max_players=3, max_actions=3)
+        sizes = sorted(own_spaces(g).values())
+        if len(sizes) > 1 and sizes[-1] == sizes[-2]:
+            tied += 1
+            assert as_strategy_set(nash(g)) == oracle_nash(g)
+
+
+def lopsided_game():
+    """P2 picks L or R at the root; below each, a comb of 12 P1 nodes, each
+    continuing by a or leaving by b, the k-th nodes of the two combs one
+    cell: 2**12 strategies for P1, 2 for P2. P1 is paid most at the comb's
+    end, so a is its first deviation and nearly always a gain."""
+    edges, mover, utilities = {(0, "L0"): "L", (0, "R0"): "R"}, {0: "P2"}, {}
+    for side, top in (("L", 20), ("R", 19)):
+        for k in range(12):
+            x = f"{side}{k}"
+            edges[(x, f"{side}{k + 1}")], edges[(x, f"{side}x{k}")] = "a", "b"
+            mover[x] = "P1"
+            utilities[("P1", f"{side}x{k}")] = k
+            utilities[("P2", f"{side}x{k}")] = k % 3
+        utilities[("P1", f"{side}12")] = top
+        utilities[("P2", f"{side}12")] = 1 if side == "L" else 2
+    return make_game(edges, [{0}] + [{f"L{k}", f"R{k}"} for k in range(12)], mover, utilities)
+
+
+def test_lopsided_nash_walks_once_per_strategy_of_the_other_player(monkeypatch):
+    g = lopsided_game()
+    assert own_spaces(g) == {A("P1"): 2 ** 12, A("P2"): 2}
+    walks = pivot_walks(monkeypatch)
+    start = time.perf_counter()
+    ns = nash(g)
+    assert time.perf_counter() - start < 1
+    assert walks == [g.ranks[A("P1")]] * 2
+    assert as_strategy_set(ns) == oracle_nash(g)

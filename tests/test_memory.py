@@ -5,14 +5,20 @@ table keyed by pairs of terms. The bounds sit between what loading held
 when edges, labels, feasible sets and utilities were also held in
 pair-keyed tables (about 1,000 B per node on binary(10) and 1,250 on
 path(2000)) and what it holds now (about 490 and 650).
+
+`gamecat strategies` prints each strategy as it enumerates it: on comb(14)
+its peak traced allocation is about 40 KB, against 19.4 MB when it held
+one record per strategy.
 """
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
 
 from gamecat import parse_game_text
+from gamecat.cli import main
 
 
 def binary_text(d):
@@ -64,3 +70,46 @@ def held_per_node(text):
                          ids=["binary(10)", "path(2000)"])
 def test_a_loaded_game_holds_each_fact_once(text, bound):
     assert held_per_node(text) < bound
+
+
+def comb_text(n):
+    """comb(n): a spine c0..cn whose decision nodes c0..c(n-1) each have one
+    side leaf; one player, utilities 0..n by end."""
+    lines = ["game comb"] + [f"node c{k}" for k in range(n + 1)] + [f"node s{k}" for k in range(n)]
+    for k in range(n):
+        lines += [f"edge c{k} c{k + 1} a", f"edge c{k} s{k} b", f"infoset i{k} {{ c{k} }}",
+                  f"player P infoset i{k}", f"utility P end s{k} {k}"]
+    return "\n".join(lines + [f"utility P end c{n} {n}"]) + "\n"
+
+
+class _Sink:
+    """A standard output that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_strategies_prints_each_strategy_as_it_goes(tmp_path, monkeypatch):
+    # 2**14 strategy lines, about 2.15 MB: a command that held one record per
+    # strategy, or the printed text, would peak at several MB.
+    path = tmp_path / "comb.gm"
+    path.write_text(comb_text(14), encoding="utf-8")
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["strategies", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.written > 2_000_000
+    assert peak < 1_000_000

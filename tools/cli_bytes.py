@@ -21,11 +21,14 @@ that overlap, in two line orders; a game of bare names, which the block
 reader reads, and copies of it that it leaves to the line reader: a node
 with two parents, a utility missing and a player with no utility line; and
 an identity morphism of that game whose target is a symlink to its source
-(the inputs are copied with their symlinks). Each game goes
-through validate, props, strategies, nash, spe, subgames, subgame --at (the
-least and the greatest node, the least with blanks around it, and one term
-that does not parse), convert to all four forms (reading the two files it
-writes) and iso against its copy with --emit-morphism (reading the file);
+(the inputs are copied with their symlinks); and, for the equilibrium
+printer, a lopsided game (2**6 strategies for one player, 2 for the
+other) and a binary game with tied utilities and 56 Nash equilibria. Each
+game goes through validate, props, strategies, nash, spe, subgames,
+subgame --at (the least and the greatest node, the least with blanks
+around it, and one term that does not parse), convert to all four forms
+(reading the two files it writes) and iso against its copy with
+--emit-morphism (reading the file);
 each morphism through morphism check, classify and compose; every call in
 both output formats. Two games whose names cannot be joined into a
 printable one (`a"b` and `c"#d"`) go through iso both ways and through
@@ -123,6 +126,38 @@ utility Q end e 0
 utility Q end f 1
 utility Q end z 2
 """
+
+
+def _lopsided(n=6):
+    """Q picks L or R at the root; below each, a comb of n P nodes that go on
+    by a or leave by b, the k-th nodes of the two combs one cell: 2**n
+    strategies for P, 2 for Q."""
+    lines = ["game lopsided", "node r", "infoset q { r }", "player Q infoset q"]
+    for side in "LR":
+        lines += [f"node {side}{k}" for k in range(n + 1)] + [f"edge r {side}0 {side}"]
+        for k in range(n):
+            lines += [f"node {side}x{k}", f"edge {side}{k} {side}{k + 1} a",
+                      f"edge {side}{k} {side}x{k} b", f"utility P end {side}x{k} {k}",
+                      f"utility Q end {side}x{k} {k % 3}"]
+        lines += [f"utility P end {side}{n} {2 * n - (side == 'R')}",
+                  f"utility Q end {side}{n} {1 + (side == 'R')}"]
+    for k in range(n):
+        lines += [f"infoset c{k} {{ L{k} R{k} }}", f"player P infoset c{k}"]
+    return "\n".join(lines) + "\n"
+
+
+def _tied():
+    """The binary tree of depth 3, P moving at depths 0 and 2 and Q at 1,
+    with utilities 0 or 1: 128 strategies, 56 of them Nash."""
+    lines, frontier = ["game tied", "node r"], ["r"]
+    for d in range(3):
+        for x in frontier:
+            lines += [f"infoset i{x} {{ {x} }}", f"player {'PQ'[d % 2]} infoset i{x}"]
+            lines += [f"node {x}{a}\nedge {x} {x}{a} {a}" for a in "lr"]
+        frontier = [x + a for x in frontier for a in "lr"]
+    for k, e in enumerate(frontier):
+        lines += [f"utility P end {e} {int(k == 1)}", f"utility Q end {e} {int(k % 3 == 0)}"]
+    return "\n".join(lines) + "\n"
 
 
 def _mutant(rng, text):
@@ -224,7 +259,8 @@ def build_inputs(inputs, n_games, seed):
     plain = PLAIN.splitlines(keepends=True)
     games += [put("plain.gm", PLAIN), put("plain.parents.gm", PLAIN + "edge f z c\n"),
               put("plain.missing.gm", PLAIN.replace("utility Q end z 2\n", "")),
-              put("plain.unpaid.gm", "".join(line for line in plain if "utility Q" not in line))]
+              put("plain.unpaid.gm", "".join(line for line in plain if "utility Q" not in line)),
+              put("lopsided.gm", _lopsided()), put("tied.gm", _tied())]
     os.symlink("plain.gm", os.path.join(inputs, "plain.link.gm"))
     morphisms.append(put("plain.link.gmm", "morphism link\nsource plain.gm\ntarget plain.link.gm\n"
                          + "".join(f"map {x} -> {x}\n" for x in "rxefz")))
