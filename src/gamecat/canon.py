@@ -1,17 +1,17 @@
 """Game-shape predicates and constructive converters.
 
 Each converter rebuilds the game in a normal form (distinguished actions,
-sequence nodes, action-set nodes) with one `pushforward`, whose certifying
-isomorphism from the input is the composite bijection of the form's stages:
-tag actions by information set, then name nodes by their root path.
+sequence nodes, action-set nodes) with one `_transport`, pushforward's core,
+whose certifying isomorphism from the input is the composite bijection of
+the stages: tag actions by information set, then name nodes by root path.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .game import Game
-from .morphism import GameMorphism, pushforward
-from .terms import FinSet, Tup, _Record, encode
+from .morphism import GameMorphism, _transport
+from .terms import FinSet, Tup, _adjoin, _Record, encode
 from .tree import _above
 
 
@@ -48,8 +48,7 @@ def _uses_action_sets(g: Game) -> bool:
     t = g.tree
     return (_distinguished(g) and all(isinstance(x, FinSet) for x in t.nodes)
             and t.root is FinSet(())
-            and all(len(y.items) == len(t.pred[y].items) + 1
-                    and set(y.items) - set(t.pred[y].items) == {a} for y, a in g.clt.act.items()))
+            and all(y is _adjoin(t.pred[y], a) for y, a in g.clt.act.items()))
 
 
 def _absentminded_witness(g: Game):
@@ -58,8 +57,7 @@ def _absentminded_witness(g: Game):
     after it (the first such pair of the cell's members in term order)."""
     pos, last = g.tree.pos, g.tree.last
     for cell in g.clt.cells:
-        above = _above(g.tree, cell)
-        if above:
+        if len(cell) > 1 and (above := _above(g.tree, cell)):
             x = min(above)
             return cell, x, min(y for y in cell if pos[x] < pos[y] <= last[x])
     return None
@@ -80,7 +78,7 @@ def _infoset_tags(g: Game):
     encoded once here, so encoding a node named by them is one join."""
     tags: dict = {}
     for cell, pool in g.clt.cell_actions.items():
-        tag = FinSet(tuple(cell))
+        tag = FinSet(cell)
         table = {a: Tup((tag, a)) for a in pool}
         for tagged in table.values():
             encode(tagged)
@@ -89,21 +87,20 @@ def _infoset_tags(g: Game):
 
 
 def _renamed(g: Game, action_bijs, name=None) -> ConversionResult:
-    """The one pushforward along action_bijs. With name, each node becomes
-    name(the action images on its root path), found in one top-down pass."""
+    """The one transport along action_bijs: with name, each node becomes name(the action
+    images on its root path), found in one top-down pass. No map is checked: root paths
+    and tags (cell, a) are distinct, tags are constant on cells, and players are fixed."""
     t, act = g.tree, g.clt.act
     if name:
-        # In preorder each node's parent comes first. A set's items are in
-        # term order, so naming a child from its parent's items sorts one
-        # item out of place.
+        # In preorder a parent comes first: a child's name is its parent's and its action.
+        grow = _adjoin if name is FinSet else lambda s, a: Tup((*s.items, a))
         node_bij = {t.root: name(())}
         for y in t.order[1:]:
             x = t.pred[y]
-            node_bij[y] = name((*node_bij[x].items, action_bijs[x][act[y]]))
+            node_bij[y] = grow(node_bij[x], action_bijs[x][act[y]])
     else:
         node_bij = {x: x for x in t.nodes}
-    g2, cert = pushforward(g, node_bij, action_bijs, {i: i for i in g.players})
-    return ConversionResult(game=g2, certificate=cert)
+    return ConversionResult(*_transport(g, node_bij, action_bijs, {i: i for i in g.players}))
 
 
 def to_distinguished(g: Game) -> ConversionResult:

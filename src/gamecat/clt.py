@@ -6,7 +6,7 @@ partition cells, so the feasibility requirement is that two nodes in one
 information set offer the same actions.
 
 Each fact is stored once, by `_laid_out`, the core that validation
-(`validate_clt`, the .gm block reader) and transport (`pushforward`) end
+(`validate_clt`, the .gm block reader) and transport (`morphism._transport`) end
 in: the cells by encoding (`cells`) and each decision node's cell
 (`info_of`); each edge's action on its target (`act`), as a non-root node
 has one incoming edge; each cell's actions, every member's, in term order

@@ -269,10 +269,8 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     Only the bijections are checked: a bijective renaming of a valid game
     is a valid game, and an isomorphism in Gm onto it whose alpha is each
     cell's action map and whose iota is the player map. So both are built
-    by transport, with no validator: every field maps through the
-    bijections, `order` stays a preorder with contiguous subtrees, the
-    renamed nodes are sorted once, as validation sorts them, and the CLT is
-    laid out by `clt` from the renamed cells and actions, as validation's is.
+    by transport, with no validator, in `_transport`, the core that the
+    checks end in and that the converters call directly.
     """
     nb, pb = dict(node_bij), dict(player_bij)
     for bij, domain, what in ((nb, g.tree.nodes, "node map"), (pb, g.players, "player map")):
@@ -281,7 +279,7 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     action_bijs = {x: dict(t) for x, t in action_bijs.items()}
     if set(action_bijs) != set(g.tree.decision_nodes):
         raise OperationError("NotBijective", detail="action maps must cover decision nodes")
-    t, c = g.tree, g.clt
+    c = g.clt
     bad = [x for x, table in action_bijs.items() if table.keys() != set(
         c.cell_actions[c.info_of[x]]) or len(set(table.values())) != len(table)]
     if bad:
@@ -289,11 +287,23 @@ def pushforward(g: Game, node_bij, action_bijs, player_bij):
     split = _not_constant(c.cells, action_bijs)
     if split is not None:
         raise OperationError("ActionBijsNotConstantOnInfoset", witness=split)
+    return _transport(g, nb, action_bijs, pb)
 
-    image = nb.__getitem__
-    tree = _indexed(frozenset(nb.values()), nb[t.root],
-                    {nb[y]: nb[x] for y, x in t.pred.items()}, map(image, t.order))
-    clt = _laid_out(tree, [frozenset(map(image, cell)) for cell in c.cells],
+
+def _transport(g: Game, nb: dict, action_bijs: dict, pb: dict):
+    """pushforward's build along unchecked bijections: every field maps through them. The
+    nodes are sorted once, met in the preorder by action (`succ`), term order for the
+    sequence forms; the CLT is laid out by `clt` from the renamed cells and actions."""
+    t, c = g.tree, g.clt
+    tree = t  # kept when every node maps to itself
+    if any(x is not y for x, y in nb.items()):
+        listed, stack = [], [t.root]
+        while stack:
+            listed.append(nb[x := stack.pop()])
+            stack += reversed(c.succ.get(x, ()))
+        tree = _indexed(frozenset(listed), nb[t.root], {nb[y]: nb[x] for y, x in t.pred.items()},
+                        map(nb.__getitem__, t.order), listed)
+    clt = _laid_out(tree, [frozenset(map(nb.__getitem__, cell)) for cell in c.cells],
                     {nb[y]: action_bijs[t.pred[y]][a] for y, a in c.act.items()})
     g2 = Game(clt=clt, mover={nb[x]: pb[i] for x, i in g.mover.items()},
               players=frozenset(pb.values()),

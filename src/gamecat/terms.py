@@ -10,6 +10,7 @@ deterministic. Terms are interned: equal terms are one object.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from operator import attrgetter
 
 from .errors import ParseError
@@ -137,6 +138,13 @@ class FinSet(_Term):
     def __new__(cls, items):
         # dict.fromkeys keeps the input order, whose runs the sort reuses.
         return _compound(cls, _SETS, tuple(_sorted(dict.fromkeys(items))))
+
+
+def _adjoin(s: FinSet, x) -> FinSet:
+    """FinSet((*s.items, x)), by one binary search with <, which orders terms of any depth."""
+    items = s.items
+    k = bisect_left(items, x)
+    return s if items[k:k + 1] == (x,) else _compound(FinSet, _SETS, items[:k] + (x,) + items[k:])
 
 
 Term = Atom | Tup | FinSet

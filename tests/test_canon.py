@@ -7,6 +7,7 @@ import time
 import pytest
 
 import gamecat.canon
+import gamecat.morphism
 from gamecat import (Atom, ConversionResult, OperationError, ValidationError, build_game,
                      compose, descendants, identity_morphism, inverse, is_iso,
                      one_player_zero_game, parse_game_text, print_game, print_morphism,
@@ -240,13 +241,17 @@ def reference_inputs():
 
 
 def test_converters_equal_the_staged_reference(monkeypatch):
+    # Each converter builds its maps as bijections, so it runs one transport
+    # (pushforward's core) and no pushforward checks.
     calls = []
+    transport = gamecat.morphism._transport
 
-    def counting_pushforward(*args):
+    def counting_transport(*args):
         calls.append(1)
-        return pushforward(*args)
+        return transport(*args)
 
-    monkeypatch.setattr(gamecat.canon, "pushforward", counting_pushforward)
+    monkeypatch.setattr(gamecat.canon, "_transport", counting_transport)
+    monkeypatch.setattr(gamecat.morphism, "pushforward", None)
     absentminded = 0
     for g in reference_inputs():
         absentminded += not properties(g).no_absentmindedness
@@ -256,6 +261,53 @@ def test_converters_equal_the_staged_reference(monkeypatch):
             assert len(calls) == (0 if got[0] == "error" else 1)
             assert got == _outcome(reference, g)
     assert absentminded >= 20
+
+
+def test_converted_names_are_the_constructors_terms():
+    # A child's name is its parent's with one action appended or inserted;
+    # each must be the very term Tup or FinSet builds from its root path.
+    rng = random.Random(97)
+    forms = ((to_sequence, Tup), (to_distinguished_sequence, Tup), (to_action_set, FinSet))
+    converted = 0
+    for _ in range(300):
+        g = random_game(rng, max_nodes=rng.choice([6, 10, 16]))
+        for convert, name in forms:
+            try:
+                res = convert(g)
+            except ValidationError as e:
+                assert e.code == "Absentminded"
+                continue
+            t, act = res.game.tree, res.game.clt.act
+            for y in t.nodes:
+                path = [*strict_predecessors(t, y), y][1:]
+                assert y is name([act[x] for x in path])
+            converted += 1
+    assert converted >= 750
+
+
+def _deep(name):
+    """An atom wrapped in one-item tuples, past the depth that has a key."""
+    t = Atom(name)
+    for _ in range(gamecat.terms._DEEP + 5):
+        t = Tup((t,))
+    return t
+
+
+def test_converters_take_actions_too_deep_for_a_key():
+    # r -L-> x, r -R-> y; {x, y} one cell with actions c and d: every name
+    # built on a path is compared with < as the terms have no _key.
+    L, R, c, d = _deep("L"), _deep("R"), _deep("c"), Atom("d")
+    edges = {(A("r"), A("x")): L, (A("r"), A("y")): R}
+    for x in "xy":
+        edges.update({(A(x), A(x + "c")): c, (A(x), A(x + "d")): d})
+    g = build_game(set(A(n) for n in ("r", "x", "y", "xc", "xd", "yc", "yd")), edges,
+                   [{A("r")}, {A("x"), A("y")}], {A("r"): A("P"), A("x"): A("Q"), A("y"): A("Q")},
+                   {(A(i), A(e)): k for k, e in enumerate(("xc", "xd", "yc", "yd"))
+                    for i in "PQ"})
+    assert L._depth >= gamecat.terms._DEEP
+    for convert, reference in CONVERTERS:
+        got = _outcome(convert, g)
+        assert got[0] == "ok" and got == _outcome(reference, g)
 
 
 def _pairwise_absentminded_witness(g):

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from gamecat import (identity_morphism, is_iso, iso_search, parse_game_text,
-                     properties, subgame_roots, to_distinguished)
+                     properties, subgame_roots, to_action_set, to_distinguished, to_sequence)
 
 BOUND_S = 30
 
@@ -38,6 +38,12 @@ def comb_text(n):
     return "\n".join(lines) + "\n"
 
 
+def seconds(op, *args):
+    start = time.perf_counter()
+    op(*args)
+    return time.perf_counter() - start
+
+
 def timed(op, *args):
     start = time.perf_counter()
     out = op(*args)
@@ -61,3 +67,16 @@ def test_large_trees_take_seconds(text, nodes):
     d = timed(to_distinguished, g)
     assert is_iso(d.certificate)
     assert timed(properties, d.game).distinguished_actions
+
+
+def test_action_set_names_cost_about_what_sequence_names_do():
+    # Each action-set name inserts one action into its parent's sorted items,
+    # as each sequence name appends one: on path(2000) the two forms' second
+    # calls, whose names are all interned, differ by a small factor. A ratio
+    # holds where the machine's speed swings would break a time bound.
+    _, g = parse_game_text(path_text(2000))
+    took = {}
+    for convert in (to_sequence, to_action_set):
+        convert(g)
+        took[convert.__name__] = min(seconds(convert, g) for _ in range(3))
+    assert took["to_action_set"] <= 3 * took["to_sequence"], took
