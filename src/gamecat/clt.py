@@ -6,12 +6,12 @@ partition cells, so the feasibility requirement is that two nodes in one
 information set offer the same actions.
 
 Each fact is stored once, by `_laid_out`, the core that validation
-(`validate_clt`, the .gm block reader) and transport (`morphism._transport`) end
-in: the cells by encoding (`cells`) and each decision node's cell
-(`info_of`); each edge's action on its target (`act`), as a non-root node
-has one incoming edge; each cell's actions, every member's, in term order
-(`cell_actions`); and each decision node's children by action index
-(`succ`). `infosets`, `label`, `actions` and `feasible` are views.
+(`validate_clt`, the .gm block reader), transport (`morphism._transport`) and
+restriction (`subgame.selten_subclt`) end in: the cells by encoding (`cells`)
+and each decision node's cell (`info_of`); each edge's action on its target
+(`act`), as a non-root node has one incoming edge; each cell's actions, every
+member's, in term order (`cell_actions`); and each decision node's children by
+action index (`succ`). `infosets`, `label`, `actions` and `feasible` are views.
 """
 
 from __future__ import annotations

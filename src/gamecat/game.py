@@ -3,8 +3,9 @@
 The mover map must be constant on information sets and its image is the
 player set; utilities assign each player an exact rational on every run,
 stored as one table per player keyed by end node (`payoffs`), as runs biject
-with end nodes. `_game`, the core that `validate_game` and the .gm block
-reader end in, decides on the tables and mover; `utilities` is a view.
+with end nodes. `_game`, the core that `validate_game`, the .gm block
+reader and the library's own builders end in, decides on the tables and
+mover; `utilities` is a view.
 """
 
 from __future__ import annotations
@@ -72,21 +73,10 @@ def _game(clt: CLT, mover: dict, payoffs: dict):
 
 def validate_game(clt: CLT, mover, utilities) -> Game:
     """utilities gives values by (player, end node or run), as a mapping or
-    as pairs, which may repeat a run with one value but not with two."""
+    as pairs, which may repeat a run with one value but not with two. One
+    ordered loop reads every form and ends in _game."""
     mover = dict(mover)
     items = list(utilities.items() if hasattr(utilities, "items") else utilities)
-    # (player, end node) pairs, each given once, fill the tables _game decides on; any other
-    # form (run keys, other values, a key twice) and any rejection take the scans below.
-    payoffs: dict = {i: {} for i in mover.values()}
-    try:
-        for (i, end), value in items:
-            payoffs[i][end] = value
-    except (KeyError, TypeError, ValueError):  # no player, no pair, or a set
-        pass
-    if sum(map(len, payoffs.values())) == len(items) and \
-            (game := _game(clt, mover, payoffs)) is not None:
-        return game
-
     tree, w = clt.tree, clt.tree.decision_nodes
     if w - mover.keys():
         raise ValidationError("MoverMissing", witness=min(w - mover.keys()))
@@ -128,9 +118,8 @@ def validate_game(clt: CLT, mover, utilities) -> Game:
 
 def one_player_zero_game(clt: CLT, player: Term = Atom("P1")) -> Game:
     """Wrap a CLT as a game: one player, zero utility on every run."""
-    mover = {x: player for x in clt.tree.decision_nodes}
-    utilities = {(player, e): 0 for e in clt.tree.ends}
-    return validate_game(clt, mover, utilities)
+    return _game(clt, dict.fromkeys(clt.tree.decision_nodes, player),
+                 {player: dict.fromkeys(clt.tree.ends, Fraction(0))})
 
 
 def ordinal_profile(g: Game, i: Term) -> dict:

@@ -10,14 +10,14 @@ each condition's least offender.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 
-from .clt import CLT, _laid_out, _not_constant, validate_clt
+from .clt import CLT, _laid_out, _not_constant
 from .errors import OperationError, ValidationError
-from .game import Game, build_game
+from .game import Game, _game
 from .terms import Atom, Term, _Record, _sorted
-from .tree import (_indexed, _run, _runs, run_end, strict_predecessors,
-                   validate_out_tree)
+from .tree import _indexed, _out_tree, _run, _runs, run_end, strict_predecessors
 
 
 class CltMorphism(_Record, compare=("source", "target", "node_map")):
@@ -198,7 +198,7 @@ def clt_mono_witness(m: CltMorphism):
     # The root cannot collide: it strictly precedes every other node and
     # morphisms preserve strict order. So both nodes have predecessors.
     n0, n1 = Atom("0*"), Atom("1*")
-    probe = validate_clt(validate_out_tree({n0, n1}, {(n0, n1)}), [{n0}], {(n0, n1): Atom("*")})
+    probe = _laid_out(_out_tree([n0, n1], {n1: n0}), [frozenset({n0})], {n1: Atom("*")})
     pred = m.source.tree.pred
     return (validate_clt_morphism(probe, m.source, {n0: pred[x1], n1: x1}),
             validate_clt_morphism(probe, m.source, {n0: pred[x2], n1: x2}))
@@ -227,9 +227,9 @@ def mono_witness(gm: GameMorphism):
 
     # The probe is the single-run game on path1: singleton information sets,
     # each decision node its own player, zero utilities.
-    edges = {(path1[k], path1[k + 1]): Atom("*") for k in range(len(path1) - 1)}
-    probe = build_game(path1, edges, [{x} for x in path1[:-1]], {x: x for x in path1[:-1]},
-                       {(x, e1): 0 for x in path1[:-1]})
+    clt = _laid_out(_out_tree(path1, dict(zip(path1[1:], path1))),
+                    [frozenset({x}) for x in path1[:-1]], dict.fromkeys(path1[1:], Atom("*")))
+    probe = _game(clt, {x: x for x in path1[:-1]}, {x: {e1: Fraction(0)} for x in path1[:-1]})
     return (validate_game_morphism(probe, gm.source, {x: x for x in path1}),
             validate_game_morphism(probe, gm.source, dict(zip(path1, path2))))
 

@@ -2,18 +2,20 @@
 
 The restriction of a labeled tree to a decision node and all its successors
 is a valid CLT exactly when no information set straddles the boundary; the
-failing information set is the witness otherwise. Subgame utilities are the
-original utilities of the completed runs.
+failing information set is the witness otherwise. The successors are a
+slice of the tree's preorder index, and the restriction, valid by
+construction, is read off it straight into the cores, with no validator.
+Subgame utilities are the original utilities of the completed runs.
 """
 
 from __future__ import annotations
 
-from .clt import CLT, validate_clt
+from .clt import CLT, _laid_out
 from .errors import OperationError, ValidationError
-from .game import Game, validate_game
-from .morphism import GameMorphism, validate_game_morphism
+from .game import Game, _game
+from .morphism import CltMorphism, GameMorphism
 from .terms import Term, _Record
-from .tree import descendants, validate_out_tree
+from .tree import _indexed, descendants
 
 
 class SeltenResult(_Record):
@@ -23,30 +25,32 @@ class SeltenResult(_Record):
 
 
 def selten_subclt(c: CLT, r: Term) -> CLT:
-    if r not in c.tree.decision_nodes:
+    t = c.tree
+    if r not in t.decision_nodes:
         raise OperationError("NotDecisionNode", witness=r)
-    below = descendants(c.tree, r)
+    order = t.order[t.pos[r]:t.last[r] + 1]
+    below = frozenset(order)
     # Restricting to below gives a CLT exactly when no cell straddles it.
     cell = next((cell for cell in c.cells if cell & below and cell - below), None)
     if cell is not None:
         raise ValidationError("NotExists", witness=cell)
     # The edges inside are those into the nodes below r.
-    pred = c.tree.pred
-    edges = {(pred[y], y): c.act[y] for y in below if y is not r}
-    tree = validate_out_tree(below, set(edges))
-    return validate_clt(tree, [cell for cell in c.cells if cell <= below], edges)
+    tree = _indexed(below, r, {y: t.pred[y] for y in order[1:]}, order,
+                    [x for x in t.sorted_nodes if x in below])
+    return _laid_out(tree, [cell for cell in c.cells if cell <= below],
+                     {y: c.act[y] for y in order[1:]})
 
 
 def selten_subgame(g: Game, r: Term) -> SeltenResult:
-    sub_clt = selten_subclt(g.clt, r)
-    below = sub_clt.tree.nodes
-    mover = {x: g.mover[x] for x in sub_clt.tree.decision_nodes}
-    players = set(mover.values())
+    c = selten_subclt(g.clt, r)
+    mover = {x: g.mover[x] for x in c.tree.decision_nodes}
     # A run of the subgame completes to the run of g with the same end node,
     # so utilities restrict by end node.
-    utilities = {(i, end): g.payoffs[i][end] for i in players for end in sub_clt.tree.ends}
-    sub = validate_game(sub_clt, mover, utilities)
-    inclusion = validate_game_morphism(sub, g, {x: x for x in below})
+    sub = _game(c, mover, {i: {e: g.payoffs[i][e] for e in c.tree.ends}
+                           for i in set(mover.values())})
+    cm = CltMorphism(c, g.clt, {x: x for x in c.tree.order},
+                     {cell: dict(zip(pool, pool)) for cell, pool in c.cell_actions.items()})
+    inclusion = GameMorphism(sub, g, cm, {i: i for i in sub.players})
     return SeltenResult(root=r, subgame=sub, inclusion=inclusion)
 
 
@@ -75,25 +79,19 @@ def subgame_roots(g: Game):
 
 
 def is_selten_subgame(sub: Game, sup: Game) -> bool:
-    """The four-part characterization: inclusion is a monomorphism with
+    """The four-part characterization: the inclusion is a monomorphism with
     identity action transform and inclusion player transform; the node set
     is a node and all its successors; information sets and utilities are
-    restrictions."""
+    restrictions. With the identity node map on the descendants, edges are
+    preserved iff `pred` restricts, alpha is the identity iff `act` does and
+    iota iff `mover` does; then ends map to ends, sup's cells into cells,
+    and equal payoffs keep the utility order."""
     r = sub.tree.root
-    if r not in sup.tree.decision_nodes:
+    if r not in sup.tree.decision_nodes or sub.tree.nodes != descendants(sup.tree, r):
         return False
-    if sub.tree.nodes != descendants(sup.tree, r):
-        return False
-    try:
-        inc = validate_game_morphism(sub, sup, {x: x for x in sub.tree.nodes})
-    except (ValidationError, OperationError):
-        return False
-    if any(table[a] != a for table in inc.clt_morphism.alpha.values() for a in table):
-        return False
-    if any(inc.iota[i] != i for i in inc.iota):
-        return False
-    if not set(sub.clt.cells) <= set(sup.clt.cells):
-        return False
-    # The inclusion maps players and end nodes identically.
-    return all(sup.payoffs[i][e] == v for i, table in sub.payoffs.items()
-               for e, v in table.items())
+    return (sub.tree.pred.items() <= sup.tree.pred.items()
+            and sub.clt.act.items() <= sup.clt.act.items()
+            and sub.mover.items() <= sup.mover.items()
+            and set(sub.clt.cells) <= set(sup.clt.cells)
+            and all(sup.payoffs[i][e] == v for i, table in sub.payoffs.items()
+                    for e, v in table.items()))

@@ -4,14 +4,18 @@ seconds, where a quadratic one would take minutes to hours.
 path(n) is a chain p0..p(n-1) with one side leaf s at the root; comb(n) is
 a spine of n decision nodes, each with one side leaf, so n + 1 runs of
 average length about n/2. Two players alternate along the chain or spine.
+binary(d) is the full binary tree of depth d, the two players alternating
+by depth, with seeded utilities from -5 to 5.
 """
 
+import random
 import time
 
 import pytest
 
-from gamecat import (identity_morphism, is_iso, iso_search, parse_game_text,
-                     properties, subgame_roots, to_action_set, to_distinguished, to_sequence)
+from gamecat import (identity_morphism, is_iso, iso_search, parse_game_text, print_game,
+                     properties, selten_subgame, subgame_roots, to_action_set, to_distinguished,
+                     to_sequence)
 
 BOUND_S = 30
 
@@ -35,6 +39,17 @@ def comb_text(n):
     for i in ("P1", "P2"):
         lines += [f"utility {i} end s{k} {k % 3}" for k in range(n)]
         lines.append(f"utility {i} end c{n} 3")
+    return "\n".join(lines) + "\n"
+
+
+def binary_text(d, seed=0):
+    rng, lines, frontier = random.Random(seed), ["game binary", "node r"], ["r"]
+    for depth in range(d):
+        for x in frontier:
+            lines += [f"node {x}{a}\nedge {x} {x}{a} {a}" for a in "lr"]
+            lines += [f"infoset i{x} {{ {x} }}", f"player P{depth % 2 + 1} infoset i{x}"]
+        frontier = [x + a for x in frontier for a in "lr"]
+    lines += [f"utility {i} end {e} {rng.randint(-5, 5)}" for e in frontier for i in ("P1", "P2")]
     return "\n".join(lines) + "\n"
 
 
@@ -80,3 +95,18 @@ def test_action_set_names_cost_about_what_sequence_names_do():
         convert(g)
         took[convert.__name__] = min(seconds(convert, g) for _ in range(3))
     assert took["to_action_set"] <= 3 * took["to_sequence"], took
+
+
+def test_subgame_costs_less_than_loading_its_text():
+    # The restriction below a child of binary(12)'s root (4,095 nodes) is
+    # read off the tree's preorder index straight into the cores, with no
+    # validator, so it costs less than reading the subgame's printed text,
+    # which validates it. A ratio holds where the machine's speed swings
+    # would break a time bound.
+    _, g = parse_game_text(binary_text(12))
+    r = g.tree.children[g.tree.root][0]
+    text = print_game("sub", selten_subgame(g, r).subgame)
+    assert len(parse_game_text(text)[1].tree.nodes) == 4095
+    took = {op.__name__: min(seconds(op, *args) for _ in range(3))
+            for op, args in ((selten_subgame, (g, r)), (parse_game_text, (text,)))}
+    assert took["selten_subgame"] <= 0.75 * took["parse_game_text"], took

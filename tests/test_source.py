@@ -127,3 +127,25 @@ def test_only_clt_lays_out_a_clt():
                   if isinstance(node, ast.Call) and "CLT" in (getattr(node.func, "id", None),
                                                               getattr(node.func, "attr", None))]
     assert [call.split(":")[0] for call in calls] == ["clt.py"], calls
+
+
+def test_object_validators_check_only_outside_input():
+    # The public tree, CLT and game validators check outside input: the one
+    # caller in the library is build_game, which only the file reader calls,
+    # for the text it reads. What the library builds for itself (restrictions,
+    # probes, transports) is valid by construction and goes straight to the
+    # cores, tree._out_tree, clt._laid_out and game._game.
+    validators = {"validate_out_tree", "validate_clt", "validate_game", "build_game"}
+    calls = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gamecat.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for top in tree.body:
+            calls += [(getattr(node.func, "id", None) or node.func.attr, os.path.basename(path),
+                       getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and validators & {
+                          getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
+    assert sorted(calls) == [("build_game", "fileformat.py", "parse_game_text"),
+                             ("validate_clt", "game.py", "build_game"),
+                             ("validate_game", "game.py", "build_game"),
+                             ("validate_out_tree", "game.py", "build_game")], calls

@@ -26,8 +26,10 @@ printer, a lopsided game (2**10 strategies for one player, 2 for the
 other; its action-set form is longer than the longer old text) and a
 binary game with tied utilities and 56 Nash equilibria. Each game goes
 through validate, props, strategies, nash, spe, subgames, subgame --at
-(the least and the greatest node, the least with blanks around it, and
-one term that does not parse), convert to all four forms (reading the two
+(the least and the greatest node, the least and the greatest root of a
+proper subgame, the least decision node below the root that a cell
+straddles, the least node with blanks around it, and one term that does
+not parse), convert to all four forms (reading the two
 files it writes) and iso against its copy with --emit-morphism (reading
 the file);
 each morphism through morphism check, classify and compose; every call in
@@ -190,7 +192,7 @@ def build_inputs(inputs, n_games, seed):
     before the call), with paths relative to inputs."""
     sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
     from gamecat import (Atom, GameError, encode, parse_game_text, print_game, print_morphism,
-                         pushforward)
+                         pushforward, subgame_roots)
     from gamecat.terms import FinSet, Tup
     from examplegames import OVERLAP, REPEATED_CELL, REPEATED_CELL_TWO_PLAYERS
     from genrandom import random_game
@@ -277,10 +279,16 @@ def build_inputs(inputs, n_games, seed):
         with open(os.path.join(inputs, path), encoding="utf-8") as fh:
             text = fh.read()
         try:
-            nodes = parse_game_text(text)[1].tree.sorted_nodes
-            ats = [encode(nodes[0]), encode(nodes[-1]), f" {encode(nodes[0])}\t"]
+            g = parse_game_text(text)[1]
         except GameError:  # a mutant: the commands report its error
             ats = ["v0"]
+        else:
+            nodes, roots = g.tree.sorted_nodes, subgame_roots(g)
+            proper = [x for x in nodes if x in roots and x is not g.tree.root]
+            straddled = [x for x in nodes if x in g.tree.decision_nodes and x not in roots]
+            ats = [encode(x) for x in dict.fromkeys([nodes[0], nodes[-1], *proper[:1],
+                                                     *proper[-1:], *straddled[:1]])]
+            ats.append(f" {encode(nodes[0])}\t")
         ats.append(BAD_ATS[j % len(BAD_ATS)])
         calls += [([cmd, path], []) for cmd in
                   ("validate", "props", "strategies", "nash", "spe", "subgames")]
