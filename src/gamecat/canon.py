@@ -35,20 +35,15 @@ def _distinguished(g: Game) -> bool:
     return len(offered) == len(set(offered))
 
 
-def _uses_sequences(g: Game) -> bool:
-    """Each node is the tuple of the actions on its root path."""
-    t = g.tree
-    return (all(isinstance(x, Tup) for x in t.nodes) and t.root is Tup(())
-            and all(y.items == (*t.pred[y].items, a) for y, a in g.clt.act.items()))
+_GROW = {Tup: lambda s, a: Tup((*s.items, a)), FinSet: _adjoin}
 
 
-def _uses_action_sets(g: Game) -> bool:
-    """Distinguished actions, and each node is the set of the actions on its
-    root path: a child's set adds one action, its own, to its parent's."""
-    t = g.tree
-    return (_distinguished(g) and all(isinstance(x, FinSet) for x in t.nodes)
-            and t.root is FinSet(())
-            and all(y is _adjoin(t.pred[y], a) for y, a in g.clt.act.items()))
+def _named_by(g: Game, name) -> bool:
+    """Each node is name(the actions on its root path): the root is name(()), and each
+    child's name grows its parent's by its action (`_GROW`: appended, or inserted in a set)."""
+    t, grow = g.tree, _GROW[name]
+    return (all(isinstance(x, name) for x in t.nodes) and t.root is name(())
+            and all(y is grow(t.pred[y], a) for y, a in g.clt.act.items()))
 
 
 def _absentminded_witness(g: Game):
@@ -66,8 +61,8 @@ def _absentminded_witness(g: Game):
 def properties(g: Game) -> GameProperties:
     return GameProperties(
         distinguished_actions=_distinguished(g),
-        uses_sequences=_uses_sequences(g),
-        uses_action_sets=_uses_action_sets(g),
+        uses_sequences=_named_by(g, Tup),
+        uses_action_sets=_distinguished(g) and _named_by(g, FinSet),
         no_absentmindedness=_absentminded_witness(g) is None,
         perfect_information=all(len(c) == 1 for c in g.clt.cells),
     )
@@ -93,7 +88,7 @@ def _renamed(g: Game, action_bijs, name=None) -> ConversionResult:
     t, act = g.tree, g.clt.act
     if name:
         # In preorder a parent comes first: a child's name is its parent's and its action.
-        grow = _adjoin if name is FinSet else lambda s, a: Tup((*s.items, a))
+        grow = _GROW[name]
         node_bij = {t.root: name(())}
         for y in t.order[1:]:
             x = t.pred[y]

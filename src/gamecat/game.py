@@ -4,8 +4,8 @@ The mover map must be constant on information sets and its image is the
 player set; utilities assign each player an exact rational on every run,
 stored as one table per player keyed by end node (`payoffs`), as runs biject
 with end nodes. `_game`, the core that `validate_game`, the .gm block
-reader and the library's own builders end in, decides on the tables and
-mover; `utilities` is a view.
+reader and the library's own builders end in, tests only the payoff tables:
+its callers make the mover and the values valid. `utilities` is a view.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ class Game(_Record, compare=("clt", "mover", "payoffs"), shown=("clt", "mover"))
 
 
 def _game(clt: CLT, mover: dict, payoffs: dict):
-    """The game, or None unless mover maps the decision nodes, constant on each cell,
-    and payoffs holds for each player it names one table of Fractions by end node."""
+    """The game, or None unless payoffs holds one table by end node for each player mover
+    names, which the block reader does not check. Every caller gives mover on the decision
+    nodes, constant on each cell, and Fraction values, by construction or by its checks."""
     players, ends = frozenset(mover.values()), clt.tree.end_nodes
-    if (mover.keys() == clt.tree.decision_nodes and payoffs.keys() == players
-            and all(t.keys() == ends and set(map(type, t.values())) == {Fraction}
-                    for t in payoffs.values()) and _not_constant(clt.cells, mover) is None):
+    if payoffs.keys() == players and all(t.keys() == ends for t in payoffs.values()):
         return Game(clt=clt, mover=mover, players=players, payoffs=payoffs)
     return None
 

@@ -17,7 +17,7 @@ from .clt import CLT, _laid_out, _not_constant
 from .errors import OperationError, ValidationError
 from .game import Game, _game
 from .terms import Atom, Term, _Record, _sorted
-from .tree import _indexed, _out_tree, _run, _runs, run_end, strict_predecessors
+from .tree import _indexed, _run, _runs, run_end, strict_predecessors
 
 
 class CltMorphism(_Record, compare=("source", "target", "node_map")):
@@ -153,6 +153,9 @@ def run_at(gm: GameMorphism, z: frozenset) -> frozenset:
     return _run(gm.target.tree, gm.node_map[run_end(gm.source.tree, z)])
 
 
+_VALIDATE = {GameMorphism: validate_game_morphism, CltMorphism: validate_clt_morphism}
+
+
 def identity_clt_morphism(c: CLT) -> CltMorphism:
     return validate_clt_morphism(c, c, {x: x for x in c.tree.nodes})
 
@@ -163,13 +166,12 @@ def identity_morphism(g: Game) -> GameMorphism:
 
 def compose(m2, m1):
     """The composite applying m1 first, then m2."""
-    validate = {GameMorphism: validate_game_morphism, CltMorphism: validate_clt_morphism}
-    if type(m1) is not type(m2) or type(m1) not in validate:
+    if type(m1) is not type(m2) or type(m1) not in _VALIDATE:
         raise OperationError("SourceTargetMismatch", detail="mixed morphism kinds")
     if m1.target != m2.source:
         raise OperationError("SourceTargetMismatch")
     node_map = {x: m2.node_map[v] for x, v in m1.node_map.items()}
-    return validate[type(m1)](m1.source, m2.target, node_map)
+    return _VALIDATE[type(m1)](m1.source, m2.target, node_map)
 
 
 def forget(gm: GameMorphism) -> CltMorphism:
@@ -198,7 +200,8 @@ def clt_mono_witness(m: CltMorphism):
     # The root cannot collide: it strictly precedes every other node and
     # morphisms preserve strict order. So both nodes have predecessors.
     n0, n1 = Atom("0*"), Atom("1*")
-    probe = _laid_out(_out_tree([n0, n1], {n1: n0}), [frozenset({n0})], {n1: Atom("*")})
+    probe = _laid_out(_indexed(frozenset((n0, n1)), n0, {n1: n0}, (n0, n1)),
+                      [frozenset({n0})], {n1: Atom("*")})
     pred = m.source.tree.pred
     return (validate_clt_morphism(probe, m.source, {n0: pred[x1], n1: x1}),
             validate_clt_morphism(probe, m.source, {n0: pred[x2], n1: x2}))
@@ -225,9 +228,9 @@ def mono_witness(gm: GameMorphism):
         raise OperationError("InvariantBroken", witness=(e1, e2),
                              detail="runs with equal images have unequal node-image chains")
 
-    # The probe is the single-run game on path1: singleton information sets,
-    # each decision node its own player, zero utilities.
-    clt = _laid_out(_out_tree(path1, dict(zip(path1[1:], path1))),
+    # The probe is the single-run game on path1, its own preorder: singleton
+    # information sets, each decision node its own player, zero utilities.
+    clt = _laid_out(_indexed(frozenset(path1), path1[0], dict(zip(path1[1:], path1)), path1),
                     [frozenset({x}) for x in path1[:-1]], dict.fromkeys(path1[1:], Atom("*")))
     probe = _game(clt, {x: x for x in path1[:-1]}, {x: {e1: Fraction(0)} for x in path1[:-1]})
     return (validate_game_morphism(probe, gm.source, {x: x for x in path1}),
@@ -253,10 +256,7 @@ def is_iso(m) -> bool:
 def inverse(m):
     if not is_iso(m):
         raise OperationError("NotIso")
-    inv_map = {v: x for x, v in m.node_map.items()}
-    if isinstance(m, GameMorphism):
-        return validate_game_morphism(m.target, m.source, inv_map)
-    return validate_clt_morphism(m.target, m.source, inv_map)
+    return _VALIDATE[type(m)](m.target, m.source, {v: x for x, v in m.node_map.items()})
 
 
 def pushforward(g: Game, node_bij, action_bijs, player_bij):

@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,8 @@ from gamecat import (Atom, ConversionResult, OperationError, ValidationError, bu
                      properties, pushforward, strict_predecessors, term_key, to_action_set,
                      to_distinguished, to_distinguished_sequence, to_sequence, tree_leq,
                      validate_clt, validate_game, validate_game_morphism, validate_out_tree)
-from gamecat.terms import FinSet, Tup
+from gamecat.canon import _distinguished
+from gamecat.terms import FinSet, Tup, _adjoin
 from conftest import FIXTURES
 from examplegames import A, make_game, trio_a, trio_undist, relabel, split, refine
 from genrandom import random_bijections, random_game
@@ -490,3 +492,101 @@ def test_pushforward_errors_keep_their_codes_and_witnesses():
             seen.add("split")
         seen.add("players" if len(player_bij) > 1 else "one player")
     assert seen == {"split", "players", "one player"}
+
+
+# The shape predicates as they were written before the one naming rule
+# (canon._GROW and _named_by), kept verbatim as the reference.
+def _uses_sequences(g):
+    """Each node is the tuple of the actions on its root path."""
+    t = g.tree
+    return (all(isinstance(x, Tup) for x in t.nodes) and t.root is Tup(())
+            and all(y.items == (*t.pred[y].items, a) for y, a in g.clt.act.items()))
+
+
+def _uses_action_sets(g):
+    """Distinguished actions, and each node is the set of the actions on its
+    root path: a child's set adds one action, its own, to its parent's."""
+    t = g.tree
+    return (_distinguished(g) and all(isinstance(x, FinSet) for x in t.nodes)
+            and t.root is FinSet(())
+            and all(y is _adjoin(t.pred[y], a) for y, a in g.clt.act.items()))
+
+
+def _renamed_game(g, node_bij, actions=None):
+    """g along node_bij and, when given, one cell's action map; None when
+    node_bij is not one-to-one."""
+    if len(set(node_bij.values())) < len(node_bij):
+        return None
+    action_bijs = {x: dict(zip(pool, pool)) for cell, pool in g.clt.cell_actions.items()
+                   for x in cell}
+    if actions is not None:
+        cell, table = actions
+        action_bijs.update(dict.fromkeys(cell, table))
+    return pushforward(g, node_bij, action_bijs, {i: i for i in g.players})[0]
+
+
+def _one_renamed(g, y, new):
+    """g with node y named new; a node already named new takes y's name."""
+    bij = {x: x for x in g.tree.nodes}
+    if new in bij:
+        bij[new] = y
+    bij[y] = new
+    return _renamed_game(g, bij)
+
+
+def _form_mutants(rng, h, name):
+    """Copies of h, a form named by name. Each breaks the naming rule in one
+    place (a node renamed, also into the other form or to an atom), or
+    renames the root and grows every name from it, or keeps the names and
+    offers an action at two cells."""
+    t, act, zz = h.tree, h.clt.act, Atom("zz")
+    y = rng.choice(sorted(t.nodes - {t.root}, key=term_key))
+    items = y.items
+    yield _one_renamed(h, y, name((zz,)))
+    yield _one_renamed(h, y, (FinSet if name is Tup else Tup)(items))
+    inner = sorted(t.decision_nodes - {t.root}, key=term_key)
+    if inner:
+        yield _one_renamed(h, rng.choice(inner), zz)
+    yield _one_renamed(h, y, name(items[:-1]))
+    yield _one_renamed(h, t.root, name((zz,)))
+    yield _renamed_game(h, {x: name((zz, *x.items)) for x in t.nodes})  # each grows its parent
+    if name is Tup:
+        yield _one_renamed(h, y, Tup((*items, items[-1])))
+    else:
+        yield _one_renamed(h, y, FinSet([a for a in items if a is not act[y]]))
+        yield _one_renamed(h, y, FinSet([zz, *(a for a in items if a is not act[y])]))
+    # An action of one cell renamed to one of another cell's, in the actions
+    # and in every name that holds it.
+    pools = list(h.clt.cell_actions.items())
+    if len(pools) > 1:
+        (cell, pool), (_, other) = rng.sample(pools, 2)
+        a, b = rng.choice(pool), rng.choice(other)
+        if b not in pool:
+            bij = {x: name([b if c is a else c for c in x.items]) for x in t.nodes}
+            yield _renamed_game(h, bij, (cell, {c: b if c is a else c for c in pool}))
+
+
+def test_form_predicates_agree_with_the_reference():
+    rng = random.Random(35)
+    forms = ((to_sequence, Tup), (to_distinguished_sequence, Tup), (to_action_set, FinSet))
+    seen, named = 0, Counter()
+    for _ in range(300):
+        g = random_game(rng, max_nodes=rng.choice([6, 10, 16]))
+        games = [g, to_distinguished(g).game]
+        for convert, name in forms:
+            try:
+                h = convert(g).game
+            except ValidationError:
+                continue
+            games += [h, *filter(None, _form_mutants(rng, h, name))]
+        for x in games:
+            p = properties(x)
+            ref = (_uses_sequences(x), _uses_action_sets(x))
+            assert (p.uses_sequences, p.uses_action_sets) == ref
+            named[ref, p.distinguished_actions] += 1
+            seen += 1
+    assert seen >= 3000, seen
+    # Every verdict occurs: sequence names with and without distinguished
+    # actions, action-set names, and neither.
+    assert min(named[(True, False), False], named[(True, False), True],
+               named[(False, True), True], named[(False, False), True]) >= 50, named

@@ -1,15 +1,22 @@
+import glob
+import os
 import random
+import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from gamecat import (Atom, OperationError, ValidationError, build_game, descendants,
-                     is_iso, iso_search, nash, one_player_zero_game, ordinal_profile,
-                     parse_game_text, run_end, spe, validate_game,
+from gamecat import (Atom, GameError, OperationError, ValidationError, build_game, descendants,
+                     is_iso, iso_search, mono_witness, nash, one_player_zero_game,
+                     ordinal_profile, parse_game_text, print_game, pushforward, run_end,
+                     selten_subgame, spe, subgame_roots, to_action_set, to_distinguished,
+                     to_distinguished_sequence, to_sequence, validate_game,
                      validate_game_morphism)
+from conftest import FIXTURES
 from examplegames import A, trio_a, trio_b, collapse, make_clt, make_game
-from genrandom import random_game
+from genrandom import merge_two_ends, random_bijections, random_game
 from oracles import as_strategy_set, oracle_nash, oracle_spe
 
 
@@ -252,3 +259,64 @@ def test_integer_ranks_equal_the_ranks_of_sorted_fractions():
                   {("P1", 1): "1/3", ("P1", 2): "333333/1000000",
                    ("P1", 3): "333334/1000000", ("P1", 4): "2/6"})
     assert g.ranks == {A("P1"): {A(1): 1, A(2): 0, A(3): 2, A(4): 1}} == _ref_ranks(g)
+
+
+def test_every_caller_of_the_game_core_keeps_its_contract(monkeypatch):
+    # game._game tests only the payoff tables. Every caller must give it a
+    # mover on exactly the decision nodes, constant on each cell, and
+    # Fraction values: wrap the core in each module that imported it and
+    # check each call's input, over file reads by both readers (and fuzzed
+    # texts), the converters' forms read back, Selten subgames,
+    # one_player_zero_game and mono-witness probes.
+    import gamecat.game
+    from test_cli_fuzz import _mutate
+
+    core, calls, broken = gamecat.game._game, Counter(), []
+    importers = [m for name, m in sorted(sys.modules.items())
+                 if name.startswith("gamecat.") and getattr(m, "_game", None) is core]
+
+    def wrapped(where):
+        def _game(clt, mover, payoffs):
+            calls[where] += 1
+            if not (mover.keys() == clt.tree.decision_nodes
+                    and all(len({mover[x] for x in cell}) == 1 for cell in clt.cells)
+                    and all(type(v) is Fraction for t in payoffs.values() for v in t.values())):
+                broken.append((where, clt, mover, payoffs))
+            return core(clt, mover, payoffs)
+        return _game
+
+    for module in importers:
+        monkeypatch.setattr(module, "_game", wrapped(module.__name__))
+
+    def read(text):
+        try:
+            return parse_game_text(text)[1]
+        except GameError:
+            return None
+
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.gm"))):
+        with open(path, encoding="utf-8") as fh:
+            assert read(fh.read()) is not None, path
+    rng = random.Random(35)
+    for k in range(300):
+        g = random_game(rng, max_nodes=12)
+        text = print_game(f"g{k}", g)
+        quoted = print_game(f"q{k}", pushforward(g, *random_bijections(rng, g))[0])
+        assert read(text) == g and read(quoted) is not None
+        for t in (text, quoted):
+            read(_mutate(rng, t))
+        for convert in (to_distinguished, to_sequence, to_distinguished_sequence, to_action_set):
+            try:
+                assert read(print_game("c", convert(g).game)) is not None
+            except ValidationError:
+                assert convert is to_action_set
+        for r in subgame_roots(g):
+            selten_subgame(g, r)
+        one_player_zero_game(g.clt)
+        merged = merge_two_ends(rng, g)
+        if merged is not None:
+            assert mono_witness(merged[1]) is not None
+    assert broken == []
+    # Both readers, and each importer, met the core.
+    assert calls["gamecat.fileformat"] >= 300 and calls["gamecat.game"] >= 600, calls
+    assert {m.__name__ for m in importers} == set(calls), calls

@@ -13,9 +13,10 @@ import time
 
 import pytest
 
-from gamecat import (identity_morphism, is_iso, iso_search, parse_game_text, print_game,
-                     properties, selten_subgame, subgame_roots, to_action_set, to_distinguished,
-                     to_sequence)
+from gamecat import (cli, encode_set, fileformat, identity_morphism, is_iso, iso_search,
+                     parse_game_text, parse_morphism_text, print_game, print_morphism, properties,
+                     selten_subgame, subgame_roots, to_action_set, to_distinguished, to_sequence)
+from gamecat.tree import _runs
 
 BOUND_S = 30
 
@@ -110,3 +111,63 @@ def test_subgame_costs_less_than_loading_its_text():
     took = {op.__name__: min(seconds(op, *args) for _ in range(3))
             for op, args in ((selten_subgame, (g, r)), (parse_game_text, (text,)))}
     assert took["selten_subgame"] <= 0.75 * took["parse_game_text"], took
+
+
+# Each fast path below is a second way to do what a general path does, kept
+# because it pays: a test states by how much, as a ratio against the general
+# path, best of 3 on each side, taken in turns. When one fails, its fork no
+# longer pays for its lines and becomes a candidate for deletion.
+FORK_BOUND = 0.6
+FORK_TEXTS = pytest.mark.parametrize("text", [binary_text(10), comb_text(200)],
+                                     ids=["binary(10)", "comb(200)"])
+
+
+def fork_ratio(fast, general):
+    took = {fast: [], general: []}
+    for _ in range(3):
+        for op in took:
+            took[op].append(seconds(op))
+    return min(took[fast]) / min(took[general])
+
+
+@FORK_TEXTS
+def test_gm_block_reader_pays_for_itself(text, monkeypatch):
+    # Measured 0.30-0.38 of the line reader's time.
+    def line_reader():
+        with monkeypatch.context() as m:
+            m.setattr(fileformat, "_game_blocks", lambda text: None)
+            return parse_game_text(text)
+
+    assert line_reader() == parse_game_text(text)
+    ratio = fork_ratio(lambda: parse_game_text(text), line_reader)
+    assert ratio <= FORK_BOUND, ratio
+
+
+def test_gmm_block_reader_pays_for_itself(monkeypatch):
+    # Measured 0.22-0.31 of the line reader's time.
+    _, g = parse_game_text(binary_text(10))
+    text = print_morphism("id", "binary.gm", "binary.gm", {x: x for x in g.tree.nodes})
+
+    def line_reader():
+        with monkeypatch.context() as m:
+            m.setattr(fileformat, "_morphism_blocks", lambda text: None)
+            return parse_morphism_text(text)
+
+    assert line_reader() == parse_morphism_text(text)
+    ratio = fork_ratio(lambda: parse_morphism_text(text), line_reader)
+    assert ratio <= FORK_BOUND, ratio
+
+
+@FORK_TEXTS
+def test_run_encodings_pay_for_themselves(text):
+    # cli._run_encodings writes each run's encoding from one walk that keeps
+    # the path's term ranks; the general path encodes each run set on its
+    # own. Measured 0.13-0.16 of its time on comb(200), 0.37-0.42 on binary(10).
+    t = parse_game_text(text)[1].tree
+
+    def general():
+        return {e: encode_set(r) for e, r in _runs(t).items()}
+
+    assert cli._run_encodings(t) == general()
+    ratio = fork_ratio(lambda: cli._run_encodings(t), general)
+    assert ratio <= FORK_BOUND, ratio

@@ -134,7 +134,7 @@ def test_object_validators_check_only_outside_input():
     # caller in the library is build_game, which only the file reader calls,
     # for the text it reads. What the library builds for itself (restrictions,
     # probes, transports) is valid by construction and goes straight to the
-    # cores, tree._out_tree, clt._laid_out and game._game.
+    # cores, tree._indexed, clt._laid_out and game._game.
     validators = {"validate_out_tree", "validate_clt", "validate_game", "build_game"}
     calls = []
     for path in sorted(glob.glob(os.path.join(os.path.dirname(gamecat.__file__), "*.py"))):
@@ -149,3 +149,22 @@ def test_object_validators_check_only_outside_input():
                              ("validate_clt", "game.py", "build_game"),
                              ("validate_game", "game.py", "build_game"),
                              ("validate_out_tree", "game.py", "build_game")], calls
+
+
+def test_only_outside_input_reaches_the_tree_core():
+    # tree._out_tree decides whether listed nodes and a parent map make a
+    # tree, which only outside input can fail: validate_out_tree and the
+    # .gm block reader call it. What the library builds for itself (a
+    # transport, a restriction, a probe) has its root and a preorder in
+    # hand and goes to tree._indexed.
+    calls = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(gamecat.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for top in tree.body:
+            calls += [(os.path.basename(path), getattr(top, "name", None))
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and "_out_tree" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    assert sorted(calls) == [("fileformat.py", "_game_blocks"),
+                             ("tree.py", "validate_out_tree")], calls
