@@ -8,9 +8,9 @@ the stages: tag actions by information set, then name nodes by root path.
 
 from __future__ import annotations
 
+from . import morphism
 from .errors import ValidationError
 from .game import Game
-from .morphism import GameMorphism, _transport
 from .terms import FinSet, Tup, _adjoin, _Record, encode
 from .tree import _above
 
@@ -25,7 +25,7 @@ class GameProperties(_Record):
 
 class ConversionResult(_Record):
     game: Game
-    certificate: GameMorphism
+    certificate: morphism.GameMorphism
 
 
 def _distinguished(g: Game) -> bool:
@@ -95,7 +95,8 @@ def _renamed(g: Game, action_bijs, name=None) -> ConversionResult:
             node_bij[y] = grow(node_bij[x], action_bijs[x][act[y]])
     else:
         node_bij = {x: x for x in t.nodes}
-    return ConversionResult(*_transport(g, node_bij, action_bijs, {i: i for i in g.players}))
+    players = {i: i for i in g.players}
+    return ConversionResult(*morphism._transport(g, node_bij, action_bijs, players))
 
 
 def to_distinguished(g: Game) -> ConversionResult:

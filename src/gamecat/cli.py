@@ -17,15 +17,10 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .canon import (properties, to_action_set, to_distinguished,
-                    to_distinguished_sequence, to_sequence)
-from .equilibrium import _end, _index, _nash_profiles, _sizes, _spe_profiles
+from . import canon, equilibrium, morphism, subgame
 from .errors import OperationError, ParseError, ValidationError
 from .fileformat import (parse_game_text, parse_morphism_text, print_game,
                          print_morphism)
-from .morphism import (_alpha_at, clt_mono_witness, compose, is_iso, is_mono,
-                       iso_search, mono_witness, validate_game_morphism)
-from .subgame import selten_subgame, subgame_roots
 from .terms import _sorted, encode, encode_set, parse_term
 
 
@@ -120,7 +115,7 @@ def _cmd_validate(args, rep):
 
 def _cmd_props(args, rep):
     _, g = _load_game(args.game)
-    p = properties(g)
+    p = canon.properties(g)
     for f in p._fields:
         rep.line(f, str(getattr(p, f)).lower())
     return 0
@@ -134,13 +129,14 @@ def _cmd_strategies(args, rep):
     cols = [[prefix + encode(a) for a in g.clt.cell_actions[c]]
             for c in g.clt.cells for prefix in [encode_set(c) + "="]]
     if args.command == "strategies":
-        profiles = itertools.product(*map(range, _sizes(g, args.max_strategies)))
-        at, runs = _index(g, range(len(cols)))[0], _run_encodings(g.tree)
+        profiles = itertools.product(*map(range, equilibrium._sizes(g, args.max_strategies)))
+        at, runs = equilibrium._index(g, range(len(cols)))[0], _run_encodings(g.tree)
         for p in profiles:
             rep.line("strategy", " ".join(map(list.__getitem__, cols, p)),
-                     "outcome", runs[_end(at, g.tree.root, p)])
+                     "outcome", runs[equilibrium._end(at, g.tree.root, p)])
     else:
-        solver = _nash_profiles if args.command == "nash" else _spe_profiles
+        solver = (equilibrium._nash_profiles if args.command == "nash"
+                  else equilibrium._spe_profiles)
         for p in solver(g, args.max_strategies):
             rep.line(args.command, " ".join(map(list.__getitem__, cols, p)))
     return 0
@@ -148,7 +144,7 @@ def _cmd_strategies(args, rep):
 
 def _cmd_subgames(args, rep):
     _, g = _load_game(args.game)
-    for r in _sorted(subgame_roots(g)):
+    for r in _sorted(subgame.subgame_roots(g)):
         rep.line("subgame_root", encode(r))
     return 0
 
@@ -156,7 +152,7 @@ def _cmd_subgames(args, rep):
 def _cmd_subgame(args, rep):
     name, g = _load_game(args.game)
     at = parse_term(args.at)
-    res = selten_subgame(g, at)
+    res = subgame.selten_subgame(g, at)
     text = print_game(f"{name}.at.{encode(at)}", res.subgame)
     rep.line("root", encode(res.root))
     rep.line("nodes", len(res.subgame.tree.nodes))
@@ -164,17 +160,17 @@ def _cmd_subgame(args, rep):
     return 0
 
 
-_CONVERTERS = {
-    "distinguished": to_distinguished,
-    "sequence": to_sequence,
-    "action-set": to_action_set,
-    "distinguished-sequence": to_distinguished_sequence,
+_CONVERTERS = {  # target -> its converter's name in canon
+    "distinguished": "to_distinguished",
+    "sequence": "to_sequence",
+    "action-set": "to_action_set",
+    "distinguished-sequence": "to_distinguished_sequence",
 }
 
 
 def _cmd_convert(args, rep):
     name, g = _load_game(args.game)
-    result = _CONVERTERS[args.to](g)
+    result = getattr(canon, _CONVERTERS[args.to])(g)
     stem, _ = os.path.splitext(args.game)
     out_game = f"{stem}.{args.to}.gm"
     out_morph = f"{stem}.{args.to}.gmm"
@@ -193,13 +189,13 @@ def _cmd_convert(args, rep):
 def _check_morphism(path, rep, classify=False):
     _, src, tgt, node_map = _load_morphism(path)
     try:
-        gm = validate_game_morphism(src, tgt, node_map)
+        gm = morphism.validate_game_morphism(src, tgt, node_map)
     except (ValidationError, OperationError) as e:
         rep.line("verdict", "invalid")
         rep.line("error", str(e))
         if e.code == "ActionTransformNotConstant":
             for x in e.witness:
-                for a, image in _alpha_at(src.clt, tgt.clt, node_map, x).items():
+                for a, image in morphism._alpha_at(src.clt, tgt.clt, node_map, x).items():
                     rep.line("alpha", encode(x), encode(a), "->", encode(image))
         return 1
     rep.line("verdict", "valid")
@@ -214,10 +210,10 @@ def _check_morphism(path, rep, classify=False):
     for i in _sorted(gm.iota):
         rep.line("iota", encode(i), "->", encode(gm.iota[i]))
     if classify:
-        for key, verdict in (("mono", is_mono(gm)), ("iso", is_iso(gm))):
+        for key, verdict in (("mono", morphism.is_mono(gm)), ("iso", morphism.is_iso(gm))):
             rep.line(key, str(verdict).lower())
-        for key, w in (("mono_witness", mono_witness(gm)),
-                       ("clt_mono_witness", clt_mono_witness(gm.clt_morphism))):
+        for key, w in (("mono_witness", morphism.mono_witness(gm)),
+                       ("clt_mono_witness", morphism.clt_mono_witness(gm.clt_morphism))):
             if w is not None:
                 m1, m2 = w
                 for x in m1.source.tree.sorted_nodes:
@@ -235,9 +231,9 @@ def _cmd_morphism(args, rep):
         raise ParseError("compose needs two morphism files")
     _, s1, t1, map1 = _load_morphism(args.files[0])
     _, s2, t2, map2 = _load_morphism(args.files[1])
-    m1 = validate_game_morphism(s1, t1, map1)
-    m2 = validate_game_morphism(s2, t2, map2)
-    m = compose(m2, m1)
+    m1 = morphism.validate_game_morphism(s1, t1, map1)
+    m2 = morphism.validate_game_morphism(s2, t2, map2)
+    m = morphism.compose(m2, m1)
     for x in m.source.tree.sorted_nodes:
         rep.line("map", encode(x), "->", encode(m.node_map[x]))
     return 0
@@ -246,7 +242,7 @@ def _cmd_morphism(args, rep):
 def _cmd_iso(args, rep):
     name1, g1 = _load_game(args.game1)
     name2, g2 = _load_game(args.game2)
-    m = iso_search(g1, g2)
+    m = morphism.iso_search(g1, g2)
     if m is None:
         rep.line("verdict", "not-isomorphic")
         return 1

@@ -28,9 +28,9 @@ import itertools
 import math
 from operator import itemgetter
 
+from . import morphism
 from .errors import OperationError
 from .game import Game
-from .morphism import GameMorphism, is_iso
 from .subgame import subgame_roots
 from .terms import _Record
 from .tree import _above, _run
@@ -236,11 +236,11 @@ def spe(g: Game, cap: int = 1_000_000):
     return [_strategy(g, p) for p in _spe_profiles(g, cap)]
 
 
-def push_strategy(iso: GameMorphism, s: GrandStrategy) -> GrandStrategy:
+def push_strategy(iso: morphism.GameMorphism, s: GrandStrategy) -> GrandStrategy:
     """Transport a strategy along an isomorphism: each target cell, in
     encoding order, takes the image action of its preimage cell's choice.
     A choice at no source cell, or of an action its cell lacks, is NotAStrategy."""
-    if not is_iso(iso):
+    if not morphism.is_iso(iso):
         raise OperationError("NotIso")
     choice = _choices(iso.source, s, complete=False)
     tau, alpha, info_of = iso.node_map, iso.clt_morphism.alpha, iso.target.clt.info_of

@@ -10,10 +10,10 @@ Subgame utilities are the original utilities of the completed runs.
 
 from __future__ import annotations
 
+from . import morphism
 from .clt import CLT, _laid_out
 from .errors import OperationError, ValidationError
 from .game import Game, _game
-from .morphism import CltMorphism, GameMorphism
 from .terms import Term, _Record
 from .tree import _indexed, descendants
 
@@ -21,7 +21,7 @@ from .tree import _indexed, descendants
 class SeltenResult(_Record):
     root: Term
     subgame: Game
-    inclusion: GameMorphism
+    inclusion: morphism.GameMorphism
 
 
 def selten_subclt(c: CLT, r: Term) -> CLT:
@@ -48,9 +48,9 @@ def selten_subgame(g: Game, r: Term) -> SeltenResult:
     # so utilities restrict by end node.
     sub = _game(c, mover, {i: {e: g.payoffs[i][e] for e in c.tree.ends}
                            for i in set(mover.values())})
-    cm = CltMorphism(c, g.clt, {x: x for x in c.tree.order},
-                     {cell: dict(zip(pool, pool)) for cell, pool in c.cell_actions.items()})
-    inclusion = GameMorphism(sub, g, cm, {i: i for i in sub.players})
+    cm = morphism.CltMorphism(c, g.clt, {x: x for x in c.tree.order},
+                              {cell: dict(zip(pool, pool)) for cell, pool in c.cell_actions.items()})
+    inclusion = morphism.GameMorphism(sub, g, cm, {i: i for i in sub.players})
     return SeltenResult(root=r, subgame=sub, inclusion=inclusion)
 
 

@@ -244,7 +244,8 @@ def reference_inputs():
 
 def test_converters_equal_the_staged_reference(monkeypatch):
     # Each converter builds its maps as bijections, so it runs one transport
-    # (pushforward's core) and no pushforward checks.
+    # (pushforward's core, which canon reads from morphism at call time)
+    # and no pushforward checks.
     calls = []
     transport = gamecat.morphism._transport
 
@@ -252,7 +253,7 @@ def test_converters_equal_the_staged_reference(monkeypatch):
         calls.append(1)
         return transport(*args)
 
-    monkeypatch.setattr(gamecat.canon, "_transport", counting_transport)
+    monkeypatch.setattr(gamecat.morphism, "_transport", counting_transport)
     monkeypatch.setattr(gamecat.morphism, "pushforward", None)
     absentminded = 0
     for g in reference_inputs():

@@ -749,6 +749,45 @@ def test_importing_the_cli_leaves_argparse_unloaded():
     assert out == "False\n"
 
 
+# One command in a fresh interpreter: its output on stdout, then on stderr
+# its exit code and the command modules that ran. A module not yet run is
+# a lazy module, whose type is a subclass of ModuleType; type() reads no
+# attribute of it, so the check runs nothing. Standard library only.
+MODULES_RUN_SCRIPT = """\
+import sys, types
+import gamecat.cli
+code = gamecat.cli.main(sys.argv[1:])
+print(code, *[m for m in ("canon", "equilibrium", "morphism", "subgame")
+              if type(sys.modules["gamecat." + m]) is types.ModuleType], file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["validate", "trio_a.gm"], ""),
+    (["validate", "bad.gm"], ""),
+    (["subgames", "trio_a.gm"], "subgame"),
+    (["strategies", "trio_a.gm"], "equilibrium subgame"),
+    (["nash", "trio_a.gm"], "equilibrium subgame"),
+    (["spe", "trio_a.gm"], "equilibrium subgame"),
+    (["props", "trio_a.gm"], "canon"),
+    (["convert", "trio_a.gm", "--to", "action-set"], "canon morphism"),
+    (["iso", "trio_a.gm", "trio_b.gm"], "morphism"),
+    (["morphism", "classify", "relabel.gmm"], "morphism"),
+    (["subgame", "trio_a.gm", "--at", "0"], "morphism subgame"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_each_command_runs_only_the_modules_it_needs(tmp_path, capsys, argv, ran):
+    for name in ("trio_a.gm", "trio_b.gm", "relabel.gmm", "relabel_src.gm", "relabel_tgt.gm"):
+        shutil.copy(fixture_path(name), tmp_path)
+    (tmp_path / "bad.gm").write_text("game b\nnode 0\n")
+    argv = [str(tmp_path / w) if w.endswith((".gm", ".gmm")) else w for w in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamecat.__file__)))
+    done = subprocess.run([sys.executable, "-c", MODULES_RUN_SCRIPT, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    code, out = run(capsys, *argv)
+    assert done.stderr.split() == [str(code), *ran.split()]
+    assert done.stdout == out != ""
+
+
 def test_a_validate_process_leaves_dataclasses_and_its_imports_unloaded():
     """The records are plain classes, so a process is spared dataclasses'
     import and the modules it pulls in."""
